@@ -59,6 +59,14 @@ LSV_STORE=0 ./target/release/mpki 32 >"$STORE_SMOKE_OUT/ci-store-off.csv" 2>/dev
 cmp "$STORE_SMOKE_OUT/ci-store-cold.csv" "$STORE_SMOKE_OUT/ci-store-off.csv"
 rm -rf "$STORE_SMOKE_DIR"
 
+echo "== validate artifact gate (cold store; stdout must equal results/validate.csv)"
+VALIDATE_STORE_DIR=results/.ci-validate-store
+rm -rf "$VALIDATE_STORE_DIR"
+LSV_STORE_DIR="$VALIDATE_STORE_DIR" ./target/release/validate \
+    >"$STORE_SMOKE_OUT/ci-validate.csv" 2>/dev/null
+cmp "$STORE_SMOKE_OUT/ci-validate.csv" results/validate.csv
+rm -rf "$VALIDATE_STORE_DIR"
+
 echo "== serving smoke (queue sweep + trace; warm replay must be byte-identical)"
 SERVE_STORE_DIR=results/.ci-serve-store
 SERVE_TRACE_COLD=results/.ci-serve-trace-cold

@@ -163,9 +163,9 @@ fn bench_functional_kernels(c: &mut Criterion) {
 
 fn bench_native_vs_naive(c: &mut Criterion) {
     // The native backend runs the frozen blocked plan as host loops; the
-    // naive reference is the textbook seven-deep nest over the same
-    // operands. Identical FLOPs, identical results (within reassociation) —
-    // the gap is what the paper's blocking buys even off the simulator.
+    // naive reference is Algorithm 1 reordered so a channel dimension runs
+    // innermost (bit-identical to the literal nest). Identical FLOPs,
+    // results equal within reassociation, for each training direction.
     let arch = sx_aurora();
     let p = ConvProblem::new(1, 64, 64, 28, 28, 3, 3, 1, 1);
     let src: Vec<f32> = (0..p.n * p.ic * p.ih * p.iw)
@@ -174,25 +174,33 @@ fn bench_native_vs_naive(c: &mut Criterion) {
     let wei: Vec<f32> = (0..p.oc * p.ic * p.kh * p.kw)
         .map(|i| (i % 127) as f32 * 1e-4)
         .collect();
-    let mut g = c.benchmark_group("backend/native_vs_naive_fwd");
+    let dst: Vec<f32> = (0..p.n * p.oc * p.oh() * p.ow())
+        .map(|i| (i % 193) as f32 * 1e-3)
+        .collect();
+    let mut g = c.benchmark_group("backend/native_vs_naive");
     g.sample_size(10);
     g.throughput(Throughput::Elements(2 * p.macs()));
-    g.bench_function("naive", |b| {
-        b.iter(|| std::hint::black_box(naive::forward(&p, &src, &wei)))
-    });
-    for alg in Algorithm::ALL {
-        let prim = ConvDesc::new(p, Direction::Fwd, alg)
-            .create(&arch, 1)
-            .unwrap();
-        g.bench_with_input(
-            BenchmarkId::new("native", alg.short_name()),
-            &prim,
-            |b, prim| {
-                b.iter(|| {
-                    std::hint::black_box(prim.run_with_backend(&NativeBackend, &src, &wei, &[]))
-                })
-            },
-        );
+    for dir in Direction::ALL {
+        g.bench_function(&format!("naive/{dir}"), |b| {
+            b.iter(|| std::hint::black_box(naive::reference(&p, dir, &src, &wei, &dst)))
+        });
+        for alg in Algorithm::ALL {
+            let prim = ConvDesc::new(p, dir, alg).create(&arch, 1).unwrap();
+            g.bench_with_input(
+                BenchmarkId::new(&format!("native/{alg}"), dir),
+                &prim,
+                |b, prim| {
+                    b.iter(|| {
+                        std::hint::black_box(prim.run_with_backend(
+                            &NativeBackend,
+                            &src,
+                            &wei,
+                            &dst,
+                        ))
+                    })
+                },
+            );
+        }
     }
     g.finish();
 }

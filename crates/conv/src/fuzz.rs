@@ -44,7 +44,7 @@ use crate::naive;
 use crate::primitive::{ConvDesc, UnsupportedReason};
 use crate::problem::{Algorithm, ConvProblem, Direction};
 use crate::tuning::KernelConfig;
-use crate::verify::tolerance;
+use crate::verify::{compare, tolerance};
 use lsv_arch::{aurora_with_vlen_bits, ArchParams};
 use lsv_vengine::{Arena, ExecutionMode, InstCounters, VCore};
 use proptest::strategy::Strategy;
@@ -274,14 +274,7 @@ fn check_case_inner(
         backend_impl.execute_slice(&prim, &mut arena, &t, 0..p.n, 0..prim.bwdw_small_blocks());
     *exec_secs += t0.elapsed().as_secs_f64();
     let got = prim.read_output(&arena, &t);
-    let (reference, reduction_len) = match case.direction {
-        Direction::Fwd => (naive::forward(&p, &src, &wei), p.ic * p.kh * p.kw),
-        Direction::BwdData => (naive::backward_data(&p, &dst, &wei), p.oc * p.kh * p.kw),
-        Direction::BwdWeights => (
-            naive::backward_weights(&p, &src, &dst),
-            p.n * p.oh() * p.ow(),
-        ),
-    };
+    let (reference, reduction_len) = naive::reference(&p, case.direction, &src, &wei, &dst);
     if got.len() != reference.len() {
         return Err(format!(
             "output length {} != reference length {}",
@@ -289,15 +282,12 @@ fn check_case_inner(
             reference.len()
         ));
     }
-    let rel_err = got
-        .iter()
-        .zip(&reference)
-        .map(|(g, r)| (g - r).abs() / r.abs().max(1.0))
-        .fold(0.0f32, f32::max);
-    let tol = tolerance(reduction_len);
-    if rel_err > tol {
+    let report = compare(&got, &reference, reduction_len);
+    if !report.passed {
         return Err(format!(
-            "functional mismatch vs naive: rel_err {rel_err:.3e} > tolerance {tol:.3e}"
+            "functional mismatch vs naive: rel_err {:.3e} > tolerance {:.3e}",
+            report.rel_err,
+            tolerance(reduction_len)
         ));
     }
 

@@ -113,30 +113,22 @@ pub fn validate_with_backend(
         p.pad_w,
         direction.short_name()
     );
-    let st = crate::store::store();
-    let (reference, reduction_len) = match direction {
-        Direction::Fwd => (
-            st.naive_ref(&ref_tag, || naive::forward(&p, &src, &wei)),
-            p.ic * p.kh * p.kw,
-        ),
-        Direction::BwdData => (
-            st.naive_ref(&ref_tag, || naive::backward_data(&p, &dst, &wei)),
-            p.oc * p.kh * p.kw,
-        ),
-        Direction::BwdWeights => (
-            st.naive_ref(&ref_tag, || naive::backward_weights(&p, &src, &dst)),
-            p.n * p.oh() * p.ow(),
-        ),
-    };
+    let reference = crate::store::store().naive_ref(&ref_tag, || {
+        naive::reference(&p, direction, &src, &wei, &dst).0
+    });
+    compare(&got, &reference, naive::reduction_len(&p, direction))
+}
 
-    let max_abs_err = naive::max_abs_diff(&got, &reference);
-    let rel_err = got
-        .iter()
-        .zip(reference.iter())
-        .map(|(g, r)| (g - r).abs() / r.abs().max(1.0))
-        .fold(0.0f32, f32::max);
+/// Hold an output to its reference under the per-element criterion, with the
+/// tolerance scaled to `reduction_len`. A NaN anywhere is an infinite error,
+/// so it fails.
+///
+/// # Panics
+/// Panics when lengths differ.
+pub fn compare(got: &[f32], reference: &[f32], reduction_len: usize) -> ValidationReport {
+    let rel_err = naive::max_rel_err(got, reference);
     ValidationReport {
-        max_abs_err,
+        max_abs_err: naive::max_abs_diff(got, reference),
         rel_err,
         passed: rel_err <= tolerance(reduction_len),
     }

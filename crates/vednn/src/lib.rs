@@ -320,18 +320,9 @@ mod tests {
         let dst = rand_vec(p.n * p.oc * p.oh() * p.ow(), 3);
         let conv = VednnConv::with_algo(&arch, p, dir, algo);
         let (got, _) = conv.run_functional(&src, &wei, &dst);
-        let want = match dir {
-            Direction::Fwd => naive::forward(&p, &src, &wei),
-            Direction::BwdData => naive::backward_data(&p, &dst, &wei),
-            Direction::BwdWeights => naive::backward_weights(&p, &src, &dst),
-        };
-        let err = naive::max_abs_diff(&got, &want);
-        let scale = want.iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1.0);
-        assert!(
-            err / scale < 1e-3,
-            "{algo:?} {dir}: rel err {}",
-            err / scale
-        );
+        let (want, _) = naive::reference(&p, dir, &src, &wei, &dst);
+        let rel = naive::normwise_rel_err(&got, &want);
+        assert!(rel < 1e-3, "{algo:?} {dir}: rel err {rel}");
     }
 
     #[test]

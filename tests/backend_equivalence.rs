@@ -60,20 +60,6 @@ fn operands(p: &ConvProblem, seed: u64) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     )
 }
 
-fn naive_reference(
-    p: &ConvProblem,
-    dir: Direction,
-    src: &[f32],
-    wei: &[f32],
-    dst: &[f32],
-) -> (Vec<f32>, usize) {
-    match dir {
-        Direction::Fwd => (naive::forward(p, src, wei), p.ic * p.kh * p.kw),
-        Direction::BwdData => (naive::backward_data(p, dst, wei), p.oc * p.kh * p.kw),
-        Direction::BwdWeights => (naive::backward_weights(p, src, dst), p.n * p.oh() * p.ow()),
-    }
-}
-
 /// Run one case on both backends and check the three-way agreement.
 /// Returns `false` when the primitive legitimately declines the geometry
 /// (register pressure on a narrow arch) — checked, not failed.
@@ -103,7 +89,7 @@ fn check_three_way(case: &FuzzCase, seed: u64) -> bool {
     );
 
     // Both vs the naive reference, within the reassociation tolerance.
-    let (reference, reduction_len) = naive_reference(&p, case.direction, &src, &wei, &dst);
+    let (reference, reduction_len) = naive::reference(&p, case.direction, &src, &wei, &dst);
     let tol = tolerance(reduction_len);
     for (i, (g, r)) in sim_out.iter().zip(&reference).enumerate() {
         let rel = (g - r).abs() / r.abs().max(1.0);
@@ -233,7 +219,7 @@ fn multicore_native_matches_sim_functional() {
         assert_eq!(nat_cycles, 0, "native backend reports no timing");
 
         // And both agree with the naive reference.
-        let (reference, reduction_len) = naive_reference(&p, dir, &src, &wei, &dst);
+        let (reference, reduction_len) = naive::reference(&p, dir, &src, &wei, &dst);
         let tol = tolerance(reduction_len);
         for (g, r) in nat_out.iter().zip(&reference) {
             assert!((g - r).abs() / r.abs().max(1.0) <= tol, "{p} {dir} {alg}");

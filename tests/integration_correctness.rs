@@ -61,18 +61,12 @@ fn vednn_matches_reference_on_all_layer_shapes() {
         for dir in Direction::ALL {
             let conv = VednnConv::best(&arch, p, dir);
             let (got, _) = conv.run_functional(&src, &wei, &dst);
-            let want = match dir {
-                Direction::Fwd => naive::forward(&p, &src, &wei),
-                Direction::BwdData => naive::backward_data(&p, &dst, &wei),
-                Direction::BwdWeights => naive::backward_weights(&p, &src, &dst),
-            };
-            let err = naive::max_abs_diff(&got, &want);
-            let scale = want.iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1.0);
+            let (want, _) = naive::reference(&p, dir, &src, &wei, &dst);
+            let rel = naive::normwise_rel_err(&got, &want);
             assert!(
-                err / scale < 1e-2,
-                "layer {id} ({p}) {dir} vednn({:?}): rel err {:.3e}",
-                conv.algo(),
-                err / scale
+                rel < 1e-2,
+                "layer {id} ({p}) {dir} vednn({:?}): rel err {rel:.3e}",
+                conv.algo()
             );
         }
     }
