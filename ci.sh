@@ -17,11 +17,11 @@ echo "== cargo test"
 cargo test --workspace -q
 
 echo "== lint-kernels (full arch family, static-only; deny findings are errors)"
-# --all sweeps every 512..16384-bit family member; --static proves the
-# clean path ran zero simulated replays (the symbolic analyzer was
-# conclusive everywhere). The old per-kernel replay step is gone: the
-# fuzz agreement oracle below cross-checks static vs replay verdicts.
-cargo run --release -p lsv-bench --bin lint-kernels -- --all --static --deny-as-error
+# The experiment sweeps every 512..16384-bit family member and fails on any
+# deny finding or any simulated replay (the symbolic analyzer must be
+# conclusive everywhere). The old per-kernel replay step is gone: the fuzz
+# agreement oracle below cross-checks static vs replay verdicts.
+./target/release/lsvconv-cli run lint-kernels
 
 echo "== differential fuzz (smoke: seed corpus + bounded randomized sweep)"
 cargo run --release -p lsv-bench --bin lsvconv-cli -- fuzz --smoke --agreement
@@ -33,7 +33,7 @@ echo "== profile smoke (reconciliation + profile.json schema are hard errors)"
 cargo run --release -p lsv-bench --bin lsvconv-cli -- profile --smoke --out results/ci-profile
 
 echo "== bench-simulator (smoke)"
-cargo run --release -p lsv-bench --bin bench-simulator -- --smoke
+./target/release/lsvconv-cli run bench-simulator --smoke --out results/logs/ci-bench-simulator
 
 echo "== layer-store smoke (cold -> warm >= 5x + byte-identical, then store-off equality)"
 STORE_SMOKE_DIR=results/.ci-store
@@ -41,13 +41,13 @@ STORE_SMOKE_OUT=results/logs
 mkdir -p "$STORE_SMOKE_OUT"
 rm -rf "$STORE_SMOKE_DIR"
 t0=$(date +%s%N)
-LSV_STORE_DIR="$STORE_SMOKE_DIR" ./target/release/mpki 32 \
-    >"$STORE_SMOKE_OUT/ci-store-cold.csv" 2>/dev/null
+./target/release/lsvconv-cli run mpki --store-dir "$STORE_SMOKE_DIR" \
+    --out "$STORE_SMOKE_OUT/ci-store-cold" >/dev/null 2>&1
 t1=$(date +%s%N)
-LSV_STORE_DIR="$STORE_SMOKE_DIR" ./target/release/mpki 32 \
-    >"$STORE_SMOKE_OUT/ci-store-warm.csv" 2>/dev/null
+./target/release/lsvconv-cli run mpki --store-dir "$STORE_SMOKE_DIR" \
+    --out "$STORE_SMOKE_OUT/ci-store-warm" >/dev/null 2>&1
 t2=$(date +%s%N)
-cmp "$STORE_SMOKE_OUT/ci-store-cold.csv" "$STORE_SMOKE_OUT/ci-store-warm.csv"
+cmp "$STORE_SMOKE_OUT/ci-store-cold/mpki.csv" "$STORE_SMOKE_OUT/ci-store-warm/mpki.csv"
 cold_ms=$(((t1 - t0) / 1000000))
 warm_ms=$(((t2 - t1) / 1000000))
 echo "   cold ${cold_ms}ms, warm ${warm_ms}ms"
@@ -55,16 +55,17 @@ if [ $((warm_ms * 5)) -gt "$cold_ms" ]; then
     echo "store smoke: warm pass (${warm_ms}ms) not >=5x faster than cold (${cold_ms}ms)" >&2
     exit 1
 fi
-LSV_STORE=0 ./target/release/mpki 32 >"$STORE_SMOKE_OUT/ci-store-off.csv" 2>/dev/null
-cmp "$STORE_SMOKE_OUT/ci-store-cold.csv" "$STORE_SMOKE_OUT/ci-store-off.csv"
+./target/release/lsvconv-cli run mpki --no-store \
+    --out "$STORE_SMOKE_OUT/ci-store-off" >/dev/null 2>&1
+cmp "$STORE_SMOKE_OUT/ci-store-cold/mpki.csv" "$STORE_SMOKE_OUT/ci-store-off/mpki.csv"
 rm -rf "$STORE_SMOKE_DIR"
 
-echo "== validate artifact gate (cold store; stdout must equal results/validate.csv)"
+echo "== validate artifact gate (cold store; validate.csv must equal results/validate.csv)"
 VALIDATE_STORE_DIR=results/.ci-validate-store
 rm -rf "$VALIDATE_STORE_DIR"
-LSV_STORE_DIR="$VALIDATE_STORE_DIR" ./target/release/validate \
-    >"$STORE_SMOKE_OUT/ci-validate.csv" 2>/dev/null
-cmp "$STORE_SMOKE_OUT/ci-validate.csv" results/validate.csv
+./target/release/lsvconv-cli run validate --store-dir "$VALIDATE_STORE_DIR" \
+    --out "$STORE_SMOKE_OUT/ci-validate" >/dev/null 2>&1
+cmp "$STORE_SMOKE_OUT/ci-validate/validate.csv" results/validate.csv
 rm -rf "$VALIDATE_STORE_DIR"
 
 echo "== serving smoke (queue sweep + trace; warm replay must be byte-identical)"
@@ -95,12 +96,12 @@ cmp "$SERVE_TRACE_COLD/serving_timeseries.csv" "$SERVE_TRACE_WARM/serving_timese
 rm -rf "$SERVE_TRACE_COLD" "$SERVE_TRACE_WARM"
 
 echo "== bench-serving (smoke; BENCH_serving.json schema validation is a hard error)"
-LSV_STORE_DIR="$SERVE_STORE_DIR" ./target/release/bench-serving --smoke \
-    --json "$STORE_SMOKE_OUT/ci-serving.json" >"$STORE_SMOKE_OUT/ci-serving.csv" 2>/dev/null
+./target/release/lsvconv-cli run bench-serving --smoke --store-dir "$SERVE_STORE_DIR" \
+    --out "$STORE_SMOKE_OUT/ci-serving" >/dev/null 2>&1
 rm -rf "$SERVE_STORE_DIR"
 
 echo "== bench-native (smoke: layer GFLOP/s + sim-vs-native corpus speedup)"
-cargo run --release -p lsv-bench --bin bench-native -- --smoke
+./target/release/lsvconv-cli run bench-native --smoke --out results/logs/ci-bench-native
 
 echo "== cargo bench (smoke mode: 1 sample per benchmark)"
 LSV_BENCH_SMOKE=1 cargo bench --workspace -q

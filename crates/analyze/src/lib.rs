@@ -140,7 +140,7 @@ fn traced_replay(arch: &ArchParams, p: &ConvProblem, cfg: &KernelConfig) -> Repo
 /// Full analysis, static-first: the symbolic path decides; the simulated
 /// replay runs *only* when the lift is inconclusive and nothing was denied
 /// statically. [`AnalysisOutcome::replayed`] records which path ran so
-/// callers (lint-kernels `--static`, tests) can assert the clean path never
+/// callers (the `lint-kernels` experiment, tests) can assert the clean path never
 /// simulates.
 pub fn analyze_kernel_outcome(
     arch: &ArchParams,

@@ -114,7 +114,7 @@ proptest! {
 
     // The satellite property on the real workload: for any Table 3 layer,
     // algorithm and direction, the tuner's configuration replays with zero
-    // `OOB-ADDR` findings (the lint-kernels binary sweeps all 171
+    // `OOB-ADDR` findings (the lint-kernels experiment sweeps all 171
     // exhaustively; this samples the space on every test run).
     #[test]
     fn table3_tuner_configs_have_zero_oob(

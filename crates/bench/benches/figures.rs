@@ -1,6 +1,6 @@
 //! Criterion wrappers around reduced-size versions of every paper
 //! experiment, so `cargo bench` exercises each table/figure pipeline.
-//! The full-size runs live in the `lsv-bench` binaries (one per figure).
+//! The full-size runs are the `lsv-bench` experiments (`lsvconv-cli run`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsv_arch::formula2_rb_min;

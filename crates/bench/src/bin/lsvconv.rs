@@ -9,16 +9,23 @@
 //! lsvconv fuzz   [--cases 500] [--seed 1] [--smoke]  # differential fuzzing
 //! lsvconv profile <layer> [--dir fwdd] [--alg BDC] [--out results/profile] [--smoke]
 //! lsvconv serve  [--model resnet-50] [--pass infer] [--engine BDC] [--smoke]
+//! lsvconv run    <experiment>... | --all [--out results] [--smoke] [--profile]
 //! ```
+//!
+//! Every subcommand parses its flags through one spec-driven parser: a flag
+//! the subcommand does not take, or a malformed value, is a usage error
+//! (exit 2), never silently ignored.
 
 use lsv_arch::presets::{a64fx_sve, rvv_longvector, skylake_avx512, sx_aurora};
 use lsv_arch::ArchParams;
+use lsv_bench::artifact::{write_artifacts, Artifact};
+use lsv_bench::experiments::{self, Ctx, RegenLogs, EXPERIMENTS};
 use lsv_bench::profiling::{print_profile_summary, profile_meta, write_profile_artifacts};
 use lsv_bench::{bench_engine, Engine};
 use lsv_conv::fuzz::{self, FuzzOutcome};
 use lsv_conv::{
     bench_layer_profiled, validate_with_backend, Algorithm, BackendKind, ConvDesc, ConvProblem,
-    Direction, ExecutionMode, Pass,
+    Direction, ExecutionMode, KernelConfig, Pass,
 };
 use lsv_models::{resnet_layer, ResNetModel};
 use lsv_serve::{
@@ -28,35 +35,107 @@ use lsv_serve::{
 };
 use lsv_vengine::CoreStats;
 use std::collections::HashMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut map = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            // Boolean flags (--smoke, --agreement, ...) must not swallow the
-            // flag that follows them: a `--value` is never a flag's value.
-            let val = match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => {
-                    i += 1;
-                    v.clone()
+/// Flag groups shared by several subcommands: `name` is a switch,
+/// `name=what` takes a value (`what` names it in errors).
+const ARCH: &str = "arch=name";
+const BACKEND: &str = "backend=name";
+const STORE: &str = "no-store store-dir=path";
+const PROBLEM: &str = "layer=number ic=number oc=number hw=number k=number stride=number \
+                       pad=number minibatch=number dir=name alg=name";
+
+/// The flags each subcommand takes; anything else is a usage error.
+fn spec(cmd: &str) -> Vec<&'static str> {
+    match cmd {
+        "info" => vec![ARCH],
+        "bench" => vec![ARCH, PROBLEM, BACKEND, STORE],
+        "verify" => vec![ARCH, PROBLEM, BACKEND],
+        "tune" => vec![ARCH, PROBLEM, BACKEND, STORE, "metrics"],
+        "fuzz" => vec![BACKEND, "cases=number seed=number smoke agreement"],
+        "profile" => vec![ARCH, PROBLEM, BACKEND, STORE, "out=path smoke"],
+        "serve" => vec![
+            ARCH,
+            BACKEND,
+            STORE,
+            "smoke model=name pass=name engine=name arrival=name max-batch=number \
+             requests=number seed=number slo=number trace=path metrics",
+        ],
+        "run" => vec![
+            STORE,
+            "out=path smoke profile all regen-before=path regen-after=path regen-warm=path \
+             store-stats=path",
+        ],
+        _ => usage("missing or unknown command"),
+    }
+}
+
+/// A subcommand's parsed arguments: leading positionals, then flags.
+#[derive(Default)]
+struct Flags {
+    positional: Vec<String>,
+    values: HashMap<&'static str, String>,
+}
+
+impl Flags {
+    /// Parse `args` against the subcommand's flag spec. A following
+    /// `--flag` is never a value, so `--store-dir --smoke` is a missing path
+    /// rather than a directory named `--smoke`.
+    fn parse(cmd: &str, args: &[String]) -> Self {
+        let spec = spec(cmd);
+        let mut flags = Flags::default();
+        let mut it = args.iter().peekable();
+        while let Some(a) = it.next() {
+            let Some(key) = a.strip_prefix("--") else {
+                if !flags.values.is_empty() {
+                    usage(&format!("unexpected argument '{a}' after the flags"));
                 }
-                _ => String::new(),
+                flags.positional.push(a.clone());
+                continue;
             };
-            map.insert(key.to_string(), val);
-            i += 1;
-        } else {
-            i += 1;
+            let Some((name, what)) = spec
+                .iter()
+                .flat_map(|group| group.split_whitespace())
+                .map(|f| f.split_once('=').unwrap_or((f, "")))
+                .find(|&(name, _)| name == key)
+            else {
+                usage(&format!("`{cmd}` takes no flag --{key}"));
+            };
+            let value = match (what, it.next_if(|v| !v.starts_with("--"))) {
+                ("", None) => String::new(),
+                ("", Some(v)) => usage(&format!("--{key} takes no value (got '{v}')")),
+                (what, None) => usage(&format!("--{key} requires a {what}")),
+                (_, Some(v)) => v.clone(),
+            };
+            flags.values.insert(name, value);
+        }
+        flags
+    }
+
+    fn has(&self, key: &str) -> bool {
+        self.values.contains_key(key)
+    }
+
+    fn str(&self, key: &str) -> Option<&str> {
+        self.values.get(key).map(String::as_str)
+    }
+
+    /// A numeric flag, `default` when absent; a malformed value is a usage
+    /// error, never a silent default.
+    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+        match self.values.get(key) {
+            None => default,
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| usage(&format!("--{key}: '{v}' is not a valid number"))),
         }
     }
-    map
 }
 
 fn arch_by_name(name: &str) -> ArchParams {
     match name {
-        "sx-aurora" | "" => sx_aurora(),
+        "sx-aurora" => sx_aurora(),
         "skylake" | "skylake-avx512" => skylake_avx512(),
         "rvv" | "rvv-4096" => rvv_longvector(),
         "a64fx" | "a64fx-sve" => a64fx_sve(),
@@ -73,18 +152,12 @@ fn arch_by_name(name: &str) -> ArchParams {
 }
 
 /// Parse and validate `--backend` (default: the simulator). Subcommands
-/// that report time (`bench`, `tune`, `profile`) pass `allow_native =
-/// false`: the native backend computes values only, so selecting it there
-/// is a user error, not a silent fallback.
-fn backend_from_flags(
-    flags: &HashMap<String, String>,
-    cmd: &str,
-    allow_native: bool,
-) -> BackendKind {
-    let kind = match flags.get("backend") {
+/// that report time (`bench`, `tune`, `profile`, `serve`) pass
+/// `allow_native = false`: the native backend computes values only, so
+/// selecting it there is a user error, not a silent fallback.
+fn backend_from_flags(flags: &Flags, cmd: &str, allow_native: bool) -> BackendKind {
+    let kind = match flags.str("backend") {
         None => BackendKind::Sim,
-        // An empty value (`--backend --smoke`, or trailing `--backend`)
-        // falls through to the parser and is rejected with the same error.
         Some(v) => v.parse::<BackendKind>().unwrap_or_else(|e| usage(&e)),
     };
     if !allow_native && kind == BackendKind::Native {
@@ -96,62 +169,50 @@ fn backend_from_flags(
     kind
 }
 
-/// Parse and apply `--no-store` / `--store-dir <path>` before the first
-/// store access (bench/tune/profile). Defaults come from the environment
-/// (`LSV_STORE`, `LSV_STORE_DIR`, `LSV_STORE_PARANOID`); the flags override
-/// it. Invalid combinations are rejected like any other flag error.
-fn configure_store(flags: &HashMap<String, String>) {
-    let no_store = flags.contains_key("no-store");
-    if no_store && flags.contains_key("store-dir") {
-        usage("--no-store and --store-dir are mutually exclusive");
-    }
-    if let Some(v) = flags.get("no-store") {
-        if !v.is_empty() {
-            usage(&format!("--no-store takes no value (got '{v}')"));
-        }
-    }
+/// Apply `--no-store` / `--store-dir <path>` before the first store access.
+/// Defaults come from the environment (`LSV_STORE`, `LSV_STORE_DIR`,
+/// `LSV_STORE_PARANOID`); the flags override it.
+fn configure_store(flags: &Flags) {
     let mut cfg = lsv_conv::StoreConfig::from_env();
-    if no_store {
-        cfg.disabled = true;
-        cfg.dir = None;
-    }
-    if let Some(d) = flags.get("store-dir") {
-        if d.is_empty() {
-            usage("--store-dir requires a path");
+    match (flags.has("no-store"), flags.str("store-dir")) {
+        (true, Some(_)) => usage("--no-store and --store-dir are mutually exclusive"),
+        (true, None) => {
+            cfg.disabled = true;
+            cfg.dir = None;
         }
-        cfg.disabled = false;
-        cfg.dir = Some(std::path::PathBuf::from(d));
+        (false, Some(d)) => {
+            cfg.disabled = false;
+            cfg.dir = Some(PathBuf::from(d));
+        }
+        (false, None) => {}
     }
     // Infallible here: this runs before anything touches the store.
     lsv_conv::store::configure(cfg).expect("store configured before first use");
 }
 
-fn direction_by_name(name: &str) -> Direction {
+fn direction_by_name(name: Option<&str>) -> Direction {
     match name {
-        "fwdd" | "fwd" | "" => Direction::Fwd,
-        "bwdd" => Direction::BwdData,
-        "bwdw" => Direction::BwdWeights,
-        other => usage(&format!("unknown direction '{other}'")),
+        None | Some("fwdd" | "fwd") => Direction::Fwd,
+        Some("bwdd") => Direction::BwdData,
+        Some("bwdw") => Direction::BwdWeights,
+        Some(other) => usage(&format!("unknown direction '{other}'")),
     }
 }
 
-fn engine_by_name(name: &str) -> Engine {
-    match name.to_ascii_uppercase().as_str() {
-        "DC" => Engine::Direct(Algorithm::Dc),
-        "BDC" | "" => Engine::Direct(Algorithm::Bdc),
-        "MBDC" => Engine::Direct(Algorithm::Mbdc),
-        "VEDNN" => Engine::Vednn,
-        other => usage(&format!("unknown algorithm '{other}'")),
+fn engine_by_name(name: Option<&str>) -> Engine {
+    match name.map(str::to_ascii_uppercase).as_deref() {
+        Some("DC") => Engine::Direct(Algorithm::Dc),
+        None | Some("BDC") => Engine::Direct(Algorithm::Bdc),
+        Some("MBDC") => Engine::Direct(Algorithm::Mbdc),
+        Some("VEDNN") => Engine::Vednn,
+        Some(other) => usage(&format!("unknown algorithm '{other}'")),
     }
 }
 
-fn problem_from_flags(flags: &HashMap<String, String>, default_mb: usize) -> ConvProblem {
-    let mb = flags
-        .get("minibatch")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default_mb);
-    if let Some(layer) = flags.get("layer") {
-        let id: usize = layer.parse().unwrap_or_else(|_| usage("bad --layer"));
+fn problem_from_flags(flags: &Flags, default_mb: usize) -> ConvProblem {
+    let mb = flags.num("minibatch", default_mb);
+    if flags.has("layer") {
+        let id: usize = flags.num("layer", 0);
         if id >= lsv_models::NUM_LAYERS {
             usage(&format!(
                 "--layer must be 0..{}",
@@ -160,21 +221,57 @@ fn problem_from_flags(flags: &HashMap<String, String>, default_mb: usize) -> Con
         }
         return resnet_layer(id, mb);
     }
-    let get = |k: &str, d: usize| flags.get(k).and_then(|v| v.parse().ok()).unwrap_or(d);
-    let hw = get("hw", 28);
-    let k = get("k", 3);
-    let pad = get("pad", if k > 1 { 1 } else { 0 });
+    let hw = flags.num("hw", 28);
+    let k = flags.num("k", 3);
+    let pad = flags.num("pad", if k > 1 { 1 } else { 0 });
     ConvProblem::new(
         mb,
-        get("ic", 64),
-        get("oc", 64),
+        flags.num("ic", 64),
+        flags.num("oc", 64),
         hw,
         hw,
         k,
         k,
-        get("stride", 1),
+        flags.num("stride", 1),
         pad,
     )
+}
+
+/// The generated kernel configuration, one field per line.
+fn print_kernel_config(cfg: &KernelConfig) {
+    println!("  vl            = {}", cfg.vl);
+    println!(
+        "  register blk  = {} x {} (combined {}), rb_c = {}",
+        cfg.rb.rb_w,
+        cfg.rb.rb_h,
+        cfg.rb.combined(),
+        cfg.rb_c
+    );
+    println!(
+        "  micro tile    = kh {} x kw {} x c {}",
+        cfg.tile.kh_i, cfg.tile.kw_i, cfg.tile.c_i
+    );
+    println!("  src layout    = C_b {}", cfg.src_layout.cb);
+    println!("  dst layout    = C_b {}", cfg.dst_layout.cb);
+    println!(
+        "  wei layout    = (icb {}, ocb {}){}",
+        cfg.wei_layout.icb,
+        cfg.wei_layout.ocb,
+        if cfg.wei_swapped {
+            " [role-swapped]"
+        } else {
+            ""
+        }
+    );
+    println!("  weight bufs   = {}", cfg.wbuf);
+    println!(
+        "  conflicts     = {}",
+        if cfg.conflicts_predicted {
+            "PREDICTED (Formula 3)"
+        } else {
+            "not predicted"
+        }
+    );
 }
 
 fn report_fuzz(label: &str, out: &FuzzOutcome) {
@@ -191,16 +288,17 @@ fn report_fuzz(label: &str, out: &FuzzOutcome) {
 }
 
 fn usage(msg: &str) -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     eprintln!("error: {msg}");
     eprintln!();
-    eprintln!("usage: lsvconv <info|bench|verify|tune|fuzz|profile|serve> [flags]");
+    eprintln!("usage: lsvconv <info|bench|verify|tune|fuzz|profile|serve|run> [flags]");
     eprintln!("  common flags: --arch <sx-aurora|skylake|rvv|a64fx|aurora-vl<bits>>");
     eprintln!("                --layer <0..18> | --ic N --oc N --hw N --k N --stride N --pad N");
     eprintln!("                --dir <fwdd|bwdd|bwdw>  --alg <DC|BDC|MBDC|vednn>  --minibatch N");
     eprintln!("                --backend <sim|native> (verify/fuzz; native = host-speed");
     eprintln!("                functional execution, bit-identical output, no timing)");
-    eprintln!("  store flags:  --no-store | --store-dir DIR (bench/tune/profile; persistent");
-    eprintln!("                layer-result store, env default LSV_STORE_DIR)");
+    eprintln!("  store flags:  --no-store | --store-dir DIR (bench/tune/profile/serve/run;");
+    eprintln!("                persistent layer-result store, env default LSV_STORE_DIR)");
     eprintln!("  fuzz flags:   --cases N (default 500)  --seed N  --smoke (corpus + 50 cases)");
     eprintln!("                --agreement (cross-check symbolic vs replay verdicts per case)");
     eprintln!("  profile:      profile <layer> [--dir D] [--alg A] [--out DIR] [--smoke]");
@@ -211,16 +309,25 @@ fn usage(msg: &str) -> ! {
     eprintln!("                --trace DIR (write serving_trace.json + Perfetto timeline +");
     eprintln!("                serving_timeseries.csv + metrics.json for the heaviest-load");
     eprintln!("                cell)  --metrics (print the metrics registry; tune too)");
+    eprintln!("  run:          run <experiment>... | --all  [--out DIR (default results)]");
+    eprintln!("                [--smoke] [--profile]; bench-simulator also takes");
+    eprintln!("                --regen-before/--regen-after/--regen-warm FILE --store-stats DIR");
+    eprintln!("                experiments: {}", names.join(" "));
     exit(2);
 }
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = argv.first().cloned().unwrap_or_default();
-    let flags = parse_flags(&argv[1.min(argv.len())..]);
-    let arch = arch_by_name(flags.get("arch").map(String::as_str).unwrap_or(""));
+    let cmd = argv.first().map(String::as_str).unwrap_or_default();
+    let mut flags = Flags::parse(cmd, argv.get(1..).unwrap_or_default());
+    let arch = arch_by_name(flags.str("arch").unwrap_or("sx-aurora"));
+    let positional = match (cmd, flags.positional.as_slice()) {
+        (_, []) | ("run", _) => None,
+        ("profile", [layer]) => Some(layer.clone()),
+        (_, [first, ..]) => usage(&format!("unexpected argument '{first}'")),
+    };
 
-    match cmd.as_str() {
+    match cmd {
         "info" => {
             println!("architecture: {}", arch.name);
             println!(
@@ -261,9 +368,10 @@ fn main() {
             backend_from_flags(&flags, "bench", false);
             configure_store(&flags);
             let p = problem_from_flags(&flags, 64);
-            let dir = direction_by_name(flags.get("dir").map(String::as_str).unwrap_or(""));
-            let engine = engine_by_name(flags.get("alg").map(String::as_str).unwrap_or(""));
+            let dir = direction_by_name(flags.str("dir"));
+            let engine = engine_by_name(flags.str("alg"));
             let perf = bench_engine(&arch, &p, dir, engine, ExecutionMode::TimingOnly);
+            let r = &perf.report;
             println!("problem:   {p} ({dir}, {})", engine.name());
             println!(
                 "time:      {:.3} ms for the whole minibatch on {} cores",
@@ -286,12 +394,38 @@ fn main() {
                     "no"
                 }
             );
+            let cyc = r.cycles.max(1) as f64;
+            let stalls = r
+                .stall_breakdown()
+                .map(|(label, c)| format!("{label} {:.2}", c as f64 / cyc))
+                .join(" ");
+            println!("stalls:    {stalls} (fraction of slice cycles)");
+            println!(
+                "counters:  slice cycles {} | insts {} | L1 hit/miss/conflict {}/{}/{} | \
+                 L2 misses {} | LLC misses {}",
+                r.cycles,
+                r.insts.total(),
+                r.cache.l1.hits,
+                r.cache.l1.misses,
+                r.cache.l1.conflict_misses,
+                r.cache.l2.misses,
+                r.cache.llc.misses,
+            );
+            if let Engine::Direct(alg) = engine {
+                match ConvDesc::new(p, dir, alg).create(&arch, arch.cores) {
+                    Ok(prim) => {
+                        println!("kernel:");
+                        print_kernel_config(prim.cfg());
+                    }
+                    Err(e) => println!("kernel:    not creatable ({e})"),
+                }
+            }
         }
         "verify" => {
             let backend = backend_from_flags(&flags, "verify", true);
             let p = problem_from_flags(&flags, 2);
-            let dir = direction_by_name(flags.get("dir").map(String::as_str).unwrap_or(""));
-            match engine_by_name(flags.get("alg").map(String::as_str).unwrap_or("")) {
+            let dir = direction_by_name(flags.str("dir"));
+            match engine_by_name(flags.str("alg")) {
                 Engine::Direct(alg) => {
                     let r = validate_with_backend(&arch, &p, dir, alg, backend.create().as_ref());
                     println!(
@@ -303,55 +437,22 @@ fn main() {
                         exit(1);
                     }
                 }
-                Engine::Vednn => usage("use the `validate` binary for vednn checks"),
+                Engine::Vednn => usage("use `lsvconv run validate` for vednn checks"),
             }
         }
         "tune" => {
             backend_from_flags(&flags, "tune", false);
             configure_store(&flags);
             let p = problem_from_flags(&flags, 64);
-            let dir = direction_by_name(flags.get("dir").map(String::as_str).unwrap_or(""));
-            let alg = match engine_by_name(flags.get("alg").map(String::as_str).unwrap_or("")) {
+            let dir = direction_by_name(flags.str("dir"));
+            let alg = match engine_by_name(flags.str("alg")) {
                 Engine::Direct(a) => a,
                 Engine::Vednn => usage("tune applies to the direct algorithms"),
             };
             match ConvDesc::new(p, dir, alg).create(&arch, arch.cores) {
                 Ok(prim) => {
-                    let cfg = prim.cfg();
                     println!("{p} {dir} {alg} on {}:", arch.name);
-                    println!("  vl            = {}", cfg.vl);
-                    println!(
-                        "  register blk  = {} x {} (combined {}), rb_c = {}",
-                        cfg.rb.rb_w,
-                        cfg.rb.rb_h,
-                        cfg.rb.combined(),
-                        cfg.rb_c
-                    );
-                    println!(
-                        "  micro tile    = kh {} x kw {} x c {}",
-                        cfg.tile.kh_i, cfg.tile.kw_i, cfg.tile.c_i
-                    );
-                    println!("  src layout    = C_b {}", cfg.src_layout.cb);
-                    println!("  dst layout    = C_b {}", cfg.dst_layout.cb);
-                    println!(
-                        "  wei layout    = (icb {}, ocb {}){}",
-                        cfg.wei_layout.icb,
-                        cfg.wei_layout.ocb,
-                        if cfg.wei_swapped {
-                            " [role-swapped]"
-                        } else {
-                            ""
-                        }
-                    );
-                    println!("  weight bufs   = {}", cfg.wbuf);
-                    println!(
-                        "  conflicts     = {}",
-                        if cfg.conflicts_predicted {
-                            "PREDICTED (Formula 3)"
-                        } else {
-                            "not predicted"
-                        }
-                    );
+                    print_kernel_config(prim.cfg());
                     match lsv_conv::tune_empirical(&arch, &p, dir, alg, ExecutionMode::TimingOnly) {
                         Ok(t) => {
                             println!();
@@ -381,7 +482,7 @@ fn main() {
                                     ""
                                 }
                             );
-                            if flags.contains_key("metrics") {
+                            if flags.has("metrics") {
                                 let reg = lsv_obs::registry();
                                 t.publish_metrics(reg);
                                 lsv_conv::store::store().stats().publish(reg);
@@ -403,13 +504,10 @@ fn main() {
         }
         "fuzz" => {
             let backend = backend_from_flags(&flags, "fuzz", true);
-            let smoke = argv.iter().any(|a| a == "--smoke");
-            let agreement = argv.iter().any(|a| a == "--agreement");
-            let cases: usize = flags
-                .get("cases")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(if smoke { 50 } else { 500 });
-            let seed: u64 = flags.get("seed").and_then(|v| v.parse().ok()).unwrap_or(1);
+            let smoke = flags.has("smoke");
+            let agreement = flags.has("agreement");
+            let cases: usize = flags.num("cases", if smoke { 50 } else { 500 });
+            let seed: u64 = flags.num("seed", 1);
             let validator = lsv_analyze::deny_validator;
             // --agreement cross-checks the symbolic analyzer's OOB-ADDR /
             // ACC-CLOBBER verdicts against the traced replay on every case.
@@ -442,25 +540,21 @@ fn main() {
         "profile" => {
             backend_from_flags(&flags, "profile", false);
             configure_store(&flags);
-            let smoke = argv.iter().any(|a| a == "--smoke");
-            let mut flags = flags;
+            let smoke = flags.has("smoke");
             // Positional layer id: `lsvconv profile 8` == `--layer 8`.
-            if let Some(arg) = argv.get(1) {
-                if arg.parse::<usize>().is_ok() && !flags.contains_key("layer") {
-                    flags.insert("layer".to_string(), arg.clone());
-                }
+            if let Some(layer) = positional {
+                flags.values.entry("layer").or_insert(layer);
             }
-            if smoke && !flags.contains_key("layer") && !flags.contains_key("hw") {
+            if smoke && !flags.has("layer") && !flags.has("hw") {
                 // A small fixed problem keeps the CI gate fast.
-                flags.insert("hw".to_string(), "14".to_string());
+                flags.values.insert("hw", "14".to_string());
             }
             let p = problem_from_flags(&flags, if smoke { 4 } else { 64 });
-            let dir = direction_by_name(flags.get("dir").map(String::as_str).unwrap_or(""));
-            let alg = match engine_by_name(flags.get("alg").map(String::as_str).unwrap_or("")) {
+            let dir = direction_by_name(flags.str("dir"));
+            let alg = match engine_by_name(flags.str("alg")) {
                 Engine::Direct(a) => a,
                 Engine::Vednn => usage("profile applies to the direct algorithms"),
             };
-
             let (perf, profile) =
                 bench_layer_profiled(&arch, &p, dir, alg, ExecutionMode::TimingOnly);
 
@@ -485,12 +579,9 @@ fn main() {
             }
 
             let meta = profile_meta(&arch, &p, dir, alg.short_name(), &profile);
-            let out_dir = flags
-                .get("out")
-                .cloned()
-                .unwrap_or_else(|| "results/profile".to_string());
+            let out_dir = flags.str("out").unwrap_or("results/profile");
             let artifacts =
-                match write_profile_artifacts(Path::new(&out_dir), "profile", &profile, &meta) {
+                match write_profile_artifacts(Path::new(out_dir), "profile", &profile, &meta) {
                     Ok(a) => a,
                     Err(e) => {
                         eprintln!("error: {e}");
@@ -514,8 +605,8 @@ fn main() {
         "serve" => {
             backend_from_flags(&flags, "serve", false);
             configure_store(&flags);
-            let smoke = argv.iter().any(|a| a == "--smoke");
-            let model = match flags.get("model").map(String::as_str) {
+            let smoke = flags.has("smoke");
+            let model = match flags.str("model") {
                 None | Some("resnet-50") => ResNetModel::R50,
                 Some("resnet-101") => ResNetModel::R101,
                 Some("resnet-152") => ResNetModel::R152,
@@ -523,17 +614,17 @@ fn main() {
                     "unknown model '{other}' (resnet-50|resnet-101|resnet-152)"
                 )),
             };
-            let pass = match flags.get("pass").map(String::as_str) {
+            let pass = match flags.str("pass") {
                 None | Some("infer") => Pass::Inference,
                 Some("train") => Pass::TrainingStep,
                 Some(other) => usage(&format!("unknown pass '{other}' (infer|train)")),
             };
-            let engine = match flags.get("engine").map(String::as_str) {
-                None | Some("") => ServeEngine::Fixed(Algorithm::Bdc),
+            let engine = match flags.str("engine") {
+                None => ServeEngine::Fixed(Algorithm::Bdc),
                 Some(name) => ServeEngine::parse(name)
                     .unwrap_or_else(|| usage(&format!("unknown engine '{name}'"))),
             };
-            let shape = match flags.get("arrival").map(String::as_str) {
+            let shape = match flags.str("arrival") {
                 None | Some("poisson") => ArrivalShape::Poisson,
                 Some("bursty") => ArrivalShape::Bursty {
                     burst: 4.0,
@@ -541,27 +632,11 @@ fn main() {
                 },
                 Some(other) => usage(&format!("unknown arrival '{other}' (poisson|bursty)")),
             };
-            let max_batch: usize = flags
-                .get("max-batch")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(if smoke { 4 } else { 8 });
-            let requests: usize = flags
-                .get("requests")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(if smoke { 200 } else { 1000 });
-            let seed: u64 = flags.get("seed").and_then(|v| v.parse().ok()).unwrap_or(42);
-            // Validate the observability flags before the (expensive) table
-            // build so a bad invocation fails fast.
-            let trace_dir = match flags.get("trace").map(String::as_str) {
-                None => None,
-                Some("") => usage("--trace requires a path"),
-                Some(d) => Some(std::path::PathBuf::from(d)),
-            };
-            let metrics = match flags.get("metrics").map(String::as_str) {
-                None => false,
-                Some("") => true,
-                Some(v) => usage(&format!("--metrics takes no value (got '{v}')")),
-            };
+            let max_batch: usize = flags.num("max-batch", if smoke { 4 } else { 8 });
+            let requests: usize = flags.num("requests", if smoke { 200 } else { 1000 });
+            let seed: u64 = flags.num("seed", 42);
+            let trace_dir = flags.str("trace").map(PathBuf::from);
+            let metrics = flags.has("metrics");
 
             let table = LatencyTable::build(
                 &arch,
@@ -571,10 +646,7 @@ fn main() {
                 max_batch,
                 ExecutionMode::TimingOnly,
             );
-            let slo_ms = flags
-                .get("slo")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| 2.0 * table.best(max_batch).1);
+            let slo_ms = flags.num("slo", 2.0 * table.best(max_batch).1);
             let cfg = SweepConfig {
                 shapes: vec![shape],
                 policies: vec![
@@ -627,12 +699,11 @@ fn main() {
                 );
             }
 
+            // The traced cell's artifacts, written together with metrics.json
+            // once the store counters are final.
+            let mut trace_artifacts = Vec::new();
             if let Some(dir) = &trace_dir {
                 let reg = lsv_obs::registry();
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("error: cannot create {}: {e}", dir.display());
-                    exit(1);
-                }
                 // The traced cell: the configured arrival shape at the
                 // heaviest sampled load under the adaptive policy — the cell
                 // where batching decisions actually vary.
@@ -676,29 +747,6 @@ fn main() {
                     max_batch,
                 };
 
-                let write = |name: &str, doc: &str| -> std::path::PathBuf {
-                    let path = dir.join(name);
-                    if let Err(e) = std::fs::write(&path, doc) {
-                        eprintln!("error: cannot write {}: {e}", path.display());
-                        exit(1);
-                    }
-                    path
-                };
-                let trace_doc = serving_trace_json(&meta, &outcome, &plans, &recon);
-                let tpath = write("serving_trace.json", &trace_doc);
-                // Validate what actually landed on disk, like lint.json.
-                let text = std::fs::read_to_string(&tpath).expect("just wrote it");
-                if let Err(e) = lsv_obs::validate_serving_trace_json(&text) {
-                    eprintln!("error: {e}");
-                    exit(1);
-                }
-                write(
-                    "serving_trace.perfetto.json",
-                    &perfetto_trace_json(&meta, &outcome, &plans),
-                );
-                let (_, ts_csv) = run_timeseries(&cfg, &table, 0);
-                write("serving_timeseries.csv", &ts_csv);
-
                 println!();
                 if recon.exact {
                     println!(
@@ -713,12 +761,18 @@ fn main() {
                     );
                     exit(1);
                 }
-                println!("wrote {} (schema-valid)", tpath.display());
-                println!(
-                    "wrote {}",
-                    dir.join("serving_trace.perfetto.json").display()
-                );
-                println!("wrote {}", dir.join("serving_timeseries.csv").display());
+                let (_, ts_csv) = run_timeseries(&cfg, &table, 0);
+                trace_artifacts = vec![
+                    Artifact::new(
+                        dir.join("serving_trace.json"),
+                        serving_trace_json(&meta, &outcome, &plans, &recon),
+                    ),
+                    Artifact::new(
+                        dir.join("serving_trace.perfetto.json"),
+                        perfetto_trace_json(&meta, &outcome, &plans),
+                    ),
+                    Artifact::new(dir.join("serving_timeseries.csv"), ts_csv),
+                ];
             }
 
             let st = lsv_conv::store::store().stats();
@@ -735,27 +789,68 @@ fn main() {
                     "store.disk_bytes",
                     lsv_conv::store::store().disk_bytes() as f64,
                 );
-                if let Some(dir) = &trace_dir {
-                    let doc = reg.to_json("lsvconv serve");
-                    let mpath = dir.join("metrics.json");
-                    if let Err(e) = std::fs::write(&mpath, &doc) {
-                        eprintln!("error: cannot write {}: {e}", mpath.display());
-                        exit(1);
-                    }
-                    let text = std::fs::read_to_string(&mpath).expect("just wrote it");
-                    if let Err(e) = lsv_obs::validate_metrics_json(&text) {
-                        eprintln!("error: {e}");
-                        exit(1);
-                    }
-                    println!("wrote {} (schema-valid)", mpath.display());
+            }
+            if let Some(dir) = &trace_dir {
+                trace_artifacts.push(Artifact::new(
+                    dir.join("metrics.json"),
+                    lsv_obs::registry().to_json("lsvconv serve"),
+                ));
+                if let Err(e) = write_artifacts(&trace_artifacts) {
+                    eprintln!("error: {e}");
+                    exit(1);
                 }
-                if metrics {
-                    println!();
-                    println!("metrics:");
-                    for line in reg.summary_lines() {
-                        println!("  {line}");
-                    }
+                for a in &trace_artifacts {
+                    let checked = if a.validate.is_some() {
+                        " (schema-valid)"
+                    } else {
+                        ""
+                    };
+                    println!("wrote {}{checked}", a.path.display());
                 }
+            }
+            if metrics {
+                println!();
+                println!("metrics:");
+                for line in lsv_obs::registry().summary_lines() {
+                    println!("  {line}");
+                }
+            }
+        }
+        "run" => {
+            configure_store(&flags);
+            let selected: Vec<&experiments::Experiment> =
+                match (flags.has("all"), &flags.positional[..]) {
+                    (true, []) => EXPERIMENTS.iter().filter(|e| e.in_all).collect(),
+                    (true, _) => usage("--all takes no experiment names"),
+                    (false, []) => usage("run needs experiment names or --all"),
+                    (false, names) => names
+                        .iter()
+                        .map(|n| {
+                            experiments::find(n)
+                                .unwrap_or_else(|| usage(&format!("unknown experiment '{n}'")))
+                        })
+                        .collect(),
+                };
+            let path = |key: &str| flags.str(key).map(PathBuf::from);
+            let regen_logs = RegenLogs {
+                before: path("regen-before"),
+                after: path("regen-after"),
+                warm: path("regen-warm"),
+                store_stats: path("store-stats"),
+            };
+            let wants_logs = regen_logs != RegenLogs::default();
+            if wants_logs && !selected.iter().any(|e| e.name == "bench-simulator") {
+                usage("--regen-before/--regen-after/--regen-warm/--store-stats apply to bench-simulator only");
+            }
+            let ctx = Ctx {
+                out_dir: path("out").unwrap_or_else(|| PathBuf::from("results")),
+                smoke: flags.has("smoke"),
+                profile: flags.has("profile"),
+                regen_logs,
+            };
+            if let Err(e) = experiments::run(&selected, &ctx) {
+                eprintln!("error: {e}");
+                exit(1);
             }
         }
         _ => usage("missing or unknown command"),

@@ -1,10 +1,13 @@
 //! # lsv-bench — the benchmark harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md's per-experiment
-//! index), plus this library of shared plumbing: the engine abstraction
-//! (direct algorithms vs. the vednn baseline), parallel suite runners, CSV
-//! formatting matching the artifact's `performance.sh` schema, and
-//! model-level aggregation for the ResNet experiments.
+//! Every table, figure and study of the paper is one function in
+//! [`experiments`], registered in [`experiments::EXPERIMENTS`] and run by
+//! `lsvconv-cli run <name>... | --all` (see DESIGN.md's per-experiment
+//! index). Every artifact goes through the one atomic writer in
+//! [`artifact`]. The rest of this library is their shared plumbing: the
+//! engine abstraction (direct algorithms vs. the vednn baseline), parallel
+//! suite runners, CSV formatting matching the artifact's `performance.sh`
+//! schema, and model-level aggregation for the ResNet experiments.
 
 use lsv_arch::ArchParams;
 use lsv_conv::perf::LayerPerf;
@@ -12,6 +15,8 @@ use lsv_conv::{bench_layer, Algorithm, ConvProblem, Direction, ExecutionMode};
 use lsv_models::{resnet_layers, ResNetModel};
 use lsv_vednn::bench_layer_vednn;
 
+pub mod artifact;
+pub mod experiments;
 pub mod par;
 pub mod profiling;
 
@@ -147,35 +152,12 @@ pub fn run_suite(
     rows
 }
 
-/// Per-layer, per-direction wall-times (milliseconds) of one engine at one
-/// minibatch: `table[layer_id][direction_index]`. Shared across model-level
-/// aggregations so each layer simulates once (Figures 5 and 6).
-pub fn layer_time_table(
-    arch: &ArchParams,
-    minibatch: usize,
-    engine: Engine,
-    mode: ExecutionMode,
-) -> Vec<[f64; 3]> {
-    let layers = resnet_layers(minibatch);
-    let jobs: Vec<(usize, usize)> = (0..layers.len())
-        .flat_map(|id| (0..3).map(move |d| (id, d)))
-        .collect();
-    let times: Vec<(usize, usize, f64)> = par::par_map(jobs, |(id, d)| {
-        let perf = bench_engine(arch, &layers[id], Direction::ALL[d], engine, mode);
-        (id, d, perf.time_ms)
-    });
-    let mut table = vec![[0.0f64; 3]; layers.len()];
-    for (id, d, t) in times {
-        table[id][d] = t;
-    }
-    table
-}
-
-/// [`layer_time_table`] for several (arch, minibatch, engine) configurations
-/// at once: every configuration's layer x direction jobs go into one flat
-/// pool, so a sweep bin (Figures 5/6) exposes all of its parallelism to the
-/// host instead of running configurations back to back, each with a mostly
-/// idle pool tail. Returns one table per configuration, in input order.
+/// Per-layer, per-direction wall-times (milliseconds) for several (arch,
+/// minibatch, engine) configurations: `tables[config][layer_id][direction]`.
+/// Every configuration's layer x direction jobs go into one flat pool, so a
+/// sweep (Figures 5/6) exposes all of its parallelism to the host instead
+/// of running configurations back to back, each with a mostly idle pool
+/// tail. Returns one table per configuration, in input order.
 pub fn layer_time_tables(
     configs: &[(ArchParams, usize, Engine)],
     mode: ExecutionMode,
@@ -207,7 +189,7 @@ pub fn layer_time_tables(
     tables
 }
 
-/// Aggregate a [`layer_time_table`] into one training step of a model.
+/// Aggregate one [`layer_time_tables`] table into one training step of a model.
 pub fn model_time_from_table(table: &[[f64; 3]], model: ResNetModel) -> f64 {
     let counts = model.layer_counts();
     table
@@ -215,32 +197,6 @@ pub fn model_time_from_table(table: &[[f64; 3]], model: ResNetModel) -> f64 {
         .zip(counts)
         .map(|(t, c)| (t[0] + t[1] + t[2]) * c as f64)
         .sum()
-}
-
-/// Wall-time of one full training step (all three passes over every
-/// convolution, weighted by the model's layer frequencies) in milliseconds.
-pub fn model_step_time_ms(
-    arch: &ArchParams,
-    model: ResNetModel,
-    minibatch: usize,
-    engine: Engine,
-    mode: ExecutionMode,
-) -> f64 {
-    model_time_from_table(&layer_time_table(arch, minibatch, engine, mode), model)
-}
-
-/// Model-level GFLOP/s of one training step (all passes' conv flops / time,
-/// with the pass-count factor owned by [`ResNetModel::training_flops`]).
-pub fn model_step_gflops(
-    arch: &ArchParams,
-    model: ResNetModel,
-    minibatch: usize,
-    engine: Engine,
-    mode: ExecutionMode,
-) -> f64 {
-    let time_ms = model_step_time_ms(arch, model, minibatch, engine, mode);
-    let flops = model.training_flops(minibatch) as f64;
-    flops / (time_ms / 1e3) / 1e9
 }
 
 #[cfg(test)]

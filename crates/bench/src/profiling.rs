@@ -1,19 +1,19 @@
 //! Shared plumbing for the profiled bench paths: metadata assembly, the
 //! reconciliation + schema gates, and artifact emission.
 //!
-//! Every consumer (`lsvconv profile`, the `--profile` flags on the
-//! figure/table bins, CI's smoke gate) goes through
+//! Every consumer (`lsvconv profile`, the `--profile` flag of the
+//! `table3`/`performance` experiments, CI's smoke gate) goes through
 //! [`write_profile_artifacts`], so a profile that fails cycle
 //! reconciliation or schema validation can never be written to disk as if
 //! it were trustworthy.
 
+use crate::artifact::{write_artifacts, Artifact};
 use lsv_arch::ArchParams;
 use lsv_conv::{ConvProblem, Direction};
 use lsv_obs::{
     folded_stacks, perfetto_trace_json, profile_report_json, validate_profile_json, ProfileMeta,
 };
 use lsv_vengine::RegionProfile;
-use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -75,18 +75,20 @@ pub fn write_profile_artifacts(
         )));
     }
 
-    let report_json = profile_report_json(profile, meta);
-    validate_profile_json(&report_json).map_err(io::Error::other)?;
-
-    fs::create_dir_all(dir)?;
     let artifacts = ProfileArtifacts {
         report: dir.join(format!("{stem}.json")),
         trace: dir.join(format!("{stem}.trace.json")),
         folded: dir.join(format!("{stem}.folded")),
     };
-    fs::write(&artifacts.report, report_json)?;
-    fs::write(&artifacts.trace, perfetto_trace_json(profile))?;
-    fs::write(&artifacts.folded, folded_stacks(profile))?;
+    write_artifacts(&[
+        Artifact {
+            path: artifacts.report.clone(),
+            body: profile_report_json(profile, meta),
+            validate: Some(validate_profile_json),
+        },
+        Artifact::new(artifacts.trace.clone(), perfetto_trace_json(profile)),
+        Artifact::new(artifacts.folded.clone(), folded_stacks(profile)),
+    ])?;
     Ok(artifacts)
 }
 

@@ -732,6 +732,27 @@ impl LayerStore {
         );
     }
 
+    /// The validation stored under `key`, or `fresh()`'s outcome, recorded.
+    /// A paranoid-sampled hit re-runs `fresh` and asserts bit-equality.
+    pub fn validation(&self, key: &Key, fresh: impl Fn() -> ValidationReport) -> ValidationReport {
+        let Some(r) = self.get_validation(key) else {
+            let r = fresh();
+            self.put_validation(key, &r);
+            return r;
+        };
+        if self.paranoid_sample(key) {
+            let f = fresh();
+            assert_eq!(
+                (f.max_abs_err.to_bits(), f.rel_err.to_bits(), f.passed),
+                (r.max_abs_err.to_bits(), r.rel_err.to_bits(), r.passed),
+                "paranoid store recheck diverged for key {}",
+                key.canonical()
+            );
+            self.note_paranoid_recheck();
+        }
+        r
+    }
+
     /// Typed access: one discrete decision.
     pub fn get_choice(&self, key: &Key) -> Option<u8> {
         match self.get(key) {
@@ -883,32 +904,15 @@ pub fn store() -> &'static LayerStore {
     })
 }
 
-/// This process's store counters as one metrics document (the
-/// `metrics.schema.json` shape): `store.*` counters plus the
+/// Store counters (typically one phase's [`StoreStats::delta`]) plus the
+/// store's current on-disk size as one metrics document (the
+/// `metrics.schema.json` shape): `store.*` counters and the
 /// `store.disk_bytes` gauge, serialized by the one registry code path.
-pub fn stats_metrics_json(st: &LayerStore) -> String {
+pub fn stats_metrics_json(stats: &StoreStats, disk_bytes: u64) -> String {
     let reg = lsv_obs::MetricsRegistry::new();
-    st.stats().publish(&reg);
-    reg.gauge_set("store.disk_bytes", st.disk_bytes() as f64);
+    stats.publish(&reg);
+    reg.gauge_set("store.disk_bytes", disk_bytes as f64);
     reg.to_json("layer-store")
-}
-
-/// Write this process's store counters as one metrics document to the path
-/// in `LSV_STORE_STATS` (regen bins call this on exit; bench-simulator
-/// collects the files into BENCH_simulator.json). Same wire format as
-/// `lsvconv serve --trace`'s metrics.json — one serializer, one schema.
-pub fn dump_stats_to_env_file() {
-    let Ok(path) = std::env::var("LSV_STORE_STATS") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let json = stats_metrics_json(store());
-    let tmp = format!("{path}.tmp.{}", std::process::id());
-    if std::fs::write(&tmp, json).is_ok() {
-        let _ = std::fs::rename(&tmp, &path);
-    }
 }
 
 #[cfg(test)]
@@ -1097,7 +1101,7 @@ mod tests {
         let key = key_a();
         assert!(st.get_slice(&key).is_none());
         st.put_slice(&key, 1, 2, &report_fixture());
-        let doc = stats_metrics_json(&st);
+        let doc = stats_metrics_json(&st.stats(), st.disk_bytes());
         lsv_obs::validate_metrics_json(&doc).expect("metrics schema");
         let v = lsv_obs::parse_json(&doc).expect("valid JSON");
         assert_eq!(

@@ -38,9 +38,8 @@ pub fn validate(
     direction: Direction,
     algorithm: Algorithm,
 ) -> ValidationReport {
-    let st = crate::store::store();
     let key = crate::store::validation_key(arch, problem, direction, algorithm.short_name());
-    let fresh = || {
+    crate::store::store().validation(&key, || {
         validate_with_backend(
             arch,
             problem,
@@ -48,23 +47,7 @@ pub fn validate(
             algorithm,
             &SimBackend::functional(),
         )
-    };
-    if let Some(r) = st.get_validation(&key) {
-        if st.paranoid_sample(&key) {
-            let f = fresh();
-            assert_eq!(
-                (f.max_abs_err.to_bits(), f.rel_err.to_bits(), f.passed),
-                (r.max_abs_err.to_bits(), r.rel_err.to_bits(), r.passed),
-                "paranoid store recheck diverged for key {}",
-                key.canonical()
-            );
-            st.note_paranoid_recheck();
-        }
-        return r;
-    }
-    let r = fresh();
-    st.put_validation(&key, &r);
-    r
+    })
 }
 
 /// [`validate`] on an arbitrary execution backend (the native backend runs

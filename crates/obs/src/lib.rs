@@ -26,20 +26,18 @@
 pub mod folded;
 pub mod json;
 pub mod metrics;
-pub mod perfetto;
 pub mod report;
 pub mod timeline;
 
 pub use folded::folded_stacks;
 pub use json::{parse_json, validate_schema, JsonValue};
 pub use metrics::{registry, HistogramSummary, MetricsRegistry};
-pub use perfetto::perfetto_trace_json;
 pub use report::{
     profile_report_json, validate_lint_json, validate_metrics_json, validate_profile_json,
     validate_serving_json, validate_serving_trace_json, ProfileMeta, LINT_SCHEMA, METRICS_SCHEMA,
     PROFILE_SCHEMA, SERVING_SCHEMA, SERVING_TRACE_SCHEMA,
 };
-pub use timeline::TimelineBuilder;
+pub use timeline::{perfetto_trace_json, TimelineBuilder};
 
 /// Escape a string for inclusion in a JSON document (without the quotes).
 pub fn escape_json(s: &str) -> String {

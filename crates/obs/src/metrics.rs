@@ -4,9 +4,8 @@
 //! One registry collects everything a run wants to report — queue traffic,
 //! layer-store hits, tuner evaluations, runner plans — and serializes it as
 //! one deterministic `metrics.json` document (names sorted, one schema,
-//! validated by [`crate::report::validate_metrics_json`]). This replaces the
-//! per-subsystem env-var side channels (`LSV_STORE_STATS` wrote its own
-//! ad-hoc object) with a single code path and a single wire format.
+//! validated by [`crate::report::validate_metrics_json`]): a single code
+//! path and a single wire format instead of per-subsystem ad-hoc objects.
 //!
 //! Concurrency: all mutation goes through a `Mutex` over `BTreeMap`s.
 //! Metrics publication sits far off every hot path (a handful of calls per

@@ -15,13 +15,13 @@ use lsv_vengine::{InstCounters, RegionProfile};
 pub const PROFILE_SCHEMA: &str = include_str!("../schemas/profile.schema.json");
 
 /// The checked-in JSON schema `results/lint.json` (emitted by the
-/// `lint-kernels` binary) must conform to. The rule and severity enums pin
+/// `lint-kernels` experiment) must conform to. The rule and severity enums pin
 /// the diagnostics wire format: adding a lint rule without extending the
 /// schema fails the gate, which is the point.
 pub const LINT_SCHEMA: &str = include_str!("../schemas/lint.schema.json");
 
 /// The checked-in JSON schema `results/BENCH_serving.json` (emitted by the
-/// `bench-serving` binary and `lsvconv serve`) must conform to. The arrival
+/// `bench-serving` experiment and `lsvconv serve`) must conform to. The arrival
 /// and pass enums pin the serving sweep's wire format.
 pub const SERVING_SCHEMA: &str = include_str!("../schemas/serving.schema.json");
 
@@ -210,85 +210,70 @@ pub fn profile_report_json(profile: &RegionProfile, meta: &ProfileMeta) -> Strin
     out
 }
 
-/// Parse a `profile.json` document and validate it against
-/// [`PROFILE_SCHEMA`]. Returns a single aggregated error message on failure;
-/// CI treats any `Err` as a hard failure.
-pub fn validate_profile_json(text: &str) -> Result<(), String> {
-    let schema = parse_json(PROFILE_SCHEMA)
-        .map_err(|e| format!("internal error: profile.schema.json unparseable: {e}"))?;
-    let doc = parse_json(text).map_err(|e| format!("profile.json is not valid JSON: {e}"))?;
+/// Validate the document `text` (named `doc_name` in errors) against a
+/// checked-in schema. Returns a single aggregated error message on
+/// failure; CI treats any `Err` as a hard failure.
+fn validate_against(
+    schema: &str,
+    schema_name: &str,
+    doc_name: &str,
+    text: &str,
+) -> Result<(), String> {
+    let schema = parse_json(schema)
+        .map_err(|e| format!("internal error: {schema_name} unparseable: {e}"))?;
+    let doc = parse_json(text).map_err(|e| format!("{doc_name} is not valid JSON: {e}"))?;
     validate_schema(&doc, &schema).map_err(|errors| {
         format!(
-            "profile.json violates schema ({} error(s)):\n  {}",
+            "{doc_name} violates schema ({} error(s)):\n  {}",
             errors.len(),
             errors.join("\n  ")
         )
     })
+}
+
+/// Parse a `profile.json` document and validate it against
+/// [`PROFILE_SCHEMA`].
+pub fn validate_profile_json(text: &str) -> Result<(), String> {
+    validate_against(PROFILE_SCHEMA, "profile.schema.json", "profile.json", text)
 }
 
 /// Parse a `lint.json` document and validate it against [`LINT_SCHEMA`].
-/// `lint-kernels` re-reads and validates its own output through this after
-/// writing, so schema drift fails the run that introduced it.
+/// The artifact writer validates `lint.json` through this before writing,
+/// so schema drift fails the run that introduced it.
 pub fn validate_lint_json(text: &str) -> Result<(), String> {
-    let schema = parse_json(LINT_SCHEMA)
-        .map_err(|e| format!("internal error: lint.schema.json unparseable: {e}"))?;
-    let doc = parse_json(text).map_err(|e| format!("lint.json is not valid JSON: {e}"))?;
-    validate_schema(&doc, &schema).map_err(|errors| {
-        format!(
-            "lint.json violates schema ({} error(s)):\n  {}",
-            errors.len(),
-            errors.join("\n  ")
-        )
-    })
+    validate_against(LINT_SCHEMA, "lint.schema.json", "lint.json", text)
 }
 
 /// Parse a `BENCH_serving.json` document and validate it against
-/// [`SERVING_SCHEMA`]. `bench-serving` re-reads and validates its own output
-/// through this after writing, so schema drift fails the run that
+/// [`SERVING_SCHEMA`]. The artifact writer validates `BENCH_serving.json`
+/// through this before writing, so schema drift fails the run that
 /// introduced it.
 pub fn validate_serving_json(text: &str) -> Result<(), String> {
-    let schema = parse_json(SERVING_SCHEMA)
-        .map_err(|e| format!("internal error: serving.schema.json unparseable: {e}"))?;
-    let doc = parse_json(text).map_err(|e| format!("BENCH_serving.json is not valid JSON: {e}"))?;
-    validate_schema(&doc, &schema).map_err(|errors| {
-        format!(
-            "BENCH_serving.json violates schema ({} error(s)):\n  {}",
-            errors.len(),
-            errors.join("\n  ")
-        )
-    })
+    validate_against(
+        SERVING_SCHEMA,
+        "serving.schema.json",
+        "BENCH_serving.json",
+        text,
+    )
 }
 
 /// Parse a metrics-registry document (`metrics.json`, `*.store.json`) and
 /// validate it against [`METRICS_SCHEMA`].
 pub fn validate_metrics_json(text: &str) -> Result<(), String> {
-    let schema = parse_json(METRICS_SCHEMA)
-        .map_err(|e| format!("internal error: metrics.schema.json unparseable: {e}"))?;
-    let doc = parse_json(text).map_err(|e| format!("metrics.json is not valid JSON: {e}"))?;
-    validate_schema(&doc, &schema).map_err(|errors| {
-        format!(
-            "metrics.json violates schema ({} error(s)):\n  {}",
-            errors.len(),
-            errors.join("\n  ")
-        )
-    })
+    validate_against(METRICS_SCHEMA, "metrics.schema.json", "metrics.json", text)
 }
 
 /// Parse a `serving_trace.json` document and validate it against
-/// [`SERVING_TRACE_SCHEMA`]. `lsvconv serve --trace` re-reads and validates
-/// its own output through this after writing, so schema drift fails the run
-/// that introduced it.
+/// [`SERVING_TRACE_SCHEMA`]. The artifact writer validates
+/// `lsvconv serve --trace`'s output through this before writing, so schema
+/// drift fails the run that introduced it.
 pub fn validate_serving_trace_json(text: &str) -> Result<(), String> {
-    let schema = parse_json(SERVING_TRACE_SCHEMA)
-        .map_err(|e| format!("internal error: serving_trace.schema.json unparseable: {e}"))?;
-    let doc = parse_json(text).map_err(|e| format!("serving_trace.json is not valid JSON: {e}"))?;
-    validate_schema(&doc, &schema).map_err(|errors| {
-        format!(
-            "serving_trace.json violates schema ({} error(s)):\n  {}",
-            errors.len(),
-            errors.join("\n  ")
-        )
-    })
+    validate_against(
+        SERVING_TRACE_SCHEMA,
+        "serving_trace.schema.json",
+        "serving_trace.json",
+        text,
+    )
 }
 
 #[cfg(test)]

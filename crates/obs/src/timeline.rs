@@ -1,18 +1,20 @@
-//! Generic multi-track Chrome-trace/Perfetto timeline builder.
+//! The one Chrome-trace/Perfetto emitter: a multi-track timeline builder.
 //!
-//! [`crate::perfetto_trace_json`] renders one core's region spans on a
-//! single track; the serving-plane trace needs more: a server track with
-//! batch spans, one lane per concurrent request, and counter tracks (queue
-//! depth, batch occupancy). This builder emits the Chrome Trace Event JSON
-//! object format (`"ph": "M"` metadata, `"ph": "X"` complete spans,
-//! `"ph": "C"` counters) that <https://ui.perfetto.dev> loads directly.
+//! [`TimelineBuilder`] emits the Chrome Trace Event JSON object format
+//! (`"ph": "M"` metadata, `"ph": "X"` complete spans, `"ph": "C"` counters)
+//! that both `chrome://tracing` and <https://ui.perfetto.dev> load directly.
+//! Its users: [`perfetto_trace_json`] (one core's region spans on a single
+//! track), the serving-plane trace (a server track with batch spans, one
+//! lane per concurrent request, counter tracks for queue depth and batch
+//! occupancy) and the benchmark's host-time trace.
 //!
-//! Timestamps are caller-defined `f64`s in whatever simulated unit the
-//! caller uses (the serving trace uses **one trace microsecond per simulated
-//! millisecond**, so durations read as milliseconds); the builder passes
-//! them through [`crate::json_f64`] untouched — no scaling, no rounding.
+//! Timestamps are caller-defined `f64`s in whatever unit the caller uses
+//! (region profiles use **one trace microsecond per simulated cycle**, the
+//! serving trace one per simulated millisecond); the builder passes them
+//! through [`crate::json_f64`] untouched — no scaling, no rounding.
 
 use crate::{escape_json, json_f64};
+use lsv_vengine::RegionProfile;
 
 /// Incremental builder for a multi-track trace document. Events are emitted
 /// in call order, so a fixed build sequence yields byte-identical documents.
@@ -120,6 +122,37 @@ impl Default for TimelineBuilder {
     }
 }
 
+/// Render a region profile's span log as a Chrome-trace JSON document.
+///
+/// The simulator has no wall clock, so one trace microsecond is one
+/// simulated cycle. Every recorded span becomes one complete event on a
+/// single track; nesting is reconstructed by the viewer from the
+/// timestamps. The event `args` carry the full `root;...` path so
+/// flamegraph-style queries work inside Perfetto.
+pub fn perfetto_trace_json(profile: &RegionProfile) -> String {
+    let mut tl = TimelineBuilder::new();
+    tl.process(0, "lsv-vengine core");
+    for span in &profile.spans {
+        let path = format!("\"{}\"", escape_json(&profile.full_name(span.path)));
+        tl.span(
+            0,
+            0,
+            "region",
+            profile.paths[span.path as usize].name,
+            span.start as f64,
+            (span.end - span.start) as f64,
+            &[("path", path)],
+        );
+    }
+    tl.finish(
+        "1us = 1 cycle",
+        &[
+            ("total_cycles", format!("\"{}\"", profile.total.cycles)),
+            ("dropped_spans", format!("\"{}\"", profile.dropped_spans)),
+        ],
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,6 +197,29 @@ mod tests {
         assert!(phases.contains(&&JsonValue::Str("C".into())));
         let other = v.get("otherData").unwrap();
         assert_eq!(other.get("requests"), Some(&JsonValue::Num(1.0)));
+    }
+
+    #[test]
+    fn profile_trace_has_one_event_per_span() {
+        use lsv_arch::presets::sx_aurora;
+        use lsv_vengine::{ExecutionMode, VCore};
+        let mut core = VCore::new(&sx_aurora(), ExecutionMode::TimingOnly, 1);
+        core.enable_profiler();
+        core.region_enter("outer");
+        core.scalar_ops(4);
+        core.region_enter("inner");
+        core.scalar_ops(8);
+        core.region_exit();
+        core.region_exit();
+        let profile = core.take_profile().expect("profiler enabled");
+        let doc = parse_json(&perfetto_trace_json(&profile)).expect("valid JSON");
+        let Some(JsonValue::Arr(events)) = doc.get("traceEvents") else {
+            panic!("traceEvents must be an array");
+        };
+        // One metadata record plus one "X" event per recorded span.
+        assert_eq!(events.len(), 1 + profile.spans.len());
+        assert_eq!(events[1].get("ph"), Some(&JsonValue::Str("X".into())));
+        assert!(events[1].get("dur").is_some());
     }
 
     #[test]

@@ -1,78 +1,23 @@
 #!/bin/sh
-# Regenerate every artifact under results/ from the release binaries.
+# Regenerate every artifact under results/ with one harness process:
+# `lsvconv-cli run --all` runs the experiments in order over one shared
+# layer store (cross-experiment dedup), writes each artifact atomically
+# (validated, then renamed into place; a failing experiment writes nothing
+# and stops the run), and logs per-experiment wall times to
+# results/logs/regen_times.txt and store counters to
+# results/logs/<name>.store.json. Harness stderr goes to
+# results/logs/regen.log.
 #
-# Bins run sequentially: the binaries already parallelize internally over
-# host threads, and a strict order lets the shared layer store dedup work
-# across bins (an early bin's slices are store hits for every later bin
-# that sweeps the same layers) instead of racing to simulate the same
-# point twice. Each bin writes to a .tmp file that is only moved into
-# place on success, and stderr goes to results/logs/<bin>.log — a failing
-# bin can neither leave a truncated CSV nor pollute one with diagnostics.
-# The report runs last, over the finished artifacts.
-#
-# Layer store: every bin shares the content-addressed layer-result store
-# at $LSV_STORE_DIR (default results/.layer-store). The store is wiped
-# before the run so committed CSVs always come from a cold, fully
-# re-simulated pass — set KEEP_STORE=1 to reuse a previous run's entries
-# (warm regen, seconds instead of minutes). Per-bin store counters land in
-# results/logs/<bin>.store.json and per-bin wall times in
-# results/logs/regen_times.txt (the file bench-simulator --regen-after
-# consumes).
+# The store ($LSV_STORE_DIR, default results/.layer-store) is wiped first so
+# committed artifacts always come from a cold, fully re-simulated pass; set
+# KEEP_STORE=1 to replay a previous run's store instead (warm regen).
 set -eu
 cd "$(dirname "$0")"
-B=./target/release
-mkdir -p results results/logs
 
 LSV_STORE_DIR=${LSV_STORE_DIR:-results/.layer-store}
 export LSV_STORE_DIR
 if [ "${KEEP_STORE:-0}" != "1" ]; then
     rm -rf "$LSV_STORE_DIR"
 fi
-mkdir -p "$LSV_STORE_DIR"
-TIMES=results/logs/regen_times.txt
-: >"$TIMES"
-
-run() {
-    # run <bin> <artifact> [args...]
-    bin=$1
-    out=$2
-    shift 2
-    t0=$(date +%s%N)
-    if LSV_STORE_STATS="results/logs/$bin.store.json" \
-        "$B/$bin" "$@" >"results/$out.tmp" 2>"results/logs/$bin.log"; then
-        t1=$(date +%s%N)
-        echo "$bin $(((t1 - t0) / 1000000))ms" >>"$TIMES"
-        mv "results/$out.tmp" "results/$out"
-    else
-        rc=$?
-        rm -f "results/$out.tmp"
-        echo "regen: $bin failed (rc=$rc), stderr in results/logs/$bin.log" >&2
-        return "$rc"
-    fi
-}
-
-# Order matters for the store: figure4 (the broad vlen x layer sweep)
-# goes first so the heavyweight sweeps behind it start warm.
-run table1 table1.csv
-run table2 table2.csv
-run table3 table3.csv
-run figure2 figure2.csv
-run figure4 figure4.csv
-run figure5 figure5.csv
-run figure6 figure6.csv
-run mpki mpki.csv 32
-run ablation ablation.csv
-run performance performance.csv 256
-run figure3 figure3.txt 8
-run crossisa crossisa.csv 32
-run validate validate.csv 1
-# The serving sweep reuses the shared store: its latency tables revisit the
-# same (layer, direction) slices the figure sweeps already simulated. The
-# JSON and time-series artifacts are written (and, for the JSON,
-# schema-validated) by the bin itself; only the CSV goes through the
-# tmp-and-move stdout path.
-run bench-serving serving.csv --json results/BENCH_serving.json \
-    --timeseries results/serving_timeseries.csv
-
-run report report.txt results
-echo ALL_DONE
+mkdir -p results/logs
+./target/release/lsvconv-cli run --all --out results 2>results/logs/regen.log

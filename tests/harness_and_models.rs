@@ -1,7 +1,7 @@
 //! Integration tests of the benchmark harness plumbing and model-level
 //! aggregation (the machinery behind Figures 4-6).
 
-use lsv_bench::{bench_engine, geomean, layer_time_table, model_time_from_table, Engine, Row};
+use lsv_bench::{bench_engine, geomean, layer_time_tables, model_time_from_table, Engine, Row};
 use lsvconv::conv::{Algorithm, ConvProblem, Direction, ExecutionMode};
 use lsvconv::models::{resnet_layers, ResNetModel};
 use lsvconv::prelude::sx_aurora;
@@ -66,12 +66,11 @@ fn vednn_engine_runs_through_the_harness() {
 #[ignore = "simulates every full-size layer; run with --ignored in release builds"]
 fn layer_time_table_is_dense_and_positive() {
     let arch = sx_aurora().with_max_vlen_bits(2048);
-    let table = layer_time_table(
-        &arch,
-        8,
-        Engine::Direct(Algorithm::Bdc),
+    let tables = layer_time_tables(
+        &[(arch, 8, Engine::Direct(Algorithm::Bdc))],
         ExecutionMode::TimingOnly,
     );
+    let table = &tables[0];
     assert_eq!(table.len(), 19);
     for (id, t) in table.iter().enumerate() {
         for (d, &ms) in t.iter().enumerate() {

@@ -6,7 +6,7 @@
 //! functional simulation stays fast in debug builds while preserving every
 //! structural feature: strides, padding, kernel sizes, channel asymmetries
 //! and the conflict-relevant C/spatial ratios. The full-size suite runs via
-//! `cargo run --release -p lsv-bench --bin validate`.
+//! `lsvconv-cli run validate`.
 
 use lsvconv::conv::{naive, validate, Algorithm, ConvProblem, Direction};
 use lsvconv::models::TABLE3;

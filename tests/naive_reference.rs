@@ -227,7 +227,7 @@ fn max_abs_diff_fails_a_nan_output() {
 
 #[test]
 fn normwise_rel_err_fails_a_nan_output() {
-    // The vednn rows of the `validate` bin pass when this is below 1e-2.
+    // The vednn rows of the `validate` experiment pass when this is below 1e-2.
     let rel = naive::normwise_rel_err(&[f32::NAN, 1.0], &[0.5, 1.0]);
     assert!(rel >= 1e-2, "NaN output passed with rel_err {rel}");
     assert_eq!(naive::normwise_rel_err(&[0.5, 3.0], &[0.5, 2.0]), 0.5);
