@@ -32,9 +32,6 @@ cargo run --release -p lsv-bench --bin lsvconv-cli -- fuzz --smoke --backend nat
 echo "== profile smoke (reconciliation + profile.json schema are hard errors)"
 cargo run --release -p lsv-bench --bin lsvconv-cli -- profile --smoke --out results/ci-profile
 
-echo "== bench-simulator (smoke)"
-./target/release/lsvconv-cli run bench-simulator --smoke --out results/logs/ci-bench-simulator
-
 echo "== layer-store smoke (cold -> warm >= 5x + byte-identical, then store-off equality)"
 STORE_SMOKE_DIR=results/.ci-store
 STORE_SMOKE_OUT=results/logs
@@ -67,6 +64,17 @@ rm -rf "$VALIDATE_STORE_DIR"
     --out "$STORE_SMOKE_OUT/ci-validate" >/dev/null 2>&1
 cmp "$STORE_SMOKE_OUT/ci-validate/validate.csv" results/validate.csv
 rm -rf "$VALIDATE_STORE_DIR"
+
+echo "== model roll-up gate (cold store; figure6.csv must equal results/figure6.csv)"
+# Every engine, vednn included, prices ResNet-101 through one ModelRunner
+# plan per minibatch: the committed totals pin the roll-up's one
+# cycles-to-ms conversion and its one summation order.
+FIGURE6_STORE_DIR=results/.ci-figure6-store
+rm -rf "$FIGURE6_STORE_DIR"
+./target/release/lsvconv-cli run figure6 --store-dir "$FIGURE6_STORE_DIR" \
+    --out "$STORE_SMOKE_OUT/ci-figure6" >/dev/null 2>&1
+cmp "$STORE_SMOKE_OUT/ci-figure6/figure6.csv" results/figure6.csv
+rm -rf "$FIGURE6_STORE_DIR"
 
 echo "== serving smoke (queue sweep + trace; warm replay must be byte-identical)"
 SERVE_STORE_DIR=results/.ci-serve-store

@@ -19,7 +19,7 @@
 use lsv_arch::presets::{a64fx_sve, rvv_longvector, skylake_avx512, sx_aurora};
 use lsv_arch::ArchParams;
 use lsv_bench::artifact::{write_artifacts, Artifact};
-use lsv_bench::experiments::{self, Ctx, RegenLogs, EXPERIMENTS};
+use lsv_bench::experiments::{self, Ctx, EXPERIMENTS};
 use lsv_bench::profiling::{print_profile_summary, profile_meta, write_profile_artifacts};
 use lsv_bench::{bench_engine, Engine};
 use lsv_conv::fuzz::{self, FuzzOutcome};
@@ -62,11 +62,7 @@ fn spec(cmd: &str) -> Vec<&'static str> {
             "smoke model=name pass=name engine=name arrival=name max-batch=number \
              requests=number seed=number slo=number trace=path metrics",
         ],
-        "run" => vec![
-            STORE,
-            "out=path smoke profile all regen-before=path regen-after=path regen-warm=path \
-             store-stats=path",
-        ],
+        "run" => vec![STORE, "out=path smoke profile all"],
         _ => usage("missing or unknown command"),
     }
 }
@@ -310,8 +306,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("                serving_timeseries.csv + metrics.json for the heaviest-load");
     eprintln!("                cell)  --metrics (print the metrics registry; tune too)");
     eprintln!("  run:          run <experiment>... | --all  [--out DIR (default results)]");
-    eprintln!("                [--smoke] [--profile]; bench-simulator also takes");
-    eprintln!("                --regen-before/--regen-after/--regen-warm FILE --store-stats DIR");
+    eprintln!("                [--smoke] [--profile]");
     eprintln!("                experiments: {}", names.join(" "));
     exit(2);
 }
@@ -634,6 +629,9 @@ fn main() {
             };
             let max_batch: usize = flags.num("max-batch", if smoke { 4 } else { 8 });
             let requests: usize = flags.num("requests", if smoke { 200 } else { 1000 });
+            if max_batch == 0 || requests == 0 {
+                usage("--max-batch and --requests must be at least 1");
+            }
             let seed: u64 = flags.num("seed", 42);
             let trace_dir = flags.str("trace").map(PathBuf::from);
             let metrics = flags.has("metrics");
@@ -711,21 +709,12 @@ fn main() {
                 let policy = cfg.policies[0];
                 let (offered_rps, outcome) = cell_outcome(&cfg, &table, 0, load_idx, policy, 0);
                 // Per-(layer, direction) breakdown for every distinct
-                // dispatched batch size, recomputed by the exact code path
-                // the latency table used — bit-identical by construction,
-                // asserted by the reconciliation below. The vednn baseline
-                // has no layer plan; its trace carries batch spans only.
-                let plan_for = |batch: usize| -> Option<lsv_conv::ModelPlan> {
+                // dispatched batch size, recomputed by the exact plan the
+                // latency table used — bit-identical by construction,
+                // asserted by the reconciliation below.
+                let plan_for = |batch: usize| {
                     let specs = lsv_serve::resnet_specs(model, batch);
-                    let runner = lsv_conv::ModelRunner::new(&arch, specs, pass)
-                        .with_mode(ExecutionMode::TimingOnly);
-                    match engine {
-                        ServeEngine::Tuned => {
-                            Some(runner.with_tune(lsv_conv::TunePolicy::Empirical).plan())
-                        }
-                        ServeEngine::Fixed(alg) => Some(runner.plan_fixed(alg)),
-                        ServeEngine::Vednn => None,
-                    }
+                    engine.plan(&arch, specs, pass, ExecutionMode::TimingOnly)
                 };
                 let plans = collect_plans(&outcome, &plan_for);
                 for (_, p) in &plans {
@@ -831,22 +820,10 @@ fn main() {
                         })
                         .collect(),
                 };
-            let path = |key: &str| flags.str(key).map(PathBuf::from);
-            let regen_logs = RegenLogs {
-                before: path("regen-before"),
-                after: path("regen-after"),
-                warm: path("regen-warm"),
-                store_stats: path("store-stats"),
-            };
-            let wants_logs = regen_logs != RegenLogs::default();
-            if wants_logs && !selected.iter().any(|e| e.name == "bench-simulator") {
-                usage("--regen-before/--regen-after/--regen-warm/--store-stats apply to bench-simulator only");
-            }
             let ctx = Ctx {
-                out_dir: path("out").unwrap_or_else(|| PathBuf::from("results")),
+                out_dir: PathBuf::from(flags.str("out").unwrap_or("results")),
                 smoke: flags.has("smoke"),
                 profile: flags.has("profile"),
-                regen_logs,
             };
             if let Err(e) = experiments::run(&selected, &ctx) {
                 eprintln!("error: {e}");

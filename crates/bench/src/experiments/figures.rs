@@ -1,14 +1,17 @@
 //! Figures 2-6 of the paper.
 
 use super::{Ctx, Outcome};
-use crate::{geomean, layer_time_tables, model_time_from_table, par, run_suite, Engine, Row};
+use crate::{geomean, run_suite, Engine, Row};
 use lsv_arch::formula2_rb_min;
 use lsv_arch::presets::{aurora_with_vlen_bits, sx_aurora};
+use lsv_arch::ArchParams;
 use lsv_conv::analysis::{scalar_stream_profile, set_pressure_histogram};
 use lsv_conv::footprint::microkernel_footprint;
+use lsv_conv::par::par_map;
 use lsv_conv::tuning::{kernel_config, split_register_block};
-use lsv_conv::{Algorithm, ConvProblem, Direction, ExecutionMode};
+use lsv_conv::{Algorithm, ConvProblem, Direction, ExecutionMode, Pass};
 use lsv_models::{resnet_layer, ResNetModel};
+use lsv_serve::{resnet_specs, ServeEngine};
 use std::fmt::Write as _;
 
 /// The paper's minibatch for the per-layer and vlen sweeps.
@@ -36,7 +39,7 @@ pub fn figure2(_: &Ctx) -> Outcome {
     let jobs: Vec<(usize, usize)> = (0..shapes.len())
         .flat_map(|s| (0..vlens.len()).map(move |v| (s, v)))
         .collect();
-    let cells = par::par_map(jobs, |(s, v)| {
+    let cells = par_map(jobs, |(s, v)| {
         let (hw, c) = shapes[s];
         let arch = aurora_with_vlen_bits(vlens[v]);
         let p = ConvProblem::new(256, c, c, hw, hw, 3, 3, 1, 1);
@@ -188,34 +191,33 @@ pub fn figure4(_: &Ctx) -> Outcome {
 /// ResNet-50 (dragged down by the bwdw bank serialization on early layers).
 pub fn figure5(_: &Ctx) -> Outcome {
     let vlens = [512usize, 2048, 8192, 16384];
-    let engines = [
-        Engine::Direct(Algorithm::Dc),
-        Engine::Direct(Algorithm::Bdc),
-        Engine::Direct(Algorithm::Mbdc),
-    ];
-    // All vlen x engine sweeps simulate in one flat job pool; results print
-    // in the fixed row order below.
-    let configs: Vec<_> = vlens
+    let engines = [Algorithm::Dc, Algorithm::Bdc, Algorithm::Mbdc].map(ServeEngine::Fixed);
+    // Step time (ms) of every (model, vlen, engine): one training-step plan
+    // each, run one after another (the first model's plans simulate, the
+    // other two replay the same layers from the store).
+    let times: Vec<Vec<Vec<f64>>> = ResNetModel::ALL
         .iter()
-        .flat_map(|&v| {
-            engines
+        .map(|&m| {
+            vlens
                 .iter()
-                .map(move |&e| (aurora_with_vlen_bits(v), MINIBATCH, e))
+                .map(|&bits| {
+                    let arch = aurora_with_vlen_bits(bits);
+                    engines
+                        .iter()
+                        .map(|&e| step_ms(&arch, m, MINIBATCH, e))
+                        .collect()
+                })
+                .collect()
         })
         .collect();
-    let tables = layer_time_tables(&configs, ExecutionMode::TimingOnly);
-    // Step time (ms) of one (vlen index, engine index, model).
-    let time = |v: usize, e: usize, m: ResNetModel| {
-        model_time_from_table(&tables[v * engines.len() + e], m)
-    };
     let mut out = String::from("model,vlen_bits,algorithm,step_ms,speedup_vs_dc512\n");
-    for m in ResNetModel::ALL {
-        let base = time(0, 0, m);
+    for (m, t) in ResNetModel::ALL.iter().zip(&times) {
+        let base = t[0][0];
         for (v, bits) in vlens.iter().enumerate() {
             for (e, engine) in engines.iter().enumerate() {
-                let t = time(v, e, m);
+                let ms = t[v][e];
                 let name = engine.name();
-                writeln!(out, "{},{bits},{name},{t:.2},{:.3}", m.name(), base / t)?;
+                writeln!(out, "{},{bits},{name},{ms:.2},{:.3}", m.name(), base / ms)?;
             }
         }
     }
@@ -223,8 +225,8 @@ pub fn figure5(_: &Ctx) -> Outcome {
         "\n# Paper Figure 5 (16384-bit): BDC/DC = 1.41 (R50), 1.44 (R101), 1.46 (R152);\n\
          # MBDC/DC = ~1.0 (R50), 1.28 (R101), 1.26 (R152); all ~equal below 8192-bit.\n",
     );
-    for m in ResNetModel::ALL {
-        let (dc, bdc, mbdc) = (time(3, 0, m), time(3, 1, m), time(3, 2, m));
+    for (m, t) in ResNetModel::ALL.iter().zip(&times) {
+        let (dc, bdc, mbdc) = (t[3][0], t[3][1], t[3][2]);
         let (r_bdc, r_mbdc) = (dc / bdc, dc / mbdc);
         writeln!(
             out,
@@ -244,26 +246,37 @@ pub fn figure5(_: &Ctx) -> Outcome {
 pub fn figure6(_: &Ctx) -> Outcome {
     let arch = sx_aurora();
     let model = ResNetModel::R101;
-    // Every minibatch x engine sweep simulates in one flat job pool; rows
-    // print in the fixed order below.
-    let configs: Vec<_> = [8usize, 16, 32, 64, 128, 256]
-        .iter()
-        .flat_map(|&mb| {
-            let arch = &arch;
-            Engine::ALL.iter().map(move |&e| (arch.clone(), mb, e))
-        })
-        .collect();
-    let tables = layer_time_tables(&configs, ExecutionMode::TimingOnly);
+    let engines = [
+        ServeEngine::Vednn,
+        ServeEngine::Fixed(Algorithm::Dc),
+        ServeEngine::Fixed(Algorithm::Bdc),
+        ServeEngine::Fixed(Algorithm::Mbdc),
+    ];
     let mut out = String::from("minibatch,algorithm,step_ms,gflops\n");
-    for (ci, &(_, mb, e)) in configs.iter().enumerate() {
+    for mb in [8usize, 16, 32, 64, 128, 256] {
         let flops = model.training_flops(mb) as f64;
-        let ms = model_time_from_table(&tables[ci], model);
-        let gflops = flops / (ms / 1e3) / 1e9;
-        writeln!(out, "{},{},{:.2},{:.1}", mb, e.name(), ms, gflops)?;
+        for e in engines {
+            let ms = step_ms(&arch, model, mb, e);
+            let gflops = flops / (ms / 1e3) / 1e9;
+            writeln!(out, "{},{},{:.2},{:.1}", mb, e.name(), ms, gflops)?;
+        }
     }
     out.push_str(
         "\n# Paper Figure 6: BDC best everywhere; vednn competitive at small minibatch,\n\
          # does not scale; all direct algorithms scale with problem size.\n",
     );
     Ok(vec![out])
+}
+
+/// Milliseconds of one training step of `model` at `minibatch` on `engine`:
+/// the total of its `ModelRunner` plan.
+fn step_ms(arch: &ArchParams, model: ResNetModel, minibatch: usize, engine: ServeEngine) -> f64 {
+    engine
+        .plan(
+            arch,
+            resnet_specs(model, minibatch),
+            Pass::TrainingStep,
+            ExecutionMode::TimingOnly,
+        )
+        .total_time_ms()
 }

@@ -1,10 +1,10 @@
 //! The kernel-verifier sweep.
 
 use super::{Ctx, Outcome};
-use crate::par::par_map;
 use lsv_analyze::{analyze_kernel_outcome, Report, RuleId, Severity};
 use lsv_arch::aurora_with_vlen_bits;
 use lsv_conv::fuzz::VLEN_SWEEP_BITS;
+use lsv_conv::par::par_map;
 use lsv_conv::{Algorithm, ConvDesc, ConvProblem, Direction};
 use lsv_models::resnet_layers;
 use lsv_obs::escape_json;

@@ -37,26 +37,11 @@ pub struct Ctx {
     /// Artifact directory (`results` for the committed set).
     pub out_dir: PathBuf,
     /// Shrink the experiments that have a CI-sized variant
-    /// (`bench-serving`, `bench-simulator`, `bench-native`).
+    /// (`bench-serving`, `bench-native`).
     pub smoke: bool,
     /// Also write region-profile artifacts under `<out>/profile/<name>/`
     /// (`table3`, `performance`).
     pub profile: bool,
-    /// `bench-simulator`'s inputs from earlier regen runs.
-    pub regen_logs: RegenLogs,
-}
-
-/// Earlier regen logs `bench-simulator` embeds in `BENCH_simulator.json`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RegenLogs {
-    /// `regen_times.txt` of the baseline run.
-    pub before: Option<PathBuf>,
-    /// `regen_times.txt` of the measured run.
-    pub after: Option<PathBuf>,
-    /// `regen_times.txt` of a warm-store rerun.
-    pub warm: Option<PathBuf>,
-    /// The log directory holding every `<name>.store.json`.
-    pub store_stats: Option<PathBuf>,
 }
 
 /// One registered experiment.
@@ -105,12 +90,6 @@ pub static EXPERIMENTS: &[Experiment] = &[
     ),
     exp("report", &["report.txt"], true, report::report),
     exp("lint-kernels", &["lint.json"], false, lint::lint_kernels),
-    exp(
-        "bench-simulator",
-        &["BENCH_simulator.json"],
-        false,
-        host::bench_simulator,
-    ),
     exp(
         "bench-native",
         &["BENCH_native.json"],

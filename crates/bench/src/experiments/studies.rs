@@ -4,8 +4,9 @@
 
 use super::{Ctx, Outcome};
 use crate::profiling::{profile_meta, write_profile_artifacts};
-use crate::{bench_engine, geomean, par, Engine, Row};
+use crate::{bench_engine, geomean, Engine, Row};
 use lsv_arch::presets::{a64fx_sve, rvv_longvector, skylake_avx512, sx_aurora};
+use lsv_conv::par::par_map;
 use lsv_conv::perf::{bench_layer_profiled_cached, bench_minibatch_parallel_with};
 use lsv_conv::tuning::{kernel_config, split_register_block};
 use lsv_conv::{
@@ -39,7 +40,7 @@ pub fn mpki(_: &Ctx) -> Outcome {
         })
         .collect();
     // (layer, direction, engine, mpki_l1, conflict_fraction)
-    let mut rows: Vec<(usize, Direction, Engine, f64, f64)> = par::par_map(
+    let mut rows: Vec<(usize, Direction, Engine, f64, f64)> = par_map(
         jobs,
         |(id, direction, alg)| {
             let (perf, profile) = bench_layer_profiled_cached(
@@ -203,7 +204,7 @@ pub fn ablation(_: &Ctx) -> Outcome {
         );
         slice.into_layer_perf(&arch, problem, Direction::Fwd, Algorithm::Bdc)
     };
-    let lines: Vec<(usize, String)> = par::par_map(jobs, |job| match job {
+    let lines: Vec<(usize, String)> = par_map(jobs, |job| match job {
         Job::Rb { target, cfg } => {
             let perf = bdc_point(&p, cfg);
             (
@@ -303,7 +304,7 @@ pub fn performance(ctx: &Ctx) -> Outcome {
                 .flat_map(move |d| Engine::ALL.into_iter().map(move |e| (id, d, e)))
         })
         .collect();
-    let mut rows: Vec<Row> = par::par_map(jobs, |(id, direction, engine)| {
+    let mut rows: Vec<Row> = par_map(jobs, |(id, direction, engine)| {
         let perf = match (ctx.profile, engine) {
             (true, Engine::Direct(alg)) => {
                 let (perf, region_profile) = bench_layer_profiled(
@@ -381,7 +382,7 @@ pub fn crossisa(_: &Ctx) -> Outcome {
             (0..engines.len()).flat_map(move |e| (0..n).map(move |l| (m, e, l)))
         })
         .collect();
-    let gflops: Vec<(usize, usize, f64)> = par::par_map(jobs, |(m, e, l)| {
+    let gflops: Vec<(usize, usize, f64)> = par_map(jobs, |(m, e, l)| {
         let perf = bench_engine(
             &machines[m],
             &layers[l],

@@ -1,10 +1,10 @@
 //! Tables 1-3 of the paper.
 
 use super::{Ctx, Outcome};
-use crate::par;
 use crate::profiling::{profile_meta, write_profile_artifacts};
 use lsv_arch::presets::{skylake_avx512, sx_aurora};
 use lsv_arch::{bdc_register_block_range, formula1_required_independent_elems, formula2_rb_min};
+use lsv_conv::par::par_map;
 use lsv_conv::tuning::kernel_config;
 use lsv_conv::{bench_layer_profiled, Algorithm, ConvDesc, ConvProblem, Direction, ExecutionMode};
 use lsv_models::{resnet_layers, TABLE3};
@@ -119,7 +119,7 @@ pub fn table3(ctx: &Ctx) -> Outcome {
     if ctx.profile {
         let out_dir = ctx.out_dir.join("profile/table3");
         let small = resnet_layers(8);
-        let summaries: Vec<String> = par::par_map((0..small.len()).collect::<Vec<_>>(), |id| {
+        let summaries: Vec<String> = par_map((0..small.len()).collect::<Vec<_>>(), |id| {
             let p = &small[id];
             let (_, region_profile) = bench_layer_profiled(
                 &arch,

@@ -1,8 +1,8 @@
 //! The artifact's `validate.sh` equivalent.
 
 use super::{Ctx, Outcome};
-use crate::par;
 use lsv_arch::presets::sx_aurora;
+use lsv_conv::par::par_map;
 use lsv_conv::{naive, store, validate as validate_direct, Algorithm, Direction, ValidationReport};
 use lsv_models::resnet_layers;
 use lsv_vednn::VednnConv;
@@ -29,7 +29,7 @@ pub fn validate(_: &Ctx) -> Outcome {
     }
 
     let mut results: Vec<(usize, Direction, &'static str, f32, bool)> =
-        par::par_map(jobs, |(id, dir, name)| {
+        par_map(jobs, |(id, dir, name)| {
             let p = layers[id];
             let r = match name {
                 "DC" => validate_direct(&arch, &p, dir, Algorithm::Dc),

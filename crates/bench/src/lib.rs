@@ -4,20 +4,22 @@
 //! [`experiments`], registered in [`experiments::EXPERIMENTS`] and run by
 //! `lsvconv-cli run <name>... | --all` (see DESIGN.md's per-experiment
 //! index). Every artifact goes through the one atomic writer in
-//! [`artifact`]. The rest of this library is their shared plumbing: the
-//! engine abstraction (direct algorithms vs. the vednn baseline), parallel
-//! suite runners, CSV formatting matching the artifact's `performance.sh`
-//! schema, and model-level aggregation for the ResNet experiments.
+//! [`artifact`]. The rest of this library is their shared per-layer
+//! plumbing: the engine label of a per-layer row (direct algorithms vs. the
+//! vednn baseline), the parallel Figure 4 suite runner and CSV formatting
+//! matching the artifact's `performance.sh` schema. Whole-network times
+//! (Figures 5 and 6) are `lsv_conv::ModelRunner` plans priced by
+//! `lsv_serve::ServeEngine`, the same roll-up the serving harness uses.
 
 use lsv_arch::ArchParams;
+use lsv_conv::par::par_map;
 use lsv_conv::perf::LayerPerf;
 use lsv_conv::{bench_layer, Algorithm, ConvProblem, Direction, ExecutionMode};
-use lsv_models::{resnet_layers, ResNetModel};
+use lsv_models::resnet_layers;
 use lsv_vednn::bench_layer_vednn;
 
 pub mod artifact;
 pub mod experiments;
-pub mod par;
 pub mod profiling;
 
 /// A convolution engine under test: one of the paper's direct algorithms or
@@ -138,7 +140,7 @@ pub fn run_suite(
             }
         }
     }
-    let mut rows: Vec<Row> = par::par_map(jobs, |(id, direction, engine)| {
+    let mut rows: Vec<Row> = par_map(jobs, |(id, direction, engine)| {
         let perf = bench_engine(arch, &layers[id], direction, engine, mode);
         Row {
             layer_id: id,
@@ -150,53 +152,6 @@ pub fn run_suite(
     });
     rows.sort_by_key(|r| (r.direction.short_name(), r.layer_id, r.engine.name()));
     rows
-}
-
-/// Per-layer, per-direction wall-times (milliseconds) for several (arch,
-/// minibatch, engine) configurations: `tables[config][layer_id][direction]`.
-/// Every configuration's layer x direction jobs go into one flat pool, so a
-/// sweep (Figures 5/6) exposes all of its parallelism to the host instead
-/// of running configurations back to back, each with a mostly idle pool
-/// tail. Returns one table per configuration, in input order.
-pub fn layer_time_tables(
-    configs: &[(ArchParams, usize, Engine)],
-    mode: ExecutionMode,
-) -> Vec<Vec<[f64; 3]>> {
-    let layer_sets: Vec<Vec<ConvProblem>> = configs
-        .iter()
-        .map(|&(_, mb, _)| resnet_layers(mb))
-        .collect();
-    let jobs: Vec<(usize, usize, usize)> = configs
-        .iter()
-        .enumerate()
-        .flat_map(|(c, _)| {
-            let n = layer_sets[c].len();
-            (0..n).flat_map(move |id| (0..3).map(move |d| (c, id, d)))
-        })
-        .collect();
-    let times: Vec<(usize, usize, usize, f64)> = par::par_map(jobs, |(c, id, d)| {
-        let (ref arch, _, engine) = configs[c];
-        let perf = bench_engine(arch, &layer_sets[c][id], Direction::ALL[d], engine, mode);
-        (c, id, d, perf.time_ms)
-    });
-    let mut tables: Vec<Vec<[f64; 3]>> = layer_sets
-        .iter()
-        .map(|ls| vec![[0.0f64; 3]; ls.len()])
-        .collect();
-    for (c, id, d, t) in times {
-        tables[c][id][d] = t;
-    }
-    tables
-}
-
-/// Aggregate one [`layer_time_tables`] table into one training step of a model.
-pub fn model_time_from_table(table: &[[f64; 3]], model: ResNetModel) -> f64 {
-    let counts = model.layer_counts();
-    table
-        .iter()
-        .zip(counts)
-        .map(|(t, c)| (t[0] + t[1] + t[2]) * c as f64)
-        .sum()
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! CLI contract tests for `lsvconv`. The one flag parser: a malformed
 //! value, a flag the subcommand does not take and an unknown experiment are
 //! usage errors (exit 2). `serve`: the backend guard and the store flags
-//! behave exactly like the other store-backed subcommands. `run`: a failing
+//! behave exactly like the other store-backed subcommands, and a zero batch
+//! cap or request count is a usage error, not a panic. `run`: a failing
 //! experiment exits non-zero and leaves neither its artifact nor a
 //! temporary file.
 
@@ -180,6 +181,18 @@ fn a_flag_the_subcommand_does_not_take_is_rejected() {
     assert_usage_error(
         &["info", "--minibtach", "3"],
         "`info` takes no flag --minibtach",
+    );
+}
+
+#[test]
+fn serve_rejects_a_zero_max_batch_or_request_count() {
+    assert_usage_error(
+        &["serve", "--smoke", "--no-store", "--max-batch", "0"],
+        "--max-batch and --requests must be at least 1",
+    );
+    assert_usage_error(
+        &["serve", "--smoke", "--no-store", "--requests", "0"],
+        "--max-batch and --requests must be at least 1",
     );
 }
 

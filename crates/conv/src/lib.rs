@@ -36,6 +36,7 @@ pub mod kernels;
 pub mod multicore;
 pub mod naive;
 mod native;
+pub mod par;
 pub mod perf;
 pub mod primitive;
 pub mod problem;
@@ -48,10 +49,12 @@ pub mod verify;
 pub use analysis::{scalar_stream_profile, ScalarStreamProfile};
 pub use backend::{BackendKind, ExecBackend, NativeBackend, SimBackend};
 pub use multicore::{execute_multicore, MulticoreReport};
-pub use perf::{bench_layer, bench_layer_native, bench_layer_profiled, LayerPerf, NativePerf};
+pub use perf::{
+    bench_layer, bench_layer_native, bench_layer_profiled, chip_ms, LayerPerf, NativePerf,
+};
 pub use primitive::{ConvDesc, ConvPrimitive, ConvTensors, ExecReport, UnsupportedReason};
 pub use problem::{Algorithm, ConvProblem, Direction};
-pub use runner::{LayerSpec, ModelPlan, ModelRunner, Pass, PlanEntry, TunePolicy};
+pub use runner::{CostFn, Kernel, LayerCost, LayerSpec, ModelPlan, ModelRunner, Pass, PlanEntry};
 pub use store::{stats_metrics_json, LayerStore, StoreConfig, StoreStats};
 pub use tuning::{
     autotune_microkernel, tune_empirical, KernelConfig, MicroTile, RegisterBlocking, TuneReport,

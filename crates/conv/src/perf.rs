@@ -49,6 +49,50 @@ pub struct LayerPerf {
     pub report: ExecReport,
 }
 
+impl LayerPerf {
+    /// The measurement of a layer whose whole minibatch takes `chip_cycles`
+    /// on the chip, from its measured core slice: the one place chip cycles
+    /// become wall time, throughput, efficiency and cache rates, for the
+    /// direct algorithms and the vednn baseline alike.
+    pub fn new(
+        arch: &ArchParams,
+        problem: &ConvProblem,
+        chip_cycles: u64,
+        report: ExecReport,
+        conflicts_predicted: bool,
+    ) -> Self {
+        let cycles = chip_cycles.max(1);
+        let gflops = problem.flops() as f64 / chip_secs(arch, cycles) / 1e9;
+        let insts = report.insts.total();
+        let l1 = report.cache.l1;
+        LayerPerf {
+            cycles,
+            time_ms: chip_ms(arch, cycles),
+            gflops,
+            efficiency: gflops * 1e9 / arch.peak_flops(),
+            mpki_l1: l1.mpki(insts),
+            conflict_fraction: if l1.misses == 0 {
+                0.0
+            } else {
+                l1.conflict_misses as f64 / l1.misses as f64
+            },
+            conflicts_predicted,
+            report,
+        }
+    }
+}
+
+/// Chip wall time of `cycles` in seconds.
+fn chip_secs(arch: &ArchParams, cycles: u64) -> f64 {
+    cycles as f64 / (arch.freq_ghz * 1e9)
+}
+
+/// Chip wall time of `cycles` in milliseconds: the one cycles-to-time
+/// conversion behind [`LayerPerf::time_ms`] and every model-plan entry.
+pub fn chip_ms(arch: &ArchParams, cycles: u64) -> f64 {
+    chip_secs(arch, cycles) * 1e3
+}
+
 /// Simulate one layer under the paper's 8-core execution model.
 ///
 /// `problem.n` is the minibatch. `mode` selects functional or timing-only
@@ -504,27 +548,14 @@ fn finish(
     algorithm: Algorithm,
     slice: SliceResult,
 ) -> LayerPerf {
-    let cycles = slice.chip_cycles.max(1);
-    let secs = cycles as f64 / (arch.freq_ghz * 1e9);
-    let gflops = problem.flops() as f64 / secs / 1e9;
-    let efficiency = gflops * 1e9 / arch.peak_flops();
-    let insts = slice.report.insts.total();
-    let l1 = slice.report.cache.l1;
     let cfg = crate::tuning::kernel_config(arch, problem, direction, algorithm, arch.cores);
-    LayerPerf {
-        cycles,
-        time_ms: secs * 1e3,
-        gflops,
-        efficiency,
-        mpki_l1: l1.mpki(insts),
-        conflict_fraction: if l1.misses == 0 {
-            0.0
-        } else {
-            l1.conflict_misses as f64 / l1.misses as f64
-        },
-        conflicts_predicted: cfg.conflicts_predicted,
-        report: slice.report,
-    }
+    LayerPerf::new(
+        arch,
+        problem,
+        slice.chip_cycles,
+        slice.report,
+        cfg.conflicts_predicted,
+    )
 }
 
 #[cfg(test)]

@@ -1,35 +1,46 @@
 //! Whole-network model runner: schedule every convolution of a model
 //! (inference = forward; training step = all three directions) on the
-//! 8-core shared-LLC execution model, with the best algorithm per
-//! (layer, direction) chosen analytically or by the empirical tuner.
+//! 8-core shared-LLC execution model and roll the per-layer costs up into
+//! one model time.
 //!
-//! The runner is the model-level counterpart of [`crate::perf::bench_layer`]:
-//! every slice evaluation — analytic benches and [`tune_empirical`] sweep
-//! candidates alike — goes through the content-addressed layer store, so a
-//! warm store replays a whole-model plan without re-simulating anything.
-//! The representative-core model keys slices on `min(images_per_core, 2)`
-//! simulated images, which makes batch-size sweeps (the serving harness's
-//! latency tables) nearly free: all minibatches with two or more images per
-//! core share one store entry per (layer, direction, kernel config).
+//! The runner is the one model-level roll-up of the workspace: Figures 5
+//! and 6, every serving latency table and the serving traces all price a
+//! network through [`ModelRunner::plan`]. What one (layer, direction) costs
+//! is the caller's [`CostFn`] — a fixed direct algorithm's
+//! [`crate::perf::bench_layer`], the best empirically tuned kernel, or a
+//! baseline library's model (`lsv-vednn` depends on this crate, so the
+//! hook is how its kernels enter a plan). The runner owns the rest: the
+//! parallel planning loop, the single cycles-to-milliseconds conversion
+//! ([`crate::perf::chip_ms`]) and the one summation order, so a plan total
+//! is bit-identical to its hand-summed parts.
+//!
+//! Every cost hook in the workspace goes through the content-addressed
+//! layer store, so a warm store replays a whole-model plan without
+//! re-simulating anything, and the plan records the store traffic it
+//! caused. The representative-core model keys slices on
+//! `min(images_per_core, 2)` simulated images, which makes batch-size
+//! sweeps (the serving harness's latency tables) nearly free: all
+//! minibatches with two or more images per core share one store entry per
+//! (layer, direction, kernel config).
 //!
 //! The runner is model-agnostic: it consumes a list of [`LayerSpec`]s
 //! (problem + occurrence count), so `lsv-models` stays a dependency of the
-//! callers (`lsv-serve`, the bench bins), not of this crate.
+//! callers (`lsv-serve`, the experiments), not of this crate.
 //!
 //! Fidelity: the plan's per-entry times come from the representative-core
-//! model; [`ModelRunner::execute_entry_detailed`] runs the same entry
+//! model; [`ModelRunner::execute_entry_detailed`] runs a direct entry
 //! through the detailed all-cores simulation ([`execute_multicore`], shared
-//! LLC) for cross-checks — the conservation tests pin the two against each
-//! other.
+//! LLC) for cross-checks.
 
 use crate::multicore::{execute_multicore, MulticoreReport};
-use crate::perf::bench_layer;
+use crate::par::par_map;
+use crate::perf::{chip_ms, LayerPerf};
 use crate::primitive::ConvDesc;
 use crate::problem::{Algorithm, ConvProblem, Direction};
 use crate::store;
-use crate::tuning::tune_empirical;
 use lsv_arch::ArchParams;
 use lsv_vengine::{Arena, ExecutionMode};
+use std::fmt;
 
 /// One distinct convolution shape of a model and how often it occurs per
 /// pass (e.g. a Table 3 layer and its ResNet frequency).
@@ -75,18 +86,57 @@ impl Pass {
     }
 }
 
-/// How the runner picks the kernel for each (layer, direction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TunePolicy {
-    /// Compare the three direct algorithms under their analytic (Formula 2/4)
-    /// register blocking and keep the fastest.
-    #[default]
-    Analytic,
-    /// Run the empirical register-block sweep ([`tune_empirical`]) for every
-    /// algorithm and keep the fastest tuned kernel. Store-backed: expensive
-    /// once, free on replay.
-    Empirical,
+/// The kernel a plan entry runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// One of the paper's direct algorithms.
+    Direct(Algorithm),
+    /// A baseline library's kernel, by name (e.g. `vednn`).
+    Library(&'static str),
 }
+
+impl Kernel {
+    /// Name used in artifacts (`DC`/`BDC`/`MBDC`, or the library's name).
+    pub fn name(self) -> &'static str {
+        match self {
+            Kernel::Direct(a) => a.short_name(),
+            Kernel::Library(name) => name,
+        }
+    }
+}
+
+impl fmt::Display for Kernel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// What a [`CostFn`] reports for one (layer, direction).
+#[derive(Debug, Clone, Copy)]
+pub struct LayerCost {
+    /// The kernel that runs the cell.
+    pub kernel: Kernel,
+    /// Chip wall-clock cycles for one occurrence (whole minibatch).
+    pub cycles: u64,
+    /// Cycles of the kernel under its *analytic* configuration; equals
+    /// `cycles` unless an empirical sweep found a faster kernel.
+    pub analytic_cycles: u64,
+}
+
+impl LayerCost {
+    /// The cost of one measured layer run by `kernel` as configured.
+    pub fn measured(kernel: Kernel, perf: &LayerPerf) -> Self {
+        Self {
+            kernel,
+            cycles: perf.cycles,
+            analytic_cycles: perf.cycles,
+        }
+    }
+}
+
+/// Prices one (layer, direction) of a plan. Called from the planner's
+/// worker threads, one call per cell.
+pub type CostFn<'a> = dyn Fn(&ConvProblem, Direction) -> LayerCost + Sync + 'a;
 
 /// The chosen kernel and its cost for one (layer, direction).
 #[derive(Debug, Clone)]
@@ -95,16 +145,17 @@ pub struct PlanEntry {
     pub layer: usize,
     /// Pass direction.
     pub direction: Direction,
-    /// Winning algorithm.
-    pub algorithm: Algorithm,
+    /// The kernel that runs this cell.
+    pub kernel: Kernel,
     /// Occurrences per pass (copied from the [`LayerSpec`]).
     pub count: usize,
     /// Chip wall-clock cycles for one occurrence (whole minibatch).
     pub cycles: u64,
-    /// Wall time of one occurrence in milliseconds.
+    /// Wall time of one occurrence in milliseconds ([`chip_ms`] of
+    /// `cycles`).
     pub time_ms: f64,
-    /// Cycles of the winning algorithm under its *analytic* configuration;
-    /// equals `cycles` unless the empirical sweep found a faster kernel.
+    /// Cycles of the kernel under its *analytic* configuration; equals
+    /// `cycles` unless the empirical sweep found a faster kernel.
     pub analytic_cycles: u64,
 }
 
@@ -126,7 +177,8 @@ impl ModelPlan {
         self.entries.iter().map(|e| e.cycles * e.count as u64).sum()
     }
 
-    /// Wall milliseconds of one pass: sum of `time_ms x count`.
+    /// Wall milliseconds of one pass: sum of `time_ms x count` in entry
+    /// order. Every model time in the workspace is this sum.
     pub fn total_time_ms(&self) -> f64 {
         self.entries
             .iter()
@@ -158,33 +210,16 @@ pub struct ModelRunner {
     arch: ArchParams,
     layers: Vec<LayerSpec>,
     pass: Pass,
-    tune: TunePolicy,
-    mode: ExecutionMode,
 }
 
 impl ModelRunner {
-    /// A runner for `layers` executing `pass`, with the analytic kernel
-    /// policy and timing-only simulation.
+    /// A runner for `layers` executing `pass` on `arch`.
     pub fn new(arch: &ArchParams, layers: Vec<LayerSpec>, pass: Pass) -> Self {
         Self {
             arch: arch.clone(),
             layers,
             pass,
-            tune: TunePolicy::Analytic,
-            mode: ExecutionMode::TimingOnly,
         }
-    }
-
-    /// Select the kernel policy (builder style).
-    pub fn with_tune(mut self, tune: TunePolicy) -> Self {
-        self.tune = tune;
-        self
-    }
-
-    /// Select the simulation mode (builder style).
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// The runner's layer list.
@@ -197,25 +232,25 @@ impl ModelRunner {
         self.pass
     }
 
-    /// Plan one pass, picking the best algorithm per (layer, direction)
-    /// under the runner's [`TunePolicy`].
-    pub fn plan(&self) -> ModelPlan {
-        self.plan_with(&Algorithm::ALL)
-    }
-
-    /// Plan one pass with a single fixed algorithm everywhere (the
-    /// baseline-comparison path; still store-backed).
-    pub fn plan_fixed(&self, algorithm: Algorithm) -> ModelPlan {
-        self.plan_with(&[algorithm])
-    }
-
-    fn plan_with(&self, candidates: &[Algorithm]) -> ModelPlan {
+    /// Plan one pass: price every (layer, direction) with `cost`, in
+    /// parallel, and record the store traffic planning caused.
+    pub fn plan(&self, cost: &CostFn) -> ModelPlan {
         let before = store::store().stats();
         let jobs: Vec<(usize, Direction)> = (0..self.layers.len())
             .flat_map(|l| self.pass.directions().iter().map(move |&d| (l, d)))
             .collect();
-        let entries = par_map_ordered(jobs, |(layer, direction)| {
-            self.plan_entry(layer, direction, candidates)
+        let entries = par_map(jobs, |(layer, direction)| {
+            let spec = &self.layers[layer];
+            let c = cost(&spec.problem, direction);
+            PlanEntry {
+                layer,
+                direction,
+                kernel: c.kernel,
+                count: spec.count,
+                cycles: c.cycles,
+                time_ms: chip_ms(&self.arch, c.cycles),
+                analytic_cycles: c.analytic_cycles,
+            }
         });
         let delta = store::store().stats().delta(&before);
         ModelPlan {
@@ -225,121 +260,39 @@ impl ModelRunner {
         }
     }
 
-    fn plan_entry(
-        &self,
-        layer: usize,
-        direction: Direction,
-        candidates: &[Algorithm],
-    ) -> PlanEntry {
-        let spec = &self.layers[layer];
-        let mut best: Option<(Algorithm, u64, u64)> = None; // (alg, cycles, analytic)
-        for &alg in candidates {
-            // Skip algorithms the register file cannot host for this shape
-            // (the same gate `ConvDesc::create` applies).
-            if ConvDesc::new(spec.problem, direction, alg)
-                .create(&self.arch, self.arch.cores)
-                .is_err()
-            {
-                continue;
-            }
-            let (cycles, analytic) = match self.tune {
-                TunePolicy::Analytic => {
-                    let perf = bench_layer(&self.arch, &spec.problem, direction, alg, self.mode);
-                    (perf.cycles, perf.cycles)
-                }
-                TunePolicy::Empirical => {
-                    match tune_empirical(&self.arch, &spec.problem, direction, alg, self.mode) {
-                        Ok(t) => (t.best_cycles, t.analytic_cycles),
-                        Err(_) => continue,
-                    }
-                }
-            };
-            if best.map(|(_, c, _)| cycles < c).unwrap_or(true) {
-                best = Some((alg, cycles, analytic));
-            }
-        }
-        let (algorithm, cycles, analytic_cycles) = best.unwrap_or_else(|| {
-            panic!(
-                "no direct algorithm supports layer {layer} ({}) {direction}",
-                spec.problem
-            )
-        });
-        PlanEntry {
-            layer,
-            direction,
-            algorithm,
-            count: spec.count,
-            cycles,
-            time_ms: self.cycles_to_ms(cycles),
-            analytic_cycles,
-        }
-    }
-
-    fn cycles_to_ms(&self, cycles: u64) -> f64 {
-        cycles as f64 / (self.arch.freq_ghz * 1e6)
-    }
-
-    /// Run one plan entry through the detailed all-cores simulation (every
-    /// core's slice against the shared LLC) instead of the representative-
-    /// core extrapolation. Used to cross-check the static schedule; the
-    /// entry executes under its winning algorithm's *analytic*
-    /// configuration.
+    /// Run one direct-kernel plan entry through the detailed all-cores
+    /// simulation (every core's slice against the shared LLC) instead of
+    /// the representative-core extrapolation. Used to cross-check the
+    /// static schedule; the entry executes under its algorithm's *analytic*
+    /// configuration, timing-only (cycles do not depend on the mode).
+    ///
+    /// # Panics
+    /// If the entry's kernel is not a direct algorithm.
     pub fn execute_entry_detailed(&self, entry: &PlanEntry) -> MulticoreReport {
+        let Kernel::Direct(algorithm) = entry.kernel else {
+            panic!(
+                "detailed execution runs direct kernels only, not {}",
+                entry.kernel
+            )
+        };
         let spec = &self.layers[entry.layer];
-        let prim = ConvDesc::new(spec.problem, entry.direction, entry.algorithm)
+        let prim = ConvDesc::new(spec.problem, entry.direction, algorithm)
             .create(&self.arch, self.arch.cores)
             .expect("planned entry must be creatable");
         let mut arena = Arena::new();
         let tensors = prim.alloc_tensors(&mut arena);
-        execute_multicore(&prim, &mut arena, &tensors, self.mode)
+        execute_multicore(&prim, &mut arena, &tensors, ExecutionMode::TimingOnly)
     }
-}
-
-/// Minimal order-preserving scoped-thread map (the bench crate's `par_map`
-/// is not visible from here; plan jobs are independent and store access is
-/// thread-safe).
-fn par_map_ordered<I, O, F>(items: Vec<I>, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let n = items.len();
-    let threads = std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(1)
-        .min(n.max(1));
-    if threads <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    let results: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i].lock().unwrap().take().expect("claimed once");
-                let out = f(item);
-                *results[i].lock().unwrap() = Some(out);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("job completed"))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perf::bench_layer;
+    use crate::tuning::tune_empirical;
     use lsv_arch::presets::sx_aurora;
+
+    const MODE: ExecutionMode = ExecutionMode::TimingOnly;
 
     fn two_layer_model(n: usize) -> Vec<LayerSpec> {
         vec![
@@ -348,11 +301,37 @@ mod tests {
         ]
     }
 
+    /// One direct algorithm, analytic configuration.
+    fn fixed(arch: &ArchParams, alg: Algorithm, p: &ConvProblem, d: Direction) -> LayerCost {
+        LayerCost::measured(Kernel::Direct(alg), &bench_layer(arch, p, d, alg, MODE))
+    }
+
+    /// The fastest creatable direct algorithm per cell, analytically
+    /// configured or empirically tuned.
+    fn best(arch: &ArchParams, p: &ConvProblem, d: Direction, tuned: bool) -> LayerCost {
+        Algorithm::ALL
+            .into_iter()
+            .filter_map(|alg| {
+                if !tuned {
+                    ConvDesc::new(*p, d, alg).create(arch, arch.cores).ok()?;
+                    return Some(fixed(arch, alg, p, d));
+                }
+                let t = tune_empirical(arch, p, d, alg, MODE).ok()?;
+                Some(LayerCost {
+                    kernel: Kernel::Direct(alg),
+                    cycles: t.best_cycles,
+                    analytic_cycles: t.analytic_cycles,
+                })
+            })
+            .min_by_key(|c| c.cycles)
+            .expect("some direct algorithm fits")
+    }
+
     #[test]
     fn inference_plan_covers_every_layer_once() {
         let arch = sx_aurora();
         let runner = ModelRunner::new(&arch, two_layer_model(8), Pass::Inference);
-        let plan = runner.plan();
+        let plan = runner.plan(&|p, d| best(&arch, p, d, false));
         assert_eq!(plan.entries.len(), 2);
         assert!(plan.entries.iter().all(|e| e.direction == Direction::Fwd));
         assert!(plan.total_cycles() > 0);
@@ -363,14 +342,14 @@ mod tests {
             .iter()
             .map(|e| e.time_ms * e.count as f64)
             .sum();
-        assert!((plan.total_time_ms() - hand).abs() < 1e-12);
+        assert_eq!(plan.total_time_ms().to_bits(), hand.to_bits());
     }
 
     #[test]
     fn training_plan_covers_all_three_directions() {
         let arch = sx_aurora();
         let runner = ModelRunner::new(&arch, two_layer_model(8), Pass::TrainingStep);
-        let plan = runner.plan();
+        let plan = runner.plan(&|p, d| best(&arch, p, d, false));
         assert_eq!(plan.entries.len(), 6);
         for d in Direction::ALL {
             assert!(plan.entries.iter().filter(|e| e.direction == d).count() == 2);
@@ -381,12 +360,12 @@ mod tests {
     fn fixed_plan_never_beats_the_picked_plan() {
         let arch = sx_aurora();
         let runner = ModelRunner::new(&arch, two_layer_model(8), Pass::Inference);
-        let picked = runner.plan();
+        let picked = runner.plan(&|p, d| best(&arch, p, d, false));
         for alg in Algorithm::ALL {
-            let fixed = runner.plan_fixed(alg);
+            let fixed = runner.plan(&|p, d| fixed(&arch, alg, p, d));
             assert!(
                 picked.total_cycles() <= fixed.total_cycles(),
-                "plan() must be at least as fast as fixed {alg}"
+                "the per-cell pick must be at least as fast as fixed {alg}"
             );
         }
     }
@@ -395,8 +374,9 @@ mod tests {
     fn warm_replay_simulates_nothing() {
         let arch = sx_aurora();
         let runner = ModelRunner::new(&arch, two_layer_model(8), Pass::Inference);
-        let cold = runner.plan();
-        let warm = runner.plan();
+        let cost = |p: &ConvProblem, d| best(&arch, p, d, false);
+        let cold = runner.plan(&cost);
+        let warm = runner.plan(&cost);
         assert_eq!(warm.simulated, 0, "second plan must be store-served");
         assert_eq!(cold.total_cycles(), warm.total_cycles());
     }
@@ -408,14 +388,32 @@ mod tests {
             ConvProblem::new(8, 32, 32, 10, 10, 3, 3, 1, 1),
             1,
         )];
-        let analytic = ModelRunner::new(&arch, layers.clone(), Pass::Inference).plan();
-        let tuned = ModelRunner::new(&arch, layers, Pass::Inference)
-            .with_tune(TunePolicy::Empirical)
-            .plan();
+        let runner = ModelRunner::new(&arch, layers, Pass::Inference);
+        let analytic = runner.plan(&|p, d| best(&arch, p, d, false));
+        let tuned = runner.plan(&|p, d| best(&arch, p, d, true));
         assert!(tuned.total_cycles() <= analytic.total_cycles());
         for e in &tuned.entries {
             assert!(e.cycles <= e.analytic_cycles);
         }
+    }
+
+    #[test]
+    fn a_panicking_cost_names_its_plan_job() {
+        let arch = sx_aurora();
+        let runner = ModelRunner::new(&arch, two_layer_model(8), Pass::Inference);
+        let caught = std::panic::catch_unwind(|| {
+            runner.plan(&|p, _| {
+                assert_ne!(p.oc, 16, "no cost for this layer");
+                LayerCost {
+                    kernel: Kernel::Library("unit"),
+                    cycles: 1,
+                    analytic_cycles: 1,
+                }
+            })
+        })
+        .expect_err("the failing cell fails the plan");
+        let msg = caught.downcast_ref::<String>().cloned().unwrap();
+        assert!(msg.contains("job 1 panicked"), "{msg}");
     }
 
     #[test]
@@ -428,7 +426,7 @@ mod tests {
             1,
         )];
         let runner = ModelRunner::new(&arch, layers, Pass::Inference);
-        let plan = runner.plan();
+        let plan = runner.plan(&|p, d| best(&arch, p, d, false));
         let entry = &plan.entries[0];
         let detailed = runner.execute_entry_detailed(entry);
         let ratio = detailed.wall_cycles as f64 / entry.cycles as f64;

@@ -149,6 +149,13 @@ fn trace_mutations_are_rejected_with_pointed_errors() {
         validate_serving_trace_json(&TRACE_GOOD.replace("\"exact\": true", "\"exact\": \"yes\"")),
         &["$.reconciliation.exact", "expected type"],
     );
+    // Every engine's trace carries per-layer plans: no null layer sum.
+    assert_rejected(
+        validate_serving_trace_json(
+            &TRACE_GOOD.replace("\"layer_sum_ms\": 10.0", "\"layer_sum_ms\": null"),
+        ),
+        &["$.reconciliation.layer_sum_ms", "expected type"],
+    );
 }
 
 #[test]

@@ -3,15 +3,19 @@
 //!
 //! A dispatch of `k` queued requests runs the whole network at minibatch
 //! `k`, so the queue simulator needs `latency(engine, k)` for every
-//! `k <= max_batch`. Each cell comes from the [`ModelRunner`] (direct
-//! algorithms, analytically configured or empirically tuned) or the vednn
-//! baseline — always through the layer store. The representative-core model
-//! keys slices on `min(images_per_core, 2)` simulated images, so the whole
+//! `k <= max_batch`. Each cell is the total of one [`ModelRunner`] plan,
+//! priced by the engine's [`ServeEngine::layer_cost`] hook (a fixed direct
+//! algorithm, the empirically tuned best, or the vednn baseline) — always
+//! through the layer store. The representative-core model keys slices on
+//! `min(images_per_core, 2)` simulated images, so the whole
 //! `1..=max_batch` column costs only a couple of distinct simulations per
 //! (layer, direction, kernel).
 
 use lsv_arch::ArchParams;
-use lsv_conv::{Algorithm, ExecutionMode, LayerSpec, ModelRunner, Pass, TunePolicy};
+use lsv_conv::{
+    bench_layer, tune_empirical, Algorithm, ConvProblem, Direction, ExecutionMode, Kernel,
+    LayerCost, LayerSpec, ModelPlan, ModelRunner, Pass,
+};
 use lsv_models::{resnet_layers, ResNetModel};
 use lsv_vednn::bench_layer_vednn;
 
@@ -19,7 +23,7 @@ use lsv_vednn::bench_layer_vednn;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeEngine {
     /// Per-(layer, direction) best direct algorithm, empirically tuned
-    /// ([`TunePolicy::Empirical`]).
+    /// ([`tune_empirical`]).
     Tuned,
     /// One direct algorithm everywhere, analytic configuration.
     Fixed(Algorithm),
@@ -47,6 +51,53 @@ impl ServeEngine {
             "VEDNN" => Some(ServeEngine::Vednn),
             _ => None,
         }
+    }
+
+    /// What one (layer, direction) costs on this engine: the hook every
+    /// plan of the engine prices its cells with. `Tuned` keeps the fastest
+    /// empirically tuned direct algorithm, skipping algorithms the register
+    /// file cannot host for the shape (ties keep the first of DC, BDC,
+    /// MBDC).
+    pub fn layer_cost(
+        self,
+        arch: &ArchParams,
+        problem: &ConvProblem,
+        direction: Direction,
+        mode: ExecutionMode,
+    ) -> LayerCost {
+        match self {
+            ServeEngine::Fixed(alg) => LayerCost::measured(
+                Kernel::Direct(alg),
+                &bench_layer(arch, problem, direction, alg, mode),
+            ),
+            ServeEngine::Vednn => LayerCost::measured(
+                Kernel::Library("vednn"),
+                &bench_layer_vednn(arch, problem, direction, mode),
+            ),
+            ServeEngine::Tuned => Algorithm::ALL
+                .into_iter()
+                .filter_map(|alg| {
+                    let t = tune_empirical(arch, problem, direction, alg, mode).ok()?;
+                    Some(LayerCost {
+                        kernel: Kernel::Direct(alg),
+                        cycles: t.best_cycles,
+                        analytic_cycles: t.analytic_cycles,
+                    })
+                })
+                .min_by_key(|c| c.cycles)
+                .unwrap_or_else(|| panic!("no direct algorithm supports {problem} {direction}")),
+        }
+    }
+
+    /// Plan one pass over `layers` on this engine.
+    pub fn plan(
+        self,
+        arch: &ArchParams,
+        layers: Vec<LayerSpec>,
+        pass: Pass,
+        mode: ExecutionMode,
+    ) -> ModelPlan {
+        ModelRunner::new(arch, layers, pass).plan(&|p, d| self.layer_cost(arch, p, d, mode))
     }
 }
 
@@ -86,7 +137,7 @@ impl LatencyTable {
         for b in 1..=max_batch {
             let specs = resnet_specs(model, b);
             for (ei, &e) in engines.iter().enumerate() {
-                ms[ei].push(model_time_ms(arch, &specs, pass, e, mode));
+                ms[ei].push(e.plan(arch, specs.clone(), pass, mode).total_time_ms());
             }
         }
         Self {
@@ -112,36 +163,5 @@ impl LatencyTable {
             .map(|ei| (ei, self.latency_ms(ei, batch)))
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .expect("table has at least one engine")
-    }
-}
-
-/// One pass of the whole model on one engine at the specs' minibatch.
-fn model_time_ms(
-    arch: &ArchParams,
-    specs: &[LayerSpec],
-    pass: Pass,
-    engine: ServeEngine,
-    mode: ExecutionMode,
-) -> f64 {
-    match engine {
-        ServeEngine::Tuned => ModelRunner::new(arch, specs.to_vec(), pass)
-            .with_tune(TunePolicy::Empirical)
-            .with_mode(mode)
-            .plan()
-            .total_time_ms(),
-        ServeEngine::Fixed(alg) => ModelRunner::new(arch, specs.to_vec(), pass)
-            .with_mode(mode)
-            .plan_fixed(alg)
-            .total_time_ms(),
-        ServeEngine::Vednn => specs
-            .iter()
-            .map(|s| {
-                pass.directions()
-                    .iter()
-                    .map(|&d| bench_layer_vednn(arch, &s.problem, d, mode).time_ms)
-                    .sum::<f64>()
-                    * s.count as f64
-            })
-            .sum(),
     }
 }

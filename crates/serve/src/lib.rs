@@ -12,9 +12,10 @@
 //! * [`queue`] — the dynamic batching queue (fixed-batch, timeout-batch,
 //!   adaptive) and its event-driven single-server simulation.
 //! * [`latency`] — whole-model service-time tables per engine per batch
-//!   size, built on the [`lsv_conv::ModelRunner`] (direct algorithms,
-//!   analytic or empirically tuned) and the vednn baseline, all through
-//!   the layer store.
+//!   size: every cell is one [`lsv_conv::ModelRunner`] plan, priced by the
+//!   engine's per-layer cost hook (a fixed direct algorithm, the
+//!   empirically tuned best, or the vednn baseline), all through the layer
+//!   store.
 //! * [`stats`] — nearest-rank latency percentiles (p50/p95/p99) and
 //!   per-load summaries.
 //! * [`sweep`] — the offered-load sweep producing the `serving.csv` /

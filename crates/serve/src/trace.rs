@@ -15,10 +15,11 @@
 //!
 //! Both carry a **reconciliation** record, the conservation gate of the
 //! trace: the wait/ride span durations must sum (bit-for-bit, same order)
-//! to the [`RequestRecord`]-derived sums, and when per-layer plans exist,
-//! the layer breakdown summed over the dispatch log must be bit-identical
-//! to the queue simulator's service-time total — the serving plane and the
-//! simulator plane agree on where every millisecond went.
+//! to the [`RequestRecord`]-derived sums, and the per-layer breakdown summed
+//! over the dispatch log must be bit-identical to the queue simulator's
+//! service-time total — the serving plane and the simulator plane agree on
+//! where every millisecond went, for every engine, the vednn baseline
+//! included.
 //!
 //! Timebase: one trace microsecond per simulated millisecond — raw `f64`
 //! passthrough, no scaling, so Perfetto durations read as milliseconds.
@@ -69,8 +70,7 @@ pub struct Reconciliation {
     /// Σ service time over dispatches, time order.
     pub service_sum_ms: f64,
     /// Σ plan(batch) layer-breakdown total over dispatches, time order.
-    /// `None` when the engine has no per-layer plan (vednn baseline).
-    pub layer_sum_ms: Option<f64>,
+    pub layer_sum_ms: f64,
     /// Every bit-identity below held: each dispatch's layer breakdown totals
     /// exactly its service time (`layer_sum_ms == service_sum_ms` summed in
     /// the same order), and each request's ride span exactly spans its
@@ -81,8 +81,11 @@ pub struct Reconciliation {
 impl Reconciliation {
     /// Recompute every sum from the outcome and check the bit-identities.
     ///
-    /// `plans` holds the per-layer breakdown for each distinct batch size
-    /// (see [`collect_plans`]); empty means the engine has none.
+    /// `plans` holds the per-layer breakdown for each distinct dispatched
+    /// batch size (see [`collect_plans`]).
+    ///
+    /// # Panics
+    /// If a dispatched batch size has no plan.
     pub fn compute(outcome: &SimOutcome, plans: &[(usize, ModelPlan)]) -> Reconciliation {
         let wait_sum_ms: f64 = outcome
             .records
@@ -95,33 +98,23 @@ impl Reconciliation {
             .map(|r| r.done_ms - r.dispatch_ms)
             .sum();
         let service_sum_ms: f64 = outcome.dispatches.iter().map(|d| d.service_ms).sum();
-        let plan_for = |batch: usize| plans.iter().find(|(b, _)| *b == batch).map(|(_, p)| p);
-        let layer_sum_ms: Option<f64> = if plans.is_empty() {
-            None
-        } else {
-            Some(
-                outcome
-                    .dispatches
-                    .iter()
-                    .map(|d| {
-                        plan_for(d.batch)
-                            .expect("a plan exists for every dispatched batch size")
-                            .total_time_ms()
-                    })
-                    .sum(),
-            )
+        let plan_ms = |batch: usize| {
+            plans
+                .iter()
+                .find(|(b, _)| *b == batch)
+                .expect("a plan exists for every dispatched batch size")
+                .1
+                .total_time_ms()
         };
+        let layer_sum_ms: f64 = outcome.dispatches.iter().map(|d| plan_ms(d.batch)).sum();
         // Bit-identity 1: each dispatch's per-layer breakdown tiles its
         // service span exactly — the simulator's latency-table cell *is*
         // the plan total, so any drift means the trace lies about where
         // time went.
-        let layers_exact = plans.is_empty()
-            || outcome.dispatches.iter().all(|d| {
-                let plan_ms = plan_for(d.batch)
-                    .map(|p| p.total_time_ms())
-                    .unwrap_or(f64::NAN);
-                plan_ms.to_bits() == d.service_ms.to_bits()
-            });
+        let layers_exact = outcome
+            .dispatches
+            .iter()
+            .all(|d| plan_ms(d.batch).to_bits() == d.service_ms.to_bits());
         // Bit-identity 2: every request completes exactly when its batch
         // does (`done == dispatch + service`, the simulator's own update).
         let mut by_time: Vec<&RequestRecord> = outcome.records.iter().collect();
@@ -134,9 +127,7 @@ impl Reconciliation {
             let d = &outcome.dispatches[di];
             r.done_ms.to_bits() == (d.at_ms + d.service_ms).to_bits() && r.batch == d.batch
         });
-        let sums_exact = layer_sum_ms
-            .map(|l| l.to_bits() == service_sum_ms.to_bits())
-            .unwrap_or(true);
+        let sums_exact = layer_sum_ms.to_bits() == service_sum_ms.to_bits();
         Reconciliation {
             requests: outcome.records.len(),
             batches: outcome.dispatches.len(),
@@ -149,21 +140,16 @@ impl Reconciliation {
     }
 }
 
-/// Build one [`ModelPlan`] per *distinct dispatched batch size* (ascending).
-/// `plan_for` maps a batch size to its plan, or `None` for engines without
-/// a per-layer breakdown (the vednn baseline) — in which case the result is
-/// empty.
+/// Build one [`ModelPlan`] per *distinct dispatched batch size* (ascending);
+/// `plan_for` maps a batch size to its plan.
 pub fn collect_plans(
     outcome: &SimOutcome,
-    plan_for: &dyn Fn(usize) -> Option<ModelPlan>,
+    plan_for: &dyn Fn(usize) -> ModelPlan,
 ) -> Vec<(usize, ModelPlan)> {
     let mut sizes: Vec<usize> = outcome.dispatches.iter().map(|d| d.batch).collect();
     sizes.sort_unstable();
     sizes.dedup();
-    sizes
-        .into_iter()
-        .filter_map(|b| plan_for(b).map(|p| (b, p)))
-        .collect()
+    sizes.into_iter().map(|b| (b, plan_for(b))).collect()
 }
 
 /// Render the analyzable `serving_trace.json` document (schema:
@@ -204,7 +190,7 @@ pub fn serving_trace_json(
         json_f64(recon.wait_sum_ms),
         json_f64(recon.ride_sum_ms),
         json_f64(recon.service_sum_ms),
-        recon.layer_sum_ms.map_or("null".to_string(), json_f64),
+        json_f64(recon.layer_sum_ms),
         recon.exact,
     ));
     out.push_str("  \"requests\": [\n");
@@ -262,7 +248,7 @@ pub fn serving_trace_json(
                  \"count\": {}, \"time_ms\": {}, \"cycles\": {}}}{}\n",
                 e.layer,
                 e.direction.short_name(),
-                e.algorithm.short_name(),
+                e.kernel.name(),
                 e.count,
                 json_f64(e.time_ms),
                 e.cycles,
@@ -342,7 +328,7 @@ pub fn perfetto_trace_json(
                     0,
                     0,
                     "layer",
-                    &format!("L{} {} {}", e.layer, e.direction.short_name(), e.algorithm),
+                    &format!("L{} {} {}", e.layer, e.direction.short_name(), e.kernel),
                     t,
                     dur,
                     &[
@@ -431,6 +417,7 @@ pub fn perfetto_trace_json(
 mod tests {
     use super::*;
     use crate::queue::{simulate, BatchPolicy};
+    use lsv_conv::{Direction, Kernel, PlanEntry};
     use lsv_obs::{parse_json, validate_serving_trace_json, JsonValue};
 
     fn meta() -> TraceMeta {
@@ -449,6 +436,27 @@ mod tests {
         }
     }
 
+    /// One single-entry plan per dispatched batch size whose total is that
+    /// batch's service time.
+    fn one_entry_plans(out: &SimOutcome) -> Vec<(usize, ModelPlan)> {
+        collect_plans(out, &|batch| {
+            let d = out.dispatches.iter().find(|d| d.batch == batch).unwrap();
+            ModelPlan {
+                entries: vec![PlanEntry {
+                    layer: 0,
+                    direction: Direction::Fwd,
+                    kernel: Kernel::Library("unit"),
+                    count: 1,
+                    cycles: 1,
+                    time_ms: d.service_ms,
+                    analytic_cycles: 1,
+                }],
+                store_hits: 0,
+                simulated: 0,
+            }
+        })
+    }
+
     #[test]
     fn trace_json_is_schema_valid_and_reconciles() {
         let out = simulate(
@@ -456,12 +464,14 @@ mod tests {
             BatchPolicy::Adaptive { max_batch: 4 },
             &|_k| (0, 10.0),
         );
-        let recon = Reconciliation::compute(&out, &[]);
-        assert!(recon.exact, "no-plan reconciliation must hold trivially");
+        let plans = one_entry_plans(&out);
+        let recon = Reconciliation::compute(&out, &plans);
+        assert!(recon.exact, "plans equal to the service times reconcile");
         assert_eq!(recon.requests, 4);
-        assert!(recon.layer_sum_ms.is_none());
-        let doc = serving_trace_json(&meta(), &out, &[], &recon);
+        assert_eq!(recon.layer_sum_ms.to_bits(), recon.service_sum_ms.to_bits());
+        let doc = serving_trace_json(&meta(), &out, &plans, &recon);
         validate_serving_trace_json(&doc).expect("schema-valid trace");
+        assert!(doc.contains("\"algorithm\": \"unit\""));
     }
 
     #[test]
@@ -505,9 +515,10 @@ mod tests {
                 },
                 &|k| (0, 4.0 + k as f64),
             );
-            let recon = Reconciliation::compute(&out, &[]);
+            let plans = one_entry_plans(&out);
+            let recon = Reconciliation::compute(&out, &plans);
             (
-                serving_trace_json(&meta(), &out, &[], &recon),
+                serving_trace_json(&meta(), &out, &plans, &recon),
                 perfetto_trace_json(&meta(), &out, &[]),
             )
         };

@@ -3,10 +3,10 @@
 //! simulator's `RequestRecord` timestamps, the per-dispatch layer breakdown
 //! must tile each service span exactly, and the metrics registry must agree
 //! with the raw counters it was fed — on a synthetic model small enough for
-//! a debug build.
+//! a debug build, for a direct engine and the vednn baseline alike.
 
 use lsv_arch::presets::sx_aurora;
-use lsv_conv::{Algorithm, ConvProblem, ExecutionMode, LayerSpec, ModelPlan, ModelRunner, Pass};
+use lsv_conv::{Algorithm, ConvProblem, ExecutionMode, LayerSpec, ModelPlan, Pass};
 use lsv_serve::{
     cell_outcome, collect_plans, perfetto_trace_json, run_timeseries, serving_trace_json,
     ArrivalShape, BatchPolicy, LatencyTable, Reconciliation, ServeEngine, SweepConfig, TraceMeta,
@@ -21,24 +21,26 @@ fn specs(batch: usize) -> Vec<LayerSpec> {
     ]
 }
 
-/// The per-layer breakdown for one batch size — the exact code path the
-/// latency table below uses, so the trace's plans are bit-identical to the
-/// service times by construction.
-fn plan_for(batch: usize) -> Option<ModelPlan> {
-    let arch = sx_aurora();
-    Some(
-        ModelRunner::new(&arch, specs(batch), Pass::Inference)
-            .with_mode(ExecutionMode::TimingOnly)
-            .plan_fixed(Algorithm::Bdc),
+const BDC: ServeEngine = ServeEngine::Fixed(Algorithm::Bdc);
+
+/// The per-layer breakdown for one batch size — the exact plan the latency
+/// table below uses, so the trace's plans are bit-identical to the service
+/// times by construction.
+fn plan_for(engine: ServeEngine, batch: usize) -> ModelPlan {
+    engine.plan(
+        &sx_aurora(),
+        specs(batch),
+        Pass::Inference,
+        ExecutionMode::TimingOnly,
     )
 }
 
-fn tiny_table() -> LatencyTable {
+fn tiny_table(engine: ServeEngine) -> LatencyTable {
     LatencyTable {
-        engines: vec![ServeEngine::Fixed(Algorithm::Bdc)],
+        engines: vec![engine],
         max_batch: MAX_BATCH,
         ms: vec![(1..=MAX_BATCH)
-            .map(|b| plan_for(b).unwrap().total_time_ms())
+            .map(|b| plan_for(engine, b).total_time_ms())
             .collect()],
     }
 }
@@ -56,12 +58,12 @@ fn tiny_cfg(slo_ms: f64) -> SweepConfig {
     }
 }
 
-fn meta(offered_rps: f64, slo_ms: f64) -> TraceMeta {
+fn meta(engine: ServeEngine, offered_rps: f64, slo_ms: f64) -> TraceMeta {
     TraceMeta {
         arch: "sx-aurora".to_string(),
         model: "synthetic-2layer".to_string(),
         pass: "infer".to_string(),
-        engine: "BDC".to_string(),
+        engine: engine.name().to_string(),
         arrival: "poisson",
         policy: BatchPolicy::Adaptive {
             max_batch: MAX_BATCH,
@@ -75,15 +77,16 @@ fn meta(offered_rps: f64, slo_ms: f64) -> TraceMeta {
     }
 }
 
-#[test]
-fn trace_reconciles_bit_exactly_and_validates() {
-    let table = tiny_table();
+/// Trace one adaptive cell of `engine`'s tiny table and check every
+/// bit-identity; returns the rendered `serving_trace.json`.
+fn traced_cell_reconciles_exactly(engine: ServeEngine) -> String {
+    let table = tiny_table(engine);
     let slo_ms = 2.0 * table.best(MAX_BATCH).1;
     let cfg = tiny_cfg(slo_ms);
     let (offered_rps, outcome) = cell_outcome(&cfg, &table, 0, 0, cfg.policies[0], 0);
     assert_eq!(outcome.records.len(), cfg.requests);
 
-    let plans = collect_plans(&outcome, &plan_for);
+    let plans = collect_plans(&outcome, &|b| plan_for(engine, b));
     assert!(
         !plans.is_empty(),
         "adaptive at 0.9 utilization dispatches at least one batch size"
@@ -96,12 +99,9 @@ fn trace_reconciles_bit_exactly_and_validates() {
     assert_eq!(recon.requests, cfg.requests);
     assert_eq!(recon.batches, outcome.dispatches.len());
     // The layer breakdown tiles the service spans exactly (same-order sums).
-    assert_eq!(
-        recon.layer_sum_ms.unwrap().to_bits(),
-        recon.service_sum_ms.to_bits()
-    );
+    assert_eq!(recon.layer_sum_ms.to_bits(), recon.service_sum_ms.to_bits());
 
-    let m = meta(offered_rps, slo_ms);
+    let m = meta(engine, offered_rps, slo_ms);
     let doc = serving_trace_json(&m, &outcome, &plans, &recon);
     lsv_obs::validate_serving_trace_json(&doc).expect("serving_trace.json is schema-valid");
 
@@ -113,29 +113,29 @@ fn trace_reconciles_bit_exactly_and_validates() {
     let p2 = perfetto_trace_json(&m, &outcome, &plans);
     assert_eq!(p1, p2);
     lsv_obs::parse_json(&p1).expect("perfetto timeline is valid JSON");
+    doc
 }
 
 #[test]
-fn vednn_style_traces_carry_no_layer_plans_but_still_reconcile() {
-    let table = tiny_table();
-    let slo_ms = 2.0 * table.best(MAX_BATCH).1;
-    let cfg = tiny_cfg(slo_ms);
-    let (offered_rps, outcome) = cell_outcome(&cfg, &table, 0, 0, cfg.policies[0], 0);
-    let recon = Reconciliation::compute(&outcome, &[]);
-    assert!(recon.layer_sum_ms.is_none());
-    assert!(recon.exact, "ride spans alone must still reconcile");
-    let doc = serving_trace_json(&meta(offered_rps, slo_ms), &outcome, &[], &recon);
-    lsv_obs::validate_serving_trace_json(&doc).expect("planless trace is schema-valid");
-    assert!(doc.contains("\"layer_sum_ms\": null"));
+fn trace_reconciles_bit_exactly_and_validates() {
+    let doc = traced_cell_reconciles_exactly(BDC);
+    assert!(doc.contains("\"algorithm\": \"BDC\""));
+}
+
+#[test]
+fn vednn_traces_carry_layer_plans_and_reconcile_exactly() {
+    let doc = traced_cell_reconciles_exactly(ServeEngine::Vednn);
+    assert!(doc.contains("\"algorithm\": \"vednn\""));
+    assert!(!doc.contains("null"), "every number is present");
 }
 
 #[test]
 fn registry_totals_agree_with_the_raw_counters() {
-    let table = tiny_table();
+    let table = tiny_table(BDC);
     let slo_ms = 2.0 * table.best(MAX_BATCH).1;
     let cfg = tiny_cfg(slo_ms);
     let (_, outcome) = cell_outcome(&cfg, &table, 0, 0, cfg.policies[0], 0);
-    let plans = collect_plans(&outcome, &plan_for);
+    let plans = collect_plans(&outcome, &|b| plan_for(BDC, b));
 
     let reg = lsv_obs::MetricsRegistry::new();
     outcome.publish_metrics(&reg);
@@ -177,7 +177,7 @@ fn registry_totals_agree_with_the_raw_counters() {
 
 #[test]
 fn timeseries_csv_is_deterministic() {
-    let table = tiny_table();
+    let table = tiny_table(BDC);
     let slo_ms = 2.0 * table.best(MAX_BATCH).1;
     let cfg = tiny_cfg(slo_ms);
     let (s1, csv1) = run_timeseries(&cfg, &table, 0);

@@ -94,25 +94,8 @@ pub fn bench_layer_vednn(
         st.put_slice(&key, v.0, v.1, &v.2);
         v
     };
-    let chip_cycles = (cold + steady * (images_per_core as u64 - 1)).max(1);
-    let secs = chip_cycles as f64 / (arch.freq_ghz * 1e9);
-    let gflops = problem.flops() as f64 / secs / 1e9;
-    let insts = report.insts.total();
-    let l1 = report.cache.l1;
-    LayerPerf {
-        cycles: chip_cycles,
-        time_ms: secs * 1e3,
-        gflops,
-        efficiency: gflops * 1e9 / arch.peak_flops(),
-        mpki_l1: l1.mpki(insts),
-        conflict_fraction: if l1.misses == 0 {
-            0.0
-        } else {
-            l1.conflict_misses as f64 / l1.misses as f64
-        },
-        conflicts_predicted: false,
-        report,
-    }
+    let chip_cycles = cold + steady * (images_per_core as u64 - 1);
+    LayerPerf::new(arch, problem, chip_cycles, report, false)
 }
 
 #[cfg(test)]

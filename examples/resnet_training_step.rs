@@ -1,18 +1,20 @@
 //! Model-level scenario: estimate one full ResNet training step (forward +
 //! backward-data + backward-weights over every convolution) on the simulated
 //! SX-Aurora for each convolution engine — a miniature of the paper's
-//! Figures 5/6 methodology, driven by the [`ModelRunner`].
+//! Figures 5/6 methodology. Every engine, the vednn baseline included,
+//! prices the network through one [`ModelRunner`] plan.
 //!
 //! Every slice result flows through the layer store, so a second run with
 //! `LSV_STORE_DIR` set replays from disk in seconds without re-simulating.
 //!
 //! Run with: `cargo run --release --example resnet_training_step [minibatch]`
+//!
+//! [`ModelRunner`]: lsvconv::conv::ModelRunner
 
-use lsvconv::conv::{Algorithm, ExecutionMode, ModelRunner, Pass, TunePolicy};
+use lsvconv::conv::{Algorithm, ExecutionMode, Pass};
 use lsvconv::models::ResNetModel;
 use lsvconv::prelude::sx_aurora;
-use lsvconv::serve::resnet_specs;
-use lsvconv::vednn::bench_layer_vednn;
+use lsvconv::serve::{resnet_specs, ServeEngine};
 
 fn main() {
     let minibatch: usize = std::env::args()
@@ -31,49 +33,34 @@ fn main() {
     );
     println!("engine,step_ms,gflops,images/s");
 
-    let specs = resnet_specs(model, minibatch);
-    let runner = |tune| {
-        ModelRunner::new(&arch, specs.clone(), Pass::TrainingStep)
-            .with_tune(tune)
-            .with_mode(ExecutionMode::TimingOnly)
-    };
-    let row = |name: &str, ms: f64| {
+    // The tuned engine empirically sweeps register blockings per (layer,
+    // direction) and picks the best algorithm for each.
+    for engine in [
+        ServeEngine::Vednn,
+        ServeEngine::Fixed(Algorithm::Dc),
+        ServeEngine::Fixed(Algorithm::Bdc),
+        ServeEngine::Fixed(Algorithm::Mbdc),
+        ServeEngine::Tuned,
+    ] {
+        let plan = engine.plan(
+            &arch,
+            resnet_specs(model, minibatch),
+            Pass::TrainingStep,
+            ExecutionMode::TimingOnly,
+        );
+        let ms = plan.total_time_ms();
         println!(
-            "{name},{:.1},{:.0},{:.1}",
+            "{},{:.1},{:.0},{:.1}",
+            engine.name(),
             ms,
             flops / (ms / 1e3) / 1e9,
             minibatch as f64 / (ms / 1e3)
         );
-    };
-
-    // The vednn baseline has no plan to make: sum the library's per-layer
-    // times over every direction, weighted by how often the shape repeats.
-    let vednn_ms: f64 = specs
-        .iter()
-        .map(|s| {
-            Pass::TrainingStep
-                .directions()
-                .iter()
-                .map(|&d| {
-                    bench_layer_vednn(&arch, &s.problem, d, ExecutionMode::TimingOnly).time_ms
-                })
-                .sum::<f64>()
-                * s.count as f64
-        })
-        .sum();
-    row("vednn", vednn_ms);
-
-    for alg in [Algorithm::Dc, Algorithm::Bdc, Algorithm::Mbdc] {
-        let plan = runner(TunePolicy::Analytic).plan_fixed(alg);
-        row(alg.short_name(), plan.total_time_ms());
+        eprintln!(
+            "{} plan: {} store hits, {} slices simulated",
+            engine.name(),
+            plan.store_hits,
+            plan.simulated
+        );
     }
-
-    // The tuned engine empirically sweeps register blockings per (layer,
-    // direction) and picks the best algorithm for each.
-    let plan = runner(TunePolicy::Empirical).plan();
-    row("tuned", plan.total_time_ms());
-    eprintln!(
-        "tuned plan: {} store hits, {} slices simulated",
-        plan.store_hits, plan.simulated
-    );
 }

@@ -1,10 +1,13 @@
 //! Integration tests of the benchmark harness plumbing and model-level
 //! aggregation (the machinery behind Figures 4-6).
 
-use lsv_bench::{bench_engine, geomean, layer_time_tables, model_time_from_table, Engine, Row};
-use lsvconv::conv::{Algorithm, ConvProblem, Direction, ExecutionMode};
-use lsvconv::models::{resnet_layers, ResNetModel};
+use lsv_bench::{bench_engine, geomean, Engine, Row};
+use lsvconv::conv::{
+    Algorithm, ConvProblem, Direction, ExecutionMode, Kernel, LayerCost, ModelRunner, Pass,
+};
+use lsvconv::models::ResNetModel;
 use lsvconv::prelude::sx_aurora;
+use lsvconv::serve::{resnet_specs, ServeEngine};
 
 #[test]
 fn csv_rows_have_the_artifact_schema() {
@@ -43,11 +46,18 @@ fn geomean_is_scale_invariant() {
 
 #[test]
 fn model_aggregation_weights_layer_frequencies() {
-    // A synthetic table where every layer-direction costs 1 ms: the model
-    // time must equal 3 x total conv layers.
-    let table = vec![[1.0f64; 3]; resnet_layers(8).len()];
+    // A synthetic cost hook where every layer-direction costs 1 ms: one
+    // training step must take 3 x total conv layers.
+    let arch = sx_aurora();
+    let one_ms = LayerCost {
+        kernel: Kernel::Library("unit"),
+        cycles: (arch.freq_ghz * 1e6).round() as u64,
+        analytic_cycles: 0,
+    };
     for m in ResNetModel::ALL {
-        let t = model_time_from_table(&table, m);
+        let plan =
+            ModelRunner::new(&arch, resnet_specs(m, 8), Pass::TrainingStep).plan(&|_, _| one_ms);
+        let t = plan.total_time_ms();
         assert!((t - 3.0 * m.total_conv_layers() as f64).abs() < 1e-9);
     }
 }
@@ -64,17 +74,21 @@ fn vednn_engine_runs_through_the_harness() {
 
 #[test]
 #[ignore = "simulates every full-size layer; run with --ignored in release builds"]
-fn layer_time_table_is_dense_and_positive() {
+fn training_plan_is_dense_and_positive() {
     let arch = sx_aurora().with_max_vlen_bits(2048);
-    let tables = layer_time_tables(
-        &[(arch, 8, Engine::Direct(Algorithm::Bdc))],
+    let plan = ServeEngine::Fixed(Algorithm::Bdc).plan(
+        &arch,
+        resnet_specs(ResNetModel::R50, 8),
+        Pass::TrainingStep,
         ExecutionMode::TimingOnly,
     );
-    let table = &tables[0];
-    assert_eq!(table.len(), 19);
-    for (id, t) in table.iter().enumerate() {
-        for (d, &ms) in t.iter().enumerate() {
-            assert!(ms > 0.0, "layer {id} direction {d}");
-        }
+    assert_eq!(plan.entries.len(), 19 * 3);
+    for e in &plan.entries {
+        assert!(
+            e.time_ms > 0.0,
+            "layer {} direction {}",
+            e.layer,
+            e.direction
+        );
     }
 }
