@@ -18,13 +18,13 @@ cargo test --workspace -q
 
 echo "== lint-kernels (full arch family, static-only; deny findings are errors)"
 # The experiment sweeps every 512..16384-bit family member and fails on any
-# deny finding or any simulated replay (the symbolic analyzer must be
-# conclusive everywhere). The old per-kernel replay step is gone: the fuzz
-# agreement oracle below cross-checks static vs replay verdicts.
+# deny finding. The analyzer never simulates; `cargo test` above already ran
+# lsv-analyze's agreement tests, which hold its verdicts against a traced
+# replay over the seed corpus and the smoke's 50 randomized cases.
 ./target/release/lsvconv-cli run lint-kernels
 
 echo "== differential fuzz (smoke: seed corpus + bounded randomized sweep)"
-cargo run --release -p lsv-bench --bin lsvconv-cli -- fuzz --smoke --agreement
+cargo run --release -p lsv-bench --bin lsvconv-cli -- fuzz --smoke
 
 echo "== differential fuzz, native backend (smoke: host-speed functional path)"
 cargo run --release -p lsv-bench --bin lsvconv-cli -- fuzz --smoke --backend native

@@ -1,6 +1,6 @@
 //! Register dataflow over a recorded kernel stream: def-use chains per
-//! vector register, giving hazard rules the traced replay cannot express
-//! and an *exact* register-pressure proof.
+//! vector register, giving hazard rules a per-instruction trace check cannot
+//! express and an *exact* register-pressure proof.
 //!
 //! The stream is the same introspection recording [`crate::symbolic`] lifts
 //! — no functional or timing state is consulted. Per event the register
@@ -21,14 +21,14 @@
 //!   without ever being read. Severity depends on what died: a dead *load*
 //!   is wasted memory traffic but functionally harmless (the bwd-data
 //!   kernel's software-pipelined weight loads legitimately prefetch taps
-//!   whose `producer()` set is empty under striding) → `Warn`; a dead
+//!   that reach no output under striding) → `Warn`; a dead
 //!   *computed or zeroed* value means the generator discarded work →
 //!   `Deny`.
 //! * `ACC-CLOBBER` — dataflow-precise accumulator-hazard analysis: an FMA
 //!   chain's partial sum is overwritten by a load/zero, or still dirty at
-//!   stream end, without an intervening store/reduce. Replaces the traced
-//!   replay's version verbatim (the verdicts are cross-checked by the fuzz
-//!   agreement oracle).
+//!   stream end, without an intervening store/reduce. The crate's tests
+//!   cross-check its verdicts against the traced-replay oracle over the fuzz
+//!   corpus.
 //! * `REG-PRESSURE` — a register index beyond the architected file is
 //!   touched. The message carries the *exact* maximum number of
 //!   simultaneously live registers (backward liveness scan), replacing the
@@ -91,8 +91,7 @@ pub fn analyze_dataflow(stream: &[TraceEvent], n_vregs: usize) -> (Report, Dataf
     let mut max_vreg_p1 = 0usize;
 
     // The per-event handlers are macros, not closures: they expand inline,
-    // which keeps the unoptimized (tier-1 debug test) build fast enough to
-    // beat the traced replay this pass replaces.
+    // which keeps the unoptimized (tier-1 debug test) build fast.
     macro_rules! touch {
         ($r:expr) => {{
             if $r >= max_vreg_p1 {

@@ -202,12 +202,12 @@ impl Report {
 /// Stop describing individual findings of one rule after this many; the
 /// remainder is summarized in a closing `Note` so a systematically broken
 /// kernel does not produce a million-line report.
-pub(crate) const MAX_FINDINGS_PER_RULE: usize = 16;
+pub const MAX_FINDINGS_PER_RULE: usize = 16;
 
 /// Tracks per-rule finding counts and enforces the reporting cap. Every
-/// analysis pass (trace replay, symbolic lift, dataflow, race detector)
-/// emits findings through one of these so flood behaviour is uniform.
-pub(crate) struct CappedRule {
+/// analysis pass (symbolic lift, dataflow, race detector) emits findings
+/// through one of these so flood behaviour is uniform.
+pub struct CappedRule {
     rule: RuleId,
     severity: Severity,
     emitted: usize,
@@ -216,13 +216,13 @@ pub(crate) struct CappedRule {
 
 impl CappedRule {
     /// A capped emitter denying on `rule`.
-    pub(crate) fn new(rule: RuleId) -> Self {
+    pub fn new(rule: RuleId) -> Self {
         Self::with_severity(rule, Severity::Deny)
     }
 
     /// A capped emitter firing `rule` at an explicit severity (the race
     /// detector's `FALSE-SHARING` warns rather than denies).
-    pub(crate) fn with_severity(rule: RuleId, severity: Severity) -> Self {
+    pub fn with_severity(rule: RuleId, severity: Severity) -> Self {
         Self {
             rule,
             severity,
@@ -231,7 +231,8 @@ impl CappedRule {
         }
     }
 
-    pub(crate) fn push(&mut self, report: &mut Report, message: String) {
+    /// Report one finding, or count it once the cap is reached.
+    pub fn push(&mut self, report: &mut Report, message: String) {
         if self.emitted < MAX_FINDINGS_PER_RULE {
             self.emitted += 1;
             report.push(self.rule, self.severity, message);
@@ -240,7 +241,8 @@ impl CappedRule {
         }
     }
 
-    pub(crate) fn finish(self, report: &mut Report) {
+    /// Close the rule: summarize any suppressed findings in one `Note`.
+    pub fn finish(self, report: &mut Report) {
         if self.suppressed > 0 {
             report.push(
                 self.rule,

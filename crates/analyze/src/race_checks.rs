@@ -239,7 +239,6 @@ mod tests {
             streams: vec![stream],
             partition: PartitionModel::Minibatch(lsv_conv::multicore::partition_ranges(n, cores)),
             n_full: n,
-            conclusive: true,
         }
     }
 
@@ -312,7 +311,6 @@ mod tests {
                 n_ranges.max(1),
             )),
             n_full: 4,
-            conclusive: true,
         }
     }
 

@@ -240,8 +240,9 @@ fn check_layout_contracts(
 }
 
 /// Run every static check of a configuration triple, returning the combined
-/// report. This is the pure-analysis half of the linter; pair it with
-/// [`crate::analyze_trace`] over a traced replay for the dynamic half.
+/// report. This is the configuration half of the linter;
+/// [`crate::analyze_kernel`] adds the checks over the kernel's recorded
+/// stream.
 pub fn analyze_config(arch: &ArchParams, p: &ConvProblem, cfg: &KernelConfig) -> Report {
     let mut report = Report::new();
     check_register_pressure(arch, cfg, &mut report);

@@ -23,8 +23,8 @@
 //!   victim region happens to be mapped); reported separately because the
 //!   fix is different (layout/stride bug, not a loop-bound bug).
 //! * `VL-EXCEEDS` — a vector instruction's operating length exceeds the
-//!   architected `n_vlen` (or is zero). Swept statically over the whole
-//!   `{512..16384}` bit arch family by [`crate::analyze_kernel_swept`].
+//!   architected `n_vlen` (or is zero). The `lint-kernels` experiment
+//!   checks it over the whole `{512..16384}` bit arch family.
 
 use crate::diagnostics::{CappedRule, Report, RuleId, Severity};
 use lsv_arch::ArchParams;
@@ -120,29 +120,6 @@ pub struct KernelLift {
     pub partition: PartitionModel,
     /// Full minibatch of the original problem (the recording uses `N = 1`).
     pub n_full: usize,
-    /// False when the stream touched an arena region the lift cannot
-    /// attribute to `src`/`dst`/`wei` — the affine model is then incomplete
-    /// and the caller must fall back to a traced replay.
-    pub conclusive: bool,
-}
-
-/// Interval/stride summary of the accesses one stream makes to one region —
-/// the abstract domain the bounds and race proofs quote in messages.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AccessSummary {
-    /// Region index the accesses hit.
-    pub region: usize,
-    /// True for stores/scatters, false for loads/gathers.
-    pub write: bool,
-    /// Number of accesses.
-    pub count: u64,
-    /// Lowest address touched.
-    pub lo: u64,
-    /// One past the highest address touched.
-    pub hi: u64,
-    /// Smallest non-zero distance between consecutive access start offsets,
-    /// if any two accesses differ.
-    pub min_stride: Option<u64>,
 }
 
 /// Memory footprint of one event relative to the region models: returns
@@ -181,48 +158,6 @@ pub(crate) fn vector_length(ev: &TraceEvent) -> Option<usize> {
         | TraceEvent::VScatter { vl, .. } => Some(vl),
         _ => None,
     }
-}
-
-/// Summarize a stream's accesses per `(region, read/write)` class. Order of
-/// first touch is preserved.
-pub fn summarize_accesses(stream: &[TraceEvent]) -> Vec<AccessSummary> {
-    let mut out: Vec<AccessSummary> = Vec::new();
-    let mut last_lo: Vec<Option<u64>> = Vec::new();
-    for ev in stream {
-        let Some((_, Some(region), addr, span, write)) = footprint(ev) else {
-            continue;
-        };
-        let pos = out
-            .iter()
-            .position(|s| s.region == region && s.write == write);
-        let pos = match pos {
-            Some(p) => p,
-            None => {
-                out.push(AccessSummary {
-                    region,
-                    write,
-                    count: 0,
-                    lo: u64::MAX,
-                    hi: 0,
-                    min_stride: None,
-                });
-                last_lo.push(None);
-                out.len() - 1
-            }
-        };
-        let s = &mut out[pos];
-        s.count += 1;
-        s.lo = s.lo.min(addr);
-        s.hi = s.hi.max(addr + span);
-        if let Some(prev) = last_lo[pos] {
-            let d = addr.abs_diff(prev);
-            if d != 0 {
-                s.min_stride = Some(s.min_stride.map_or(d, |m| m.min(d)));
-            }
-        }
-        last_lo[pos] = Some(addr);
-    }
-    out
 }
 
 /// Prove the bounds and vector-length rules over one recorded stream.
@@ -267,8 +202,8 @@ pub fn check_stream(
             continue;
         };
         let Some(m) = regions.get(region) else {
-            // Region the lift could not model: the caller marked the lift
-            // inconclusive; nothing provable here.
+            // Past the model list: `region_models` models every arena
+            // region, so only a hand-built list gets here.
             continue;
         };
         debug_assert_eq!(m.index, region);
@@ -321,14 +256,16 @@ pub fn check_stream(
 
 /// Build the per-region affine models for a kernel's tensors: activation
 /// regions scale with the minibatch index, the weights region is shared.
-/// Returns `(models, conclusive)`; `conclusive` is false if the arena holds
-/// a region that is none of `src`/`dst`/`wei`.
+/// An arena region that is none of `src`/`dst`/`wei` is modelled as shared
+/// and denied under `OOB-ADDR`: the affine lift has no model of how its
+/// accesses scale, so it cannot prove them in bounds.
 pub fn region_models(
     arena: &Arena,
     t: &lsv_conv::ConvTensors,
     n_full: usize,
-) -> (Vec<RegionModel>, bool) {
-    let mut conclusive = true;
+) -> (Vec<RegionModel>, Report) {
+    let mut report = Report::new();
+    let mut unattributed = CappedRule::new(RuleId::OobAddr);
     let models = arena
         .regions()
         .iter()
@@ -336,15 +273,23 @@ pub fn region_models(
         .map(|(i, r)| {
             if r.base == t.src.base || r.base == t.dst.base {
                 RegionModel::minibatch_scaled(i, &r.label, r.base, r.bytes, n_full)
-            } else if r.base == t.wei.base {
-                RegionModel::shared(i, &r.label, r.base, r.bytes)
             } else {
-                conclusive = false;
+                if r.base != t.wei.base {
+                    unattributed.push(
+                        &mut report,
+                        format!(
+                            "arena region `{}` is none of the kernel's src/dst/wei \
+                             tensors: the affine lift cannot bound accesses to it",
+                            r.label
+                        ),
+                    );
+                }
                 RegionModel::shared(i, &r.label, r.base, r.bytes)
             }
         })
         .collect();
-    (models, conclusive)
+    unattributed.finish(&mut report);
+    (models, report)
 }
 
 /// Record a kernel's instruction stream(s) without executing them and build
@@ -354,15 +299,16 @@ pub fn region_models(
 ///
 /// For Minibatch-partitioned kernels one stream summarizes every core and
 /// image; for the bwd-weights SmallBlocks split each core range is recorded
-/// separately because cores execute *different* block slices.
-pub fn lift_kernel(arch: &ArchParams, p: &ConvProblem, cfg: &KernelConfig) -> KernelLift {
+/// separately because cores execute *different* block slices. The report
+/// holds the lift's own findings (see [`region_models`]).
+pub fn lift_kernel(arch: &ArchParams, p: &ConvProblem, cfg: &KernelConfig) -> (KernelLift, Report) {
     let cores = arch.cores.max(1);
     let p1 = p.with_minibatch(1);
     let desc = ConvDesc::new(p1, cfg.direction, cfg.algorithm);
     let prim = desc.create_with_config(arch, *cfg, 1);
     let mut arena = Arena::new();
     let t = prim.alloc_tensors(&mut arena);
-    let (regions, conclusive) = region_models(&arena, &t, p.n);
+    let (regions, findings) = region_models(&arena, &t, p.n);
 
     let (streams, partition) = match cfg.direction {
         Direction::Fwd | Direction::BwdData => {
@@ -385,13 +331,15 @@ pub fn lift_kernel(arch: &ArchParams, p: &ConvProblem, cfg: &KernelConfig) -> Ke
             (streams, PartitionModel::SmallBlocks(ranges))
         }
     };
-    KernelLift {
-        regions,
-        streams,
-        partition,
-        n_full: p.n,
-        conclusive,
-    }
+    (
+        KernelLift {
+            regions,
+            streams,
+            partition,
+            n_full: p.n,
+        },
+        findings,
+    )
 }
 
 /// True when `report` carries a `Deny` finding for `rule`.
@@ -502,31 +450,5 @@ mod tests {
         // Legal lengths stay clean.
         let clean = check_stream(&[vload(0x1000, 256, Some(0), 64)], &regions, 1, 64);
         assert!(!clean.fired(RuleId::VlExceeds));
-    }
-
-    #[test]
-    fn access_summaries_capture_interval_and_stride() {
-        let stream = vec![
-            vload(0x1000, 64, Some(0), 16),
-            vload(0x1100, 64, Some(0), 16),
-            vload(0x1080, 64, Some(0), 16),
-            TraceEvent::VStore {
-                vr: 0,
-                addr: 0x2000,
-                span: 32,
-                region: Some(1),
-                vl: 8,
-            },
-        ];
-        let s = summarize_accesses(&stream);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0].region, 0);
-        assert!(!s[0].write);
-        assert_eq!(s[0].count, 3);
-        assert_eq!((s[0].lo, s[0].hi), (0x1000, 0x1140));
-        assert_eq!(s[0].min_stride, Some(0x80));
-        assert!(s[1].write);
-        assert_eq!(s[1].count, 1);
-        assert_eq!(s[1].min_stride, None);
     }
 }

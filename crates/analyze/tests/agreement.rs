@@ -1,46 +1,49 @@
-//! The symbolic analyzer verified against the thing it replaced.
+//! The static analyzer verified against the traced-replay oracle.
 //!
-//! Four properties keep the static-first path honest:
+//! Two properties keep the one static path honest:
 //!
-//! 1. **Verdict agreement**: the symbolic analyzer and the traced replay
-//!    reach the same `OOB-ADDR` / `ACC-CLOBBER` deny verdicts over the full
-//!    fuzz seed corpus and a randomized batch (the ≥2000-case sweep runs
-//!    via `lsvconv fuzz --agreement`; this samples it every test run).
+//! 1. **Verdict agreement**: [`trace_checks::verdict_agreement`] — the
+//!    static analyzer and a traced replay reach the same `OOB-ADDR` /
+//!    `ACC-CLOBBER` deny verdicts — over the fuzz seed corpus plus the
+//!    50-case randomized sweep at seed 1, the reach of `lsvconv fuzz
+//!    --smoke`.
 //! 2. **Shift equivalence**: the affine-lift premise — image `n`'s stream
 //!    is image 0's stream with activation addresses shifted by
 //!    `n · stride_image` and weight addresses untouched — checked
 //!    event-by-event on a recorded two-image kernel.
-//! 3. **Zero replays on the clean path**: tuned kernels analyze
-//!    conclusively, so `analyze_kernel_outcome` must never fall back to the
-//!    simulated replay.
-//! 4. **Wall-time**: the static path must beat the traced replay it
-//!    replaced on a representative kernel set (the lint-kernels speedup).
 
-use lsv_analyze::{analyze_kernel_outcome, analyze_kernel_replay, verdict_agreement};
+mod trace_checks;
+
 use lsv_arch::sx_aurora;
-use lsv_conv::fuzz::{run_corpus_with_oracle, run_fuzz_with_oracle};
+use lsv_conv::fuzz::{run_corpus_backend, run_fuzz_backend, seed_corpus};
 use lsv_conv::tuning::kernel_config;
-use lsv_conv::{Algorithm, ConvDesc, ConvProblem, Direction};
+use lsv_conv::{Algorithm, BackendKind, ConvDesc, ConvProblem, Direction};
 use lsv_vengine::{TraceEvent, VCore};
-use std::time::Instant;
+use trace_checks::verdict_agreement;
 
 #[test]
 fn corpus_verdicts_agree_symbolic_vs_replay() {
-    let out = run_corpus_with_oracle(&lsv_analyze::deny_validator, Some(&verdict_agreement));
+    let out = run_corpus_backend(
+        &lsv_analyze::deny_validator,
+        Some(&verdict_agreement),
+        BackendKind::Sim,
+    );
     assert!(out.clean(), "failures: {:?}", out.failures);
+    assert_eq!(out.cases_run, seed_corpus().len());
     assert_eq!(out.skipped, 0, "corpus entries must all be supported");
 }
 
 #[test]
 fn randomized_verdicts_agree_symbolic_vs_replay() {
-    let out = run_fuzz_with_oracle(
-        32,
-        0xA9EE,
+    let out = run_fuzz_backend(
+        50,
+        1,
         &lsv_analyze::deny_validator,
         Some(&verdict_agreement),
+        BackendKind::Sim,
     );
     assert!(out.clean(), "failures: {:?}", out.failures);
-    assert_eq!(out.cases_run, 32);
+    assert_eq!(out.cases_run, 50);
 }
 
 /// The affine-lift premise, checked directly: record images 0 and 1 of an
@@ -148,65 +151,4 @@ fn recorded_streams_are_shift_equivalent_across_images() {
             }
         }
     }
-}
-
-#[test]
-fn tuned_kernels_analyze_without_a_single_replay() {
-    let arch = sx_aurora();
-    let p = ConvProblem::new(2, 16, 24, 14, 14, 3, 3, 2, 1);
-    for alg in Algorithm::ALL {
-        for dir in Direction::ALL {
-            let cfg = kernel_config(&arch, &p, dir, alg, 1);
-            let o = analyze_kernel_outcome(&arch, &p, &cfg);
-            assert!(o.conclusive, "{alg}/{dir:?}: lift must be conclusive");
-            assert!(!o.replayed, "{alg}/{dir:?}: clean path must not simulate");
-            assert!(!o.report.has_deny(), "{alg}/{dir:?}: {:?}", o.report);
-        }
-    }
-}
-
-/// The static path must be faster than the traced replay it replaced — the
-/// mechanism behind the lint-kernels wall-time drop. Introspection records
-/// the stream without the cache hierarchy, issue tracking or scalar
-/// forwarding, so a healthy margin exists; asserting `<` keeps the test
-/// robust to host noise while still catching a regression to replay-level
-/// cost.
-#[test]
-fn static_path_is_faster_than_replay_path() {
-    let arch = sx_aurora();
-    // A mid-size Table 3-like layer: big enough that per-kernel setup noise
-    // does not dominate the measurement.
-    let p = ConvProblem::new(8, 64, 64, 28, 28, 3, 3, 1, 1);
-    let kernels: Vec<_> = Algorithm::ALL
-        .iter()
-        .flat_map(|&alg| Direction::ALL.iter().map(move |&dir| (alg, dir)))
-        .map(|(alg, dir)| kernel_config(&arch, &p, dir, alg, 1))
-        .collect();
-
-    // Warm both paths once (lazy init, allocator).
-    for cfg in &kernels {
-        let _ = analyze_kernel_outcome(&arch, &p, cfg);
-        let _ = analyze_kernel_replay(&arch, &p, cfg);
-    }
-    let t0 = Instant::now();
-    for cfg in &kernels {
-        let o = analyze_kernel_outcome(&arch, &p, cfg);
-        assert!(!o.replayed && !o.report.has_deny());
-    }
-    let static_time = t0.elapsed();
-    let t1 = Instant::now();
-    for cfg in &kernels {
-        let r = analyze_kernel_replay(&arch, &p, cfg);
-        assert!(!r.has_deny());
-    }
-    let replay_time = t1.elapsed();
-    println!(
-        "static {static_time:?} vs replay {replay_time:?} \
-         ({:.2}x)",
-        replay_time.as_secs_f64() / static_time.as_secs_f64().max(1e-9)
-    );
-    assert!(
-        static_time < replay_time,
-        "static path ({static_time:?}) must beat the traced replay ({replay_time:?})"
-    );
 }

@@ -3,14 +3,15 @@
 //! API, and the all-rules census at the bottom keeps this file honest when a
 //! rule is added.
 
+use lsv_analyze::symbolic::region_models;
 use lsv_analyze::{
-    analyze_config, analyze_dataflow, analyze_kernel, analyze_trace, check_profile_reconciliation,
-    check_races, check_stream, KernelLift, PartitionModel, RegionModel, Report, RuleId, Severity,
+    analyze_config, analyze_dataflow, analyze_kernel, check_profile_reconciliation, check_races,
+    check_stream, KernelLift, PartitionModel, RegionModel, Report, RuleId, Severity,
 };
 use lsv_arch::sx_aurora;
 use lsv_conv::multicore::partition_ranges;
 use lsv_conv::tuning::kernel_config;
-use lsv_conv::{Algorithm, ConvProblem, Direction, KernelConfig};
+use lsv_conv::{Algorithm, ConvDesc, ConvProblem, Direction, KernelConfig};
 use lsv_vengine::{Arena, ExecutionMode, TraceEvent, VCore};
 
 /// The canonical DC conflict layer (Table 3 id 8: IC = 512 at 28x28).
@@ -61,25 +62,39 @@ fn bseq_upper_fires_on_the_dc_conflict_layer() {
 
 #[test]
 fn oob_addr_fires_on_an_escaped_address() {
-    let arch = sx_aurora();
-    let mut arena = Arena::new();
-    arena.alloc_labeled(32, "src 1x2x4x4");
-    let trace = vec![TraceEvent::VLoad {
+    let stream = vec![TraceEvent::VLoad {
         vr: 0,
         addr: 0x7000_0000,
         span: 1024,
         region: None,
         vl: 64,
     }];
-    let r = analyze_trace(&arena, &trace, &arch);
+    let r = check_stream(&stream, &symbolic_regions(1), 1, 256);
     assert!(r.fired(RuleId::OobAddr) && r.has_deny(), "{r:?}");
+}
+
+#[test]
+fn oob_addr_fires_on_a_lift_over_an_unattributed_region() {
+    let arch = sx_aurora();
+    let (p, cfg) = tuned(Algorithm::Dc, Direction::Fwd);
+    let prim = ConvDesc::new(p, Direction::Fwd, Algorithm::Dc).create_with_config(&arch, cfg, 1);
+    let mut arena = Arena::new();
+    let t = prim.alloc_tensors(&mut arena);
+    let (models, clean) = region_models(&arena, &t, p.n);
+    assert_eq!(models.len(), 3);
+    assert!(clean.diagnostics.is_empty(), "{clean:?}");
+
+    arena.alloc_labeled(16, "scratch");
+    let (models, r) = region_models(&arena, &t, p.n);
+    assert_eq!(models.len(), 4, "every region is modelled");
+    assert!(r.fired(RuleId::OobAddr) && r.has_deny(), "{r:?}");
+    assert!(r.diagnostics[0].message.contains("scratch"), "{r:?}");
 }
 
 #[test]
 fn acc_clobber_fires_on_a_lost_accumulator() {
     let arch = sx_aurora();
-    let arena = Arena::new();
-    let trace = vec![
+    let stream = vec![
         TraceEvent::VZero { vr: 0, vl: 64 },
         TraceEvent::VFma {
             acc: 0,
@@ -89,7 +104,7 @@ fn acc_clobber_fires_on_a_lost_accumulator() {
         },
         TraceEvent::VZero { vr: 0, vl: 64 }, // partial sums discarded
     ];
-    let r = analyze_trace(&arena, &trace, &arch);
+    let (r, _) = analyze_dataflow(&stream, arch.n_vregs);
     assert!(r.fired(RuleId::AccClobber) && r.has_deny(), "{r:?}");
 }
 
@@ -174,7 +189,6 @@ fn minibatch_lift(stream: Vec<TraceEvent>, n: usize, cores: usize) -> KernelLift
         streams: vec![stream],
         partition: PartitionModel::Minibatch(partition_ranges(n, cores)),
         n_full: n,
-        conclusive: true,
     }
 }
 
@@ -238,8 +252,7 @@ fn every_rule_id_has_a_demonstrated_firing() {
     cfg.dst_layout.cb = 20;
     fired.merge(analyze_config(&arch, &p, &cfg)); // LAYOUT-DIVIDE
 
-    let arena = Arena::new();
-    let trace = vec![
+    let stream = vec![
         TraceEvent::VFma {
             acc: 0,
             w: 8,
@@ -252,7 +265,8 @@ fn every_rule_id_has_a_demonstrated_firing() {
             region: None,
         },
     ];
-    fired.merge(analyze_trace(&arena, &trace, &arch)); // OOB-ADDR + ACC-CLOBBER
+    fired.merge(check_stream(&stream, &symbolic_regions(1), 1, 64)); // OOB-ADDR
+    fired.merge(analyze_dataflow(&stream, arch.n_vregs).0); // ACC-CLOBBER
 
     let mut core = VCore::new(&arch, ExecutionMode::TimingOnly, 1);
     core.enable_profiler();

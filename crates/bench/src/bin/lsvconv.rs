@@ -53,7 +53,7 @@ fn spec(cmd: &str) -> Vec<&'static str> {
         "bench" => vec![ARCH, PROBLEM, BACKEND, STORE],
         "verify" => vec![ARCH, PROBLEM, BACKEND],
         "tune" => vec![ARCH, PROBLEM, BACKEND, STORE, "metrics"],
-        "fuzz" => vec![BACKEND, "cases=number seed=number smoke agreement"],
+        "fuzz" => vec![BACKEND, "cases=number seed=number smoke"],
         "profile" => vec![ARCH, PROBLEM, BACKEND, STORE, "out=path smoke"],
         "serve" => vec![
             ARCH,
@@ -137,10 +137,16 @@ fn arch_by_name(name: &str) -> ArchParams {
         "a64fx" | "a64fx-sve" => a64fx_sve(),
         other => {
             if let Some(bits) = other.strip_prefix("aurora-vl") {
-                return lsv_arch::presets::aurora_with_vlen_bits(
-                    bits.parse()
-                        .unwrap_or_else(|_| usage(&format!("bad vlen in {other}"))),
-                );
+                let bits: usize = bits
+                    .parse()
+                    .unwrap_or_else(|_| usage(&format!("bad vlen in {other}")));
+                if bits == 0 || !bits.is_multiple_of(32) {
+                    usage(&format!(
+                        "bad vlen in {other}: the vector width must be a positive multiple \
+                         of 32 bits"
+                    ));
+                }
+                return lsv_arch::presets::aurora_with_vlen_bits(bits);
             }
             usage(&format!("unknown architecture '{other}'"))
         }
@@ -207,7 +213,8 @@ fn engine_by_name(name: Option<&str>) -> Engine {
 
 fn problem_from_flags(flags: &Flags, default_mb: usize) -> ConvProblem {
     let mb = flags.num("minibatch", default_mb);
-    if flags.has("layer") {
+    // Table 3 layers are square with symmetric stride and padding.
+    let (ic, oc, hw, k, stride, pad) = if flags.has("layer") {
         let id: usize = flags.num("layer", 0);
         if id >= lsv_models::NUM_LAYERS {
             usage(&format!(
@@ -215,22 +222,21 @@ fn problem_from_flags(flags: &Flags, default_mb: usize) -> ConvProblem {
                 lsv_models::NUM_LAYERS - 1
             ));
         }
-        return resnet_layer(id, mb);
-    }
-    let hw = flags.num("hw", 28);
-    let k = flags.num("k", 3);
-    let pad = flags.num("pad", if k > 1 { 1 } else { 0 });
-    ConvProblem::new(
-        mb,
-        flags.num("ic", 64),
-        flags.num("oc", 64),
-        hw,
-        hw,
-        k,
-        k,
-        flags.num("stride", 1),
-        pad,
-    )
+        let l = resnet_layer(id, 1);
+        (l.ic, l.oc, l.ih, l.kh, l.stride_h, l.pad_h)
+    } else {
+        let k = flags.num("k", 3);
+        (
+            flags.num("ic", 64),
+            flags.num("oc", 64),
+            flags.num("hw", 28),
+            k,
+            flags.num("stride", 1),
+            flags.num("pad", if k > 1 { 1 } else { 0 }),
+        )
+    };
+    ConvProblem::try_new(mb, ic, oc, hw, hw, k, k, stride, stride, pad, pad)
+        .unwrap_or_else(|e| usage(&e))
 }
 
 /// The generated kernel configuration, one field per line.
@@ -296,7 +302,6 @@ fn usage(msg: &str) -> ! {
     eprintln!("  store flags:  --no-store | --store-dir DIR (bench/tune/profile/serve/run;");
     eprintln!("                persistent layer-result store, env default LSV_STORE_DIR)");
     eprintln!("  fuzz flags:   --cases N (default 500)  --seed N  --smoke (corpus + 50 cases)");
-    eprintln!("                --agreement (cross-check symbolic vs replay verdicts per case)");
     eprintln!("  profile:      profile <layer> [--dir D] [--alg A] [--out DIR] [--smoke]");
     eprintln!("                writes profile.json + trace.json (Perfetto) + profile.folded");
     eprintln!("  serve flags:  --model <resnet-50|resnet-101|resnet-152>  --pass <infer|train>");
@@ -500,32 +505,19 @@ fn main() {
         "fuzz" => {
             let backend = backend_from_flags(&flags, "fuzz", true);
             let smoke = flags.has("smoke");
-            let agreement = flags.has("agreement");
             let cases: usize = flags.num("cases", if smoke { 50 } else { 500 });
             let seed: u64 = flags.num("seed", 1);
             let validator = lsv_analyze::deny_validator;
-            // --agreement cross-checks the symbolic analyzer's OOB-ADDR /
-            // ACC-CLOBBER verdicts against the traced replay on every case.
-            let oracle: Option<fuzz::CaseValidator> = if agreement {
-                Some(&lsv_analyze::verdict_agreement)
-            } else {
-                None
-            };
 
             println!(
-                "replaying seed corpus ({} cases, {backend} backend{})...",
-                fuzz::seed_corpus().len(),
-                if agreement {
-                    ", agreement oracle on"
-                } else {
-                    ""
-                }
+                "replaying seed corpus ({} cases, {backend} backend)...",
+                fuzz::seed_corpus().len()
             );
-            let corpus = fuzz::run_corpus_backend(&validator, oracle, backend);
+            let corpus = fuzz::run_corpus_backend(&validator, None, backend);
             report_fuzz("corpus", &corpus);
 
             println!("fuzzing {cases} randomized cases (seed {seed}, {backend} backend)...");
-            let random = fuzz::run_fuzz_backend(cases, seed, &validator, oracle, backend);
+            let random = fuzz::run_fuzz_backend(cases, seed, &validator, None, backend);
             report_fuzz("random", &random);
 
             if !corpus.clean() || !random.clean() {

@@ -42,7 +42,7 @@ fn layer_entry(layer: usize, minibatch: usize, dir: Direction, alg: Algorithm) -
 /// (operand import/readback and the naive reference are excluded), so the
 /// ratio isolates backend speed on identical work.
 fn corpus_exec_secs(kind: BackendKind) -> Result<(usize, f64), String> {
-    let out = fuzz::run_corpus_backend(&fuzz::no_lint, None, kind);
+    let out = fuzz::run_corpus_backend(&|_, _, _| Ok(()), None, kind);
     if !out.clean() {
         let failures: Vec<String> = out
             .failures

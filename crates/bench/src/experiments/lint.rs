@@ -1,7 +1,7 @@
 //! The kernel-verifier sweep.
 
 use super::{Ctx, Outcome};
-use lsv_analyze::{analyze_kernel_outcome, Report, RuleId, Severity};
+use lsv_analyze::{analyze_kernel, Report, RuleId, Severity};
 use lsv_arch::aurora_with_vlen_bits;
 use lsv_conv::fuzz::VLEN_SWEEP_BITS;
 use lsv_conv::par::par_map;
@@ -18,7 +18,6 @@ struct Entry {
     direction: Direction,
     algorithm: Algorithm,
     vlen_bits: usize,
-    replayed: bool,
     report: Report,
 }
 
@@ -40,7 +39,7 @@ fn to_json(entries: &[Entry]) -> String {
             .collect();
         s.push_str(&format!(
             "  {{\"layer\": {}, \"problem\": \"{}\", \"direction\": \"{}\", \
-             \"algorithm\": \"{}\", \"vlen_bits\": {}, \"replayed\": {}, \
+             \"algorithm\": \"{}\", \"vlen_bits\": {}, \
              \"deny\": {}, \"warn\": {}, \"note\": {}, \
              \"diagnostics\": [{}]}}{}\n",
             e.layer_id,
@@ -48,7 +47,6 @@ fn to_json(entries: &[Entry]) -> String {
             e.direction.short_name(),
             e.algorithm.short_name(),
             e.vlen_bits,
-            e.replayed,
             e.report.count(Severity::Deny),
             e.report.count(Severity::Warn),
             e.report.count(Severity::Note),
@@ -70,9 +68,8 @@ fn to_json(entries: &[Entry]) -> String {
 /// The human-readable report (one line per kernel, then the diagnostics
 /// grouped by rule) goes to stderr; `lint.json` is schema-validated against
 /// `lint.schema.json`. The experiment fails — and writes nothing — if any
-/// kernel has a `Deny` finding (the tuner must never emit a kernel its own
-/// verifier rejects) or fell back to the simulated replay (the clean path
-/// must run zero replays).
+/// kernel has a `Deny` finding: the tuner must never emit a kernel its own
+/// verifier rejects.
 pub fn lint_kernels(_: &Ctx) -> Outcome {
     let arches: Vec<_> = VLEN_SWEEP_BITS
         .iter()
@@ -95,11 +92,8 @@ pub fn lint_kernels(_: &Ctx) -> Outcome {
         let arch = &arches[ai];
         let p = layers[id];
         let desc = ConvDesc::new(p, direction, algorithm);
-        let (report, replayed) = match desc.create(arch, 8) {
-            Ok(prim) => {
-                let o = analyze_kernel_outcome(arch, &p, prim.cfg());
-                (o.report, o.replayed)
-            }
+        let report = match desc.create(arch, 8) {
+            Ok(prim) => analyze_kernel(arch, &p, prim.cfg()),
             Err(e) => {
                 // The tuner itself refused — surface that as a Deny so the
                 // sweep never silently skips a kernel.
@@ -109,7 +103,7 @@ pub fn lint_kernels(_: &Ctx) -> Outcome {
                     Severity::Deny,
                     format!("primitive creation failed: {e}"),
                 );
-                (r, false)
+                r
             }
         };
         Entry {
@@ -118,7 +112,6 @@ pub fn lint_kernels(_: &Ctx) -> Outcome {
             direction,
             algorithm,
             vlen_bits: arch.vlen_bits,
-            replayed,
             report,
         }
     });
@@ -133,7 +126,6 @@ pub fn lint_kernels(_: &Ctx) -> Outcome {
     });
 
     let mut totals = [0usize; 3]; // deny, warn, note
-    let mut replays = 0usize;
     let mut log = String::from("layer direction alg    vlen  deny warn note  rules\n");
     for e in &entries {
         let (d, w, n) = (
@@ -144,7 +136,6 @@ pub fn lint_kernels(_: &Ctx) -> Outcome {
         totals[0] += d;
         totals[1] += w;
         totals[2] += n;
-        replays += e.replayed as usize;
         let rules: Vec<&str> = RuleId::ALL
             .iter()
             .filter(|&&r| e.report.fired(r))
@@ -152,7 +143,7 @@ pub fn lint_kernels(_: &Ctx) -> Outcome {
             .collect();
         writeln!(
             log,
-            "{:>5} {:<9} {:<5} {:>5} {:>4} {:>4} {:>4}  {}{}",
+            "{:>5} {:<9} {:<5} {:>5} {:>4} {:>4} {:>4}  {}",
             e.layer_id,
             e.direction.short_name(),
             e.algorithm.short_name(),
@@ -164,8 +155,7 @@ pub fn lint_kernels(_: &Ctx) -> Outcome {
                 "-".to_string()
             } else {
                 rules.join(",")
-            },
-            if e.replayed { " [replayed]" } else { "" }
+            }
         )?;
     }
 
@@ -195,21 +185,17 @@ pub fn lint_kernels(_: &Ctx) -> Outcome {
     }
     writeln!(
         log,
-        "\nanalyzed {} kernels in {:.2?}: {} deny, {} warn, {} note ({} simulated replays)",
+        "\nanalyzed {} kernels in {:.2?}: {} deny, {} warn, {} note",
         entries.len(),
         wall,
         totals[0],
         totals[1],
-        totals[2],
-        replays
+        totals[2]
     )?;
     eprint!("{log}");
 
     if totals[0] > 0 {
         return Err(format!("{} deny findings", totals[0]).into());
-    }
-    if replays > 0 {
-        return Err(format!("{replays} kernels fell back to the simulated replay").into());
     }
     Ok(vec![to_json(&entries)])
 }

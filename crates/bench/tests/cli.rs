@@ -1,6 +1,7 @@
 //! CLI contract tests for `lsvconv`. The one flag parser: a malformed
 //! value, a flag the subcommand does not take and an unknown experiment are
-//! usage errors (exit 2). `serve`: the backend guard and the store flags
+//! usage errors (exit 2), and so is an invalid problem geometry or vector
+//! width. `serve`: the backend guard and the store flags
 //! behave exactly like the other store-backed subcommands, and a zero batch
 //! cap or request count is a usage error, not a panic. `run`: a failing
 //! experiment exits non-zero and leaves neither its artifact nor a
@@ -173,6 +174,43 @@ fn malformed_fuzz_case_count_is_rejected() {
     assert_usage_error(
         &["fuzz", "--cases", "abc"],
         "--cases: 'abc' is not a valid number",
+    );
+}
+
+#[test]
+fn an_invalid_problem_is_a_usage_error_not_a_panic() {
+    assert_usage_error(
+        &["bench", "--ic", "0", "--no-store"],
+        "sizes must be positive",
+    );
+    assert_usage_error(&["verify", "--minibatch", "0"], "sizes must be positive");
+    assert_usage_error(
+        &["bench", "--stride", "0", "--no-store"],
+        "stride must be positive",
+    );
+    assert_usage_error(
+        &["bench", "--hw", "2", "--k", "5", "--no-store"],
+        "kernel larger than padded input",
+    );
+}
+
+#[test]
+fn a_vector_width_off_the_32_bit_grid_is_a_usage_error() {
+    assert_usage_error(
+        &["bench", "--arch", "aurora-vl3", "--no-store"],
+        "positive multiple of 32 bits",
+    );
+    assert_usage_error(
+        &["bench", "--arch", "aurora-vl0", "--no-store"],
+        "positive multiple of 32 bits",
+    );
+}
+
+#[test]
+fn fuzz_no_longer_takes_agreement() {
+    assert_usage_error(
+        &["fuzz", "--smoke", "--agreement"],
+        "`fuzz` takes no flag --agreement",
     );
 }
 

@@ -146,37 +146,12 @@ impl NativeBackend {
         let p = &prim.desc().problem;
         let mut counters = InstCounters::default();
         match prim.desc().direction {
-            Direction::Fwd => native::run_fwd(
-                cfg,
-                p,
-                arena,
-                &t.src,
-                &t.wei,
-                &t.dst,
-                n_range,
-                &mut counters,
-            ),
-            Direction::BwdData => native::run_bwd_data(
-                cfg,
-                p,
-                arena,
-                &t.src,
-                &t.wei,
-                &t.dst,
-                n_range,
-                &mut counters,
-            ),
-            Direction::BwdWeights => native::run_bwd_weights(
-                cfg,
-                p,
-                arena,
-                &t.src,
-                &t.wei,
-                &t.dst,
-                small_blocks,
-                n_range,
-                &mut counters,
-            ),
+            Direction::Fwd | Direction::BwdData => {
+                native::run_data(cfg, p, arena, t, n_range, &mut counters)
+            }
+            Direction::BwdWeights => {
+                native::run_bwd_weights(cfg, p, arena, t, small_blocks, n_range, &mut counters)
+            }
         }
         counters
     }

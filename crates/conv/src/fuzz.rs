@@ -17,11 +17,11 @@
 //! 3. **Lint cleanliness**: an injected validator (the `lsv-analyze`
 //!    deny-linter, kept behind a closure so the dependency arrow still
 //!    points one way) accepts the tuned configuration.
-//! 4. **Verdict agreement** (optional, `--agreement`): an injected oracle —
-//!    `lsv_analyze::verdict_agreement` behind the same closure shape — must
-//!    accept every case the library supports, i.e. the symbolic analyzer
-//!    and the traced replay must reach the same deny verdicts. The analyzer
-//!    is thereby fuzzed alongside the kernels it verifies.
+//! 4. **Oracle agreement** (optional): an injected oracle of the same
+//!    closure shape must accept the configuration of every case the library
+//!    supports. `lsv-analyze`'s test suite plugs in its traced-replay
+//!    oracle here, so the static analyzer is fuzzed alongside the kernels
+//!    it verifies.
 //! 5. **Backend agreement** (simulator runs only): the
 //!    [`crate::backend::NativeBackend`] host lowering of the same frozen
 //!    plan must reproduce the simulator's functional output *bit for bit*
@@ -61,11 +61,6 @@ pub const VLEN_SWEEP_BITS: [usize; 5] = [512, 1024, 2048, 4096, 16384];
 /// validator so `lsv_analyze::deny_validator` plugs in directly.
 pub type CaseValidator<'a> =
     &'a dyn Fn(&ArchParams, &ConvProblem, &KernelConfig) -> Result<(), String>;
-
-/// Validator that accepts everything (fuzzing without the linter).
-pub fn no_lint(_: &ArchParams, _: &ConvProblem, _: &KernelConfig) -> Result<(), String> {
-    Ok(())
-}
 
 /// One generated case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,15 +143,12 @@ fn strategy() -> impl Strategy<Value = RawCase> {
     )
 }
 
-/// Interpret a raw sample; `None` when the geometry is degenerate (the
-/// padded input smaller than the kernel on either axis).
+/// Interpret a raw sample; `None` when [`ConvProblem::try_new`] rejects the
+/// geometry.
 fn build_case(raw: &RawCase) -> Option<FuzzCase> {
     let ((n, ic, oc, ih, iw), (kh, kw, sh, sw), (ph, pw, vlen_idx, dir_alg)) = *raw;
-    if ih + 2 * ph < kh || iw + 2 * pw < kw {
-        return None;
-    }
     Some(FuzzCase {
-        problem: ConvProblem::new_asym(n, ic, oc, ih, iw, kh, kw, sh, sw, ph, pw),
+        problem: ConvProblem::try_new(n, ic, oc, ih, iw, kh, kw, sh, sw, ph, pw).ok()?,
         vlen_bits: VLEN_SWEEP_BITS[vlen_idx],
         direction: Direction::ALL[dir_alg / 3],
         algorithm: Algorithm::ALL[dir_alg % 3],
@@ -167,36 +159,6 @@ fn build_case(raw: &RawCase) -> Option<FuzzCase> {
 enum CaseStatus {
     Pass,
     Skip(#[allow(dead_code)] String),
-}
-
-/// Check one case against every property (simulator backend).
-pub fn check_case(case: &FuzzCase, validator: CaseValidator) -> Result<(), String> {
-    match check_case_inner(case, validator, None, BackendKind::Sim, &mut 0.0) {
-        Ok(_) => Ok(()),
-        Err(why) => Err(why),
-    }
-}
-
-/// Check one case with an additional verdict-agreement oracle (property 4).
-pub fn check_case_with_oracle(
-    case: &FuzzCase,
-    validator: CaseValidator,
-    oracle: Option<CaseValidator>,
-) -> Result<(), String> {
-    check_case_backend(case, validator, oracle, BackendKind::Sim)
-}
-
-/// Check one case with the functional execution on an explicit backend.
-pub fn check_case_backend(
-    case: &FuzzCase,
-    validator: CaseValidator,
-    oracle: Option<CaseValidator>,
-    backend: BackendKind,
-) -> Result<(), String> {
-    match check_case_inner(case, validator, oracle, backend, &mut 0.0) {
-        Ok(_) => Ok(()),
-        Err(why) => Err(why),
-    }
 }
 
 /// The data-movement counter subset both backends must agree on (the
@@ -214,7 +176,9 @@ fn data_ops(c: &InstCounters) -> [u64; 7] {
     ]
 }
 
-fn check_case_inner(
+/// Check one case against every property; `exec_secs` accumulates the
+/// property-1 kernel execution time.
+fn check_case(
     case: &FuzzCase,
     validator: CaseValidator,
     oracle: Option<CaseValidator>,
@@ -231,11 +195,11 @@ fn check_case_inner(
         Err(other) => return Ok(CaseStatus::Skip(other.to_string())),
     };
 
-    // Property 4: the symbolic-vs-trace verdict-agreement oracle, on the
-    // exact configuration the primitive froze.
+    // Property 4: the injected oracle, on the exact configuration the
+    // primitive froze.
     if let Some(oracle) = oracle {
         if let Err(why) = oracle(&arch, &p, prim.cfg()) {
-            return Err(format!("verdict agreement: {why}"));
+            return Err(format!("oracle: {why}"));
         }
     }
 
@@ -356,7 +320,7 @@ fn shrink_failure<S: Strategy<Value = RawCase>>(
             let Some(case) = build_case(&cand) else {
                 continue;
             };
-            if let Err(w) = check_case_backend(&case, validator, oracle, backend) {
+            if let Err(w) = check_case(&case, validator, oracle, backend, &mut 0.0) {
                 raw = cand;
                 why = w;
                 progress = true;
@@ -367,24 +331,10 @@ fn shrink_failure<S: Strategy<Value = RawCase>>(
     (build_case(&raw).expect("shrunk case stays valid"), why)
 }
 
-/// Run `cases` randomized cases from `seed`. Every failure is shrunk to a
-/// minimal counterexample before being recorded.
-pub fn run_fuzz(cases: usize, seed: u64, validator: CaseValidator) -> FuzzOutcome {
-    run_fuzz_with_oracle(cases, seed, validator, None)
-}
-
-/// [`run_fuzz`] with the property-4 verdict-agreement oracle enabled.
-pub fn run_fuzz_with_oracle(
-    cases: usize,
-    seed: u64,
-    validator: CaseValidator,
-    oracle: Option<CaseValidator>,
-) -> FuzzOutcome {
-    run_fuzz_backend(cases, seed, validator, oracle, BackendKind::Sim)
-}
-
-/// [`run_fuzz_with_oracle`] with the functional execution on an explicit
-/// backend ([`BackendKind::Native`] for fast host-only sweeps).
+/// Run `cases` randomized cases from `seed`, property 1 on `backend`
+/// ([`BackendKind::Native`] for fast host-only sweeps) and property 4 only
+/// with an `oracle`. Every failure is shrunk to a minimal counterexample
+/// before being recorded.
 pub fn run_fuzz_backend(
     cases: usize,
     seed: u64,
@@ -409,7 +359,7 @@ pub fn run_fuzz_backend(
             continue;
         };
         out.cases_run += 1;
-        match check_case_inner(&case, validator, oracle, backend, &mut out.exec_secs) {
+        match check_case(&case, validator, oracle, backend, &mut out.exec_secs) {
             Ok(CaseStatus::Pass) => {}
             Ok(CaseStatus::Skip(_)) => out.skipped += 1,
             Err(why) => {
@@ -475,21 +425,8 @@ pub fn seed_corpus() -> Vec<FuzzCase> {
     corpus
 }
 
-/// Replay the [`seed_corpus`] deterministically.
-pub fn run_corpus(validator: CaseValidator) -> FuzzOutcome {
-    run_corpus_with_oracle(validator, None)
-}
-
-/// [`run_corpus`] with the property-4 verdict-agreement oracle enabled.
-pub fn run_corpus_with_oracle(
-    validator: CaseValidator,
-    oracle: Option<CaseValidator>,
-) -> FuzzOutcome {
-    run_corpus_backend(validator, oracle, BackendKind::Sim)
-}
-
-/// [`run_corpus_with_oracle`] with the functional execution on an explicit
-/// backend.
+/// Replay the [`seed_corpus`] deterministically, with the backend and oracle
+/// of [`run_fuzz_backend`].
 pub fn run_corpus_backend(
     validator: CaseValidator,
     oracle: Option<CaseValidator>,
@@ -498,7 +435,7 @@ pub fn run_corpus_backend(
     let mut out = FuzzOutcome::default();
     for case in seed_corpus() {
         out.cases_run += 1;
-        match check_case_inner(&case, validator, oracle, backend, &mut out.exec_secs) {
+        match check_case(&case, validator, oracle, backend, &mut out.exec_secs) {
             Ok(CaseStatus::Pass) => {}
             Ok(CaseStatus::Skip(_)) => out.skipped += 1,
             Err(why) => out.failures.push(FuzzFailure { case, why }),
@@ -545,18 +482,22 @@ mod tests {
         }
     }
 
+    fn no_lint(_: &ArchParams, _: &ConvProblem, _: &KernelConfig) -> Result<(), String> {
+        Ok(())
+    }
+
     #[test]
     fn smoke_run_is_clean_and_deterministic() {
-        let a = run_fuzz(24, 42, &no_lint);
+        let a = run_fuzz_backend(24, 42, &no_lint, None, BackendKind::Sim);
         assert!(a.clean(), "failures: {:?}", a.failures);
         assert_eq!(a.cases_run, 24);
-        let b = run_fuzz(24, 42, &no_lint);
+        let b = run_fuzz_backend(24, 42, &no_lint, None, BackendKind::Sim);
         assert_eq!(a.skipped, b.skipped, "same seed must replay identically");
     }
 
     #[test]
     fn corpus_replays_clean() {
-        let out = run_corpus(&no_lint);
+        let out = run_corpus_backend(&no_lint, None, BackendKind::Sim);
         assert!(out.clean(), "failures: {:?}", out.failures);
         assert_eq!(out.cases_run, seed_corpus().len());
         assert_eq!(out.skipped, 0, "corpus entries must all be supported");

@@ -10,192 +10,149 @@
 //! operations are more frequent" in this pass) followed by `RB_c` scalar
 //! loads + FMAs on the other tensor.
 
+use super::walk::{WeightTap, WeightWalk};
 use super::{act_vec_lanes, load_act_vec};
+use crate::primitive::ConvTensors;
 use crate::problem::ConvProblem;
 use crate::tuning::KernelConfig;
-use lsv_tensor::{ActTensor, WeiTensor};
+use lsv_tensor::ActTensor;
 use lsv_vengine::{Arena, VCore};
 use std::ops::Range;
 
 /// Run the backward-weights pass on one simulated core.
 ///
-/// * `wei_diff` — output gradients; role-swapped when `cfg.vec_over_ic`.
+/// * `t.wei` — the output gradients `W_diff`; role-swapped when
+///   `cfg.vec_over_ic`.
 /// * `small_blocks` — the range of `RB_c`-sized blocks of the *smaller*
 ///   feature-map dimension this core owns (the paper parallelizes this loop
 ///   across cores, Section 4.3).
-/// * `n_range` — minibatch slice to reduce over (each core reduces over the
+/// * `images` — minibatch slice to reduce over (each core reduces over the
 ///   full minibatch in the real scheme; the scheduler passes a slice and
 ///   scales, see `perf`).
-#[allow(clippy::too_many_arguments)]
 pub fn run(
     cfg: &KernelConfig,
     p: &ConvProblem,
     core: &mut VCore,
     arena: &mut Arena,
-    src: &ActTensor,
-    wei_diff: &WeiTensor,
-    dst_diff: &ActTensor,
+    t: &ConvTensors,
     small_blocks: Range<usize>,
-    n_range: Range<usize>,
+    images: Range<usize>,
 ) {
     core.region_enter("bwd_weights");
-    let (oh, ow) = (p.oh(), p.ow());
-    let vl_max = cfg.vl;
-    let (c_vec, c_small) = if cfg.vec_over_ic {
-        (p.ic, p.oc)
-    } else {
-        (p.oc, p.ic)
-    };
-    let vec_blocks = c_vec.div_ceil(vl_max);
+    let walk = WeightWalk::new(cfg, p, small_blocks);
+    // The vectorized activation tensor (vector loads) and the scalar one.
+    let (vec_t, sca_t) = walk.roles(t);
     let rb_c = cfg.rb_c;
     let vbuf0 = rb_c; // rotating activation-vector registers
     let vbuf = cfg.wbuf.max(2);
-    // The vectorized activation tensor (vector loads) and the scalar one.
-    let (vec_t, sca_t) = if cfg.vec_over_ic {
-        (src, dst_diff)
-    } else {
-        (dst_diff, src)
-    };
 
-    for cvb in 0..vec_blocks {
-        core.scalar_ops(2);
-        let vl = vl_max.min(c_vec - cvb * vl_max);
-        let lanes = act_vec_lanes(vec_t, vl);
-        for csb in small_blocks.clone() {
-            let cs0 = csb * rb_c;
-            if cs0 >= c_small {
-                break;
-            }
-            let rb_cur = rb_c.min(c_small - cs0);
-            for kh in 0..p.kh {
-                for kw in 0..p.kw {
-                    core.region_enter("khkw_tile");
-                    core.scalar_ops(2);
-                    // Accumulators for this (kh, kw) tap, zeroed once and
-                    // reduced over the whole (n, oh, ow) domain.
-                    core.region_enter("acc_init");
-                    for j in 0..rb_cur {
-                        core.vbroadcast_zero(j, lanes);
-                    }
-                    core.region_exit();
-                    core.region_enter("inner_loop");
-                    for n in n_range.clone() {
-                        core.scalar_ops(2);
-                        sweep_spatial(
-                            cfg,
-                            p,
-                            core,
-                            arena,
-                            vec_t,
-                            sca_t,
-                            n,
-                            cvb * vl_max,
-                            vl,
-                            cs0,
-                            rb_cur,
-                            kh,
-                            kw,
-                            oh,
-                            ow,
-                            vbuf0,
-                            vbuf,
-                        );
-                    }
-                    core.region_exit(); // inner_loop
-
-                    // Store the finished W_diff vectors (one store per
-                    // accumulator for the whole reduction).
-                    core.region_enter("acc_store");
-                    for j in 0..rb_cur {
-                        let addr = wei_diff.oc_vector_at(cvb, cs0 + j, kh, kw);
-                        core.vstore(arena, j, addr, vl);
-                    }
-                    core.region_exit();
-                    core.region_exit(); // khkw_tile
-                }
-            }
+    for tap in walk.taps() {
+        core.scalar_ops(tap.outer_ops);
+        core.region_enter("khkw_tile");
+        core.scalar_ops(tap.inner_ops);
+        // Accumulators for this (kh, kw) tap, zeroed once and reduced over
+        // the whole (n, oh, ow) domain.
+        core.region_enter("acc_init");
+        let lanes = act_vec_lanes(vec_t, tap.vl);
+        for j in 0..tap.rb_cur {
+            core.vbroadcast_zero(j, lanes);
         }
+        core.region_exit();
+        core.region_enter("inner_loop");
+        for n in images.clone() {
+            core.scalar_ops(2);
+            sweep_spatial(
+                cfg.vec_over_ic,
+                core,
+                arena,
+                (vec_t, sca_t),
+                n,
+                &tap,
+                (vbuf0, vbuf),
+            );
+        }
+        core.region_exit(); // inner_loop
+
+        // Store the finished W_diff vectors (one store per accumulator for
+        // the whole reduction).
+        core.region_enter("acc_store");
+        for j in 0..tap.rb_cur {
+            let addr = t.wei.oc_vector_at(tap.vb, tap.cs0 + j, tap.kh, tap.kw);
+            core.vstore(arena, j, addr, tap.vl);
+        }
+        core.region_exit();
+        core.region_exit(); // khkw_tile
     }
     core.region_exit(); // bwd_weights
 }
 
-/// The spatial reduction sweep for one (kh, kw) tap of one image: per valid
-/// output point, one vector load of the vectorized activations and `rb_cur`
-/// scalar-load + FMA pairs.
-#[allow(clippy::too_many_arguments)]
+/// The spatial reduction sweep for one tap of one image: per valid output
+/// point of the tap's rectangle, row-major, one vector load of the
+/// vectorized activations (software-pipelined one point ahead; the JIT
+/// peels padding rows) and `rb_cur` scalar-load + FMA pairs.
 fn sweep_spatial(
-    cfg: &KernelConfig,
-    p: &ConvProblem,
+    vec_over_ic: bool,
     core: &mut VCore,
     arena: &mut Arena,
-    vec_t: &ActTensor,
-    sca_t: &ActTensor,
+    (vec_t, sca_t): (&ActTensor, &ActTensor),
     n: usize,
-    c0: usize,
-    vl: usize,
-    cs0: usize,
-    rb_cur: usize,
-    kh: usize,
-    kw: usize,
-    oh: usize,
-    ow: usize,
-    vbuf0: usize,
-    vbuf: usize,
+    tap: &WeightTap,
+    (vbuf0, vbuf): (usize, usize),
 ) {
-    // Enumerate the valid (oy, ox) points once so the vector loads can be
-    // software-pipelined one step ahead (the JIT peels padding rows).
-    let mut points: Vec<(usize, usize, usize, usize)> = Vec::with_capacity(oh * ow);
-    for oy in 0..oh {
-        let ih = (oy * p.stride_h + kh) as isize - p.pad_h as isize;
-        if ih < 0 || ih >= p.ih as isize {
-            continue;
-        }
-        for ox in 0..ow {
-            let iw = (ox * p.stride_w + kw) as isize - p.pad_w as isize;
-            if iw < 0 || iw >= p.iw as isize {
-                continue;
-            }
-            points.push((oy, ox, ih as usize, iw as usize));
-        }
-    }
-    let vec_coord = |pt: (usize, usize, usize, usize)| -> (usize, usize) {
-        if cfg.vec_over_ic {
-            (pt.2, pt.3) // S is vectorized: index by (ih, iw)
-        } else {
-            (pt.0, pt.1) // D_diff is vectorized: index by (oy, ox)
-        }
+    let (rows, cols) = (tap.rows, tap.cols);
+    let points = rows.count * cols.count;
+    // Point `j` as `(oy, ox, ih, iw)`.
+    let point = |j: usize| {
+        let (r, c) = (j / cols.count, j % cols.count);
+        (
+            rows.first + r,
+            cols.first + c,
+            rows.coord + r * rows.coord_step,
+            cols.coord + c * cols.coord_step,
+        )
     };
-    let lookahead = (vbuf - 1).min(points.len());
-    for (j, &pt) in points.iter().take(lookahead).enumerate() {
-        let (y, x) = vec_coord(pt);
+    // S is vectorized: index by (ih, iw); else D_diff, by (oy, ox).
+    let vec_coord = |(oy, ox, ih, iw)| if vec_over_ic { (ih, iw) } else { (oy, ox) };
+    let lookahead = (vbuf - 1).min(points);
+    for j in 0..lookahead {
+        let (y, x) = vec_coord(point(j));
         core.scalar_op();
-        load_act_vec(core, arena, vec_t, n, c0, y, x, vl, vbuf0 + j % vbuf);
+        load_act_vec(
+            core,
+            arena,
+            vec_t,
+            n,
+            tap.c0,
+            y,
+            x,
+            tap.vl,
+            vbuf0 + j % vbuf,
+        );
     }
-    for (j, &pt) in points.iter().enumerate() {
-        if j + lookahead < points.len() {
-            let (y, x) = vec_coord(points[j + lookahead]);
+    for j in 0..points {
+        if j + lookahead < points {
+            let (y, x) = vec_coord(point(j + lookahead));
             core.scalar_op();
             load_act_vec(
                 core,
                 arena,
                 vec_t,
                 n,
-                c0,
+                tap.c0,
                 y,
                 x,
-                vl,
+                tap.vl,
                 vbuf0 + (j + lookahead) % vbuf,
             );
         }
         let vreg = vbuf0 + j % vbuf;
-        let (oy, ox, ih, iw) = pt;
+        let (oy, ox, ih, iw) = point(j);
         // Scalar coordinates on the non-vectorized tensor.
-        let (sy, sx) = if cfg.vec_over_ic { (oy, ox) } else { (ih, iw) };
-        for c in 0..rb_cur {
+        let (sy, sx) = if vec_over_ic { (oy, ox) } else { (ih, iw) };
+        for c in 0..tap.rb_cur {
             core.scalar_op(); // scalar pointer bump
-            let addr = sca_t.at(n, cs0 + c, sy, sx);
-            let sv = core.scalar_load(arena, addr);
-            core.vfma_bcast(c, vreg, sv, vl);
+            let sv = core.scalar_load(arena, sca_t.at(n, tap.cs0 + c, sy, sx));
+            core.vfma_bcast(c, vreg, sv, tap.vl);
         }
     }
 }

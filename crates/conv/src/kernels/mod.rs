@@ -1,4 +1,4 @@
-//! The generated micro-kernels: one module per pass direction.
+//! The generated micro-kernels and the scheduling loops that drive them.
 //!
 //! These functions are the interpreter-side equivalent of the paper's JIT
 //! assembler output (Section 6.5): a [`crate::KernelConfig`] fixes every
@@ -7,10 +7,15 @@
 //! on the simulated vector core — scalar loads, pointer updates, vector
 //! loads/stores or coarse-grain gathers/scatters, and FMAs, in the order a
 //! JIT would emit them (so the `B_seq` distance of Section 6.2 is real).
+//!
+//! The split is the paper's: `walk` holds the scheduling loops as values,
+//! [`data`] the one micro-kernel of the forward- and backward-data passes,
+//! and [`bwd_weights`] the backward-weights micro-kernel. The native host
+//! lowering interprets the same walks.
 
-pub mod bwd_data;
 pub mod bwd_weights;
-pub mod fwd;
+pub mod data;
+pub(crate) mod walk;
 
 use lsv_tensor::ActTensor;
 use lsv_vengine::{Arena, VCore};

@@ -27,8 +27,7 @@
 //! Scratch is one image's channels-last activation plus one per-channel
 //! weight slab; the weight tensor is never copied whole.
 
-use crate::problem::{ConvProblem, Direction};
-use std::ops::Range;
+use crate::problem::{taps, ConvProblem, Direction};
 
 /// The reference output of `dir` and its f32 reduction length (the number of
 /// products summed into each output element, which scales the validation
@@ -58,18 +57,6 @@ pub(crate) fn reduction_len(p: &ConvProblem, dir: Direction) -> usize {
         Direction::BwdData => p.oc * p.kh * p.kw,
         Direction::BwdWeights => p.n * p.oh() * p.ow(),
     }
-}
-
-/// Output positions along one axis whose input coordinate
-/// `o * stride + k - pad` falls inside `0..len`, for kernel offset `k`.
-fn taps(out: usize, stride: usize, k: usize, pad: usize, len: usize) -> Range<usize> {
-    let lo = pad.saturating_sub(k).div_ceil(stride);
-    let hi = if len + pad > k {
-        ((len + pad - k - 1) / stride + 1).min(out)
-    } else {
-        0
-    };
-    lo..hi.max(lo)
 }
 
 /// `acc[c] += s * w[c]`: one multiply, then one add, per channel.
@@ -322,24 +309,6 @@ mod tests {
         let src: Vec<f32> = (0..16).map(|i| i as f32).collect();
         let dst = forward(&p, &src, &[1.0]);
         assert_eq!(dst, vec![0.0, 2.0, 8.0, 10.0]);
-    }
-
-    #[test]
-    fn taps_cover_exactly_the_in_image_outputs() {
-        for (out, stride, k, pad, len) in [
-            (4, 1, 0, 1, 4),
-            (4, 1, 2, 1, 4),
-            (2, 3, 0, 0, 4),
-            (3, 2, 4, 4, 2),
-            (5, 1, 0, 4, 2),
-        ] {
-            let want: Vec<usize> = (0..out)
-                .filter(|&o| {
-                    (0..len as isize).contains(&((o * stride + k) as isize - pad as isize))
-                })
-                .collect();
-            assert_eq!(taps(out, stride, k, pad, len).collect::<Vec<_>>(), want);
-        }
     }
 
     #[test]

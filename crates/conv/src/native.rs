@@ -1,16 +1,17 @@
 //! Native host lowering of the frozen kernel plan (the compute side of
 //! [`crate::backend::NativeBackend`]).
 //!
-//! Each function mirrors the blocked loop nest of the corresponding
-//! [`crate::kernels`] module statement for statement, but performs the data
-//! movement directly on the arena's host memory instead of replaying the
-//! instruction stream on the simulated core: the same tile walk, the same
-//! per-output-element *accumulation order*, and the same unfused
-//! multiply-then-add (`acc += w * s`, exactly the simulator's functional
-//! `vfma_bcast`). Functional results are therefore bit-identical to
+//! Each function interprets the same walk ([`crate::kernels::walk`]) as its
+//! simulator kernel, but performs the data movement directly on the arena's
+//! host memory instead of replaying the instruction stream on the simulated
+//! core: the same tiles in the same order, the same per-output-element
+//! *accumulation order*, and the same unfused multiply-then-add
+//! (`acc += w * s`, exactly the simulator's functional `vfma_bcast`).
+//! Functional results are therefore bit-identical to
 //! `ExecutionMode::Functional` — the property the fuzz oracle and
 //! `tests/backend_equivalence.rs` pin — at host speed: no issue model, no
-//! cache hierarchy, no trace.
+//! cache hierarchy, no trace. Only the hot loops inside a tile are the
+//! lowering's own.
 //!
 //! The data-movement instruction counters (scalar loads, vector
 //! loads/stores, gathers, scatters, FMAs) are mirrored too, so a kernel and
@@ -20,10 +21,11 @@
 //! native backend does not model.
 
 use crate::kernels::act_vec_lanes;
-use crate::kernels::bwd_data::producer;
+use crate::kernels::walk::{Tile, TileWalk, WeightTap, WeightWalk};
+use crate::primitive::ConvTensors;
 use crate::problem::ConvProblem;
 use crate::tuning::KernelConfig;
-use lsv_tensor::{ActTensor, WeiTensor};
+use lsv_tensor::ActTensor;
 use lsv_vengine::{Arena, InstCounters};
 use std::ops::Range;
 
@@ -302,531 +304,247 @@ fn fma_sweep_n<const N: usize>(acc_row: &mut [f32], vs: &[f32], svals: &[f32]) {
     }
 }
 
-/// Native lowering of [`crate::kernels::fwd::run`]: identical tile walk and
-/// accumulation order, data ops executed on host memory.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_fwd(
+/// The address-contiguous runs `(offset, len)` of the channel chunk
+/// `r0..r0 + cnt` in a `C_b = cb` layout: within one channel block
+/// consecutive channels sit one float apart, so the hot loop reads each run
+/// with one slice.
+fn runs(r0: usize, cnt: usize, cb: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        (i < cnt).then(|| {
+            let run = (cb - (r0 + i) % cb).min(cnt - i);
+            i += run;
+            (i - run, run)
+        })
+    })
+}
+
+/// Native lowering of [`crate::kernels::data::run`]: the same
+/// [`TileWalk`], data ops executed on host memory.
+pub(crate) fn run_data(
     cfg: &KernelConfig,
     p: &ConvProblem,
     arena: &mut Arena,
-    src: &ActTensor,
-    wei: &WeiTensor,
-    dst: &ActTensor,
-    n_range: Range<usize>,
+    t: &ConvTensors,
+    images: Range<usize>,
     counters: &mut InstCounters,
 ) {
-    debug_assert!(!cfg.wei_swapped);
-    let (oh, ow) = (p.oh(), p.ow());
-    let vl_max = cfg.vl;
-    let oc_vblocks = p.oc.div_ceil(vl_max);
-    let (rb_w, rb_h) = (cfg.rb.rb_w, cfg.rb.rb_h);
-    let tile = cfg.tile;
-    let kh_blocks = p.kh.div_ceil(tile.kh_i);
-    let kw_blocks = p.kw.div_ceil(tile.kw_i);
-    let ic_chunks = p.ic.div_ceil(tile.c_i);
-    let mut accs = AccFile::new(rb_w * rb_h, vl_max);
+    let walk = TileWalk::new(cfg, p, images);
+    let (acc_t, sca_t) = walk.roles(t);
+    // The weights are read-only here: one host copy per call lets the
+    // per-(kh, kw) table of weight vectors outlive the arena writes of each
+    // tile's writeback, so no tile allocates.
+    let wei = &t.wei;
+    let wmem = arena.slice(wei.base, wei.elems_padded()).to_vec();
+    let mut wvs: Vec<&[f32]> = Vec::with_capacity(cfg.tile.c_i);
+    let mut accs = AccFile::new(walk.block_regs(), cfg.vl);
+    let cb = sca_t.layout.cb;
+    for tile in walk.tiles() {
+        let Tile {
+            n,
+            vb,
+            c0,
+            vl,
+            r0,
+            r_cnt,
+            kh0,
+            kh_cnt,
+            kw0,
+            kw_cnt,
+            y0,
+            rbh,
+            x0,
+            rbw,
+            ..
+        } = tile;
 
-    for n in n_range {
-        for ocv in 0..oc_vblocks {
-            let vl = vl_max.min(p.oc - ocv * vl_max);
-            let c0 = ocv * vl_max;
-            for icc in 0..ic_chunks {
-                let ic0 = icc * tile.c_i;
-                let ic_cnt = tile.c_i.min(p.ic - ic0);
-                // Partition the `ic` chunk into address-contiguous runs
-                // (within one `C_b` block consecutive channels sit 1 float
-                // apart) — fixed for the whole chunk, so the hot loop reads
-                // each run with one slice and a precomputed offset.
-                let src_cb = src.layout.cb;
-                let runs: Vec<(usize, usize)> = {
-                    let mut v = Vec::new();
-                    let mut i = 0;
-                    while i < ic_cnt {
-                        let run = (src_cb - (ic0 + i) % src_cb).min(ic_cnt - i);
-                        v.push((i, run));
-                        i += run;
-                    }
-                    v
-                };
-                for khb in 0..kh_blocks {
-                    let kh0 = khb * tile.kh_i;
-                    let kh_cnt = tile.kh_i.min(p.kh - kh0);
-                    for kwb in 0..kw_blocks {
-                        let kw0 = kwb * tile.kw_i;
-                        let kw_cnt = tile.kw_i.min(p.kw - kw0);
-                        let first_pass = icc == 0 && khb == 0 && kwb == 0;
-                        let mut oh0 = 0;
-                        while oh0 < oh {
-                            let rbh_cur = rb_h.min(oh - oh0);
-                            let mut ow0 = 0;
-                            while ow0 < ow {
-                                let rbw_cur = rb_w.min(ow - ow0);
+        // --- accumulator init (zero or reload partials).
+        if tile.first_pass {
+            accs.row(0, rbh * rbw, vl).fill(0.0);
+        } else {
+            load_block(
+                arena, acc_t, n, c0, y0, x0, rbh, rbw, vl, &mut accs, counters,
+            );
+        }
 
-                                // --- accumulator init (zero or reload partials).
-                                if first_pass {
-                                    accs.row(0, rbh_cur * rbw_cur, vl).fill(0.0);
-                                } else {
-                                    load_block(
-                                        arena, dst, n, c0, oh0, ow0, rbh_cur, rbw_cur, vl,
-                                        &mut accs, counters,
-                                    );
-                                }
-
-                                // --- inner (kh, kw, ic_i) loop, in the
-                                // simulator's exact per-accumulator tap
-                                // order: (kh, kw) outer, `ic` fastest. The
-                                // spatial position of an accumulator is free
-                                // to move outward — each accumulator only
-                                // sees its own taps — so the lowering walks
-                                // point-major: weight vectors resolved once
-                                // per (kh, kw), valid `h`/`w` ranges hoisted
-                                // to closed form (no per-point padding
-                                // checks), and per row each `ic` run sweeps
-                                // the valid accumulators with one address
-                                // increment per point. Runs iterate in
-                                // ascending `ic`, so every accumulator still
-                                // receives its taps `ic`-fastest. The weight
-                                // double-buffer is value-transparent: count
-                                // its pipelined loads, read at use; counters
-                                // batch in locals.
-                                counters.vloads += (kh_cnt * kw_cnt * ic_cnt) as u64;
-                                let mut taps = 0u64;
-                                {
-                                    let (sh, sw) = (p.stride_h, p.stride_w);
-                                    let wstep = (sw * src_cb * 4) as u64;
-                                    let mut wvs: Vec<&[f32]> = Vec::with_capacity(ic_cnt);
-                                    for kh in kh0..kh0 + kh_cnt {
-                                        // Valid `h`: `ih = (oh0+h)*sh + kh - ph`
-                                        // must land in `[0, p.ih)`.
-                                        let need = p.pad_h as isize - kh as isize;
-                                        let oy_min = if need > 0 {
-                                            (need as usize).div_ceil(sh)
-                                        } else {
-                                            0
-                                        };
-                                        let h_lo = oy_min.saturating_sub(oh0);
-                                        let top =
-                                            p.ih as isize - 1 + p.pad_h as isize - kh as isize;
-                                        let h_hi = if top < 0 {
-                                            0
-                                        } else {
-                                            let oy_max = top as usize / sh;
-                                            if oy_max < oh0 {
-                                                0
-                                            } else {
-                                                rbh_cur.min(oy_max - oh0 + 1)
-                                            }
-                                        };
-                                        if h_lo >= h_hi {
-                                            continue;
-                                        }
-                                        for kw in kw0..kw0 + kw_cnt {
-                                            let iw_base =
-                                                (ow0 * sw + kw) as isize - p.pad_w as isize;
-                                            let w_lo = if iw_base < 0 {
-                                                ((-iw_base) as usize).div_ceil(sw)
-                                            } else {
-                                                0
-                                            };
-                                            let right = p.iw as isize - 1 - iw_base;
-                                            let w_hi = if right < 0 {
-                                                0
-                                            } else {
-                                                rbw_cur.min(right as usize / sw + 1)
-                                            };
-                                            if w_lo >= w_hi {
-                                                continue;
-                                            }
-                                            wvs.clear();
-                                            for ic in ic0..ic0 + ic_cnt {
-                                                let w_addr = wei.oc_vector_at(ocv, ic, kh, kw);
-                                                wvs.push(arena.slice(w_addr, vl));
-                                            }
-                                            taps += ((h_hi - h_lo) * (w_hi - w_lo) * ic_cnt) as u64;
-                                            let iw_lo = (iw_base + (w_lo * sw) as isize) as usize;
-                                            for h in h_lo..h_hi {
-                                                let ih = (oh0 + h) * sh + kh - p.pad_h;
-                                                let acc_row = accs.row(h * rbw_cur, rbw_cur, vl);
-                                                let acc_span = &mut acc_row[w_lo * vl..w_hi * vl];
-                                                for &(i, run) in &runs {
-                                                    let mut saddr = src.at(n, ic0 + i, ih, iw_lo);
-                                                    let wv = &wvs[i..i + run];
-                                                    for acc in acc_span.chunks_exact_mut(vl) {
-                                                        fma_run(acc, wv, arena.slice(saddr, run));
-                                                        saddr += wstep;
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                                counters.scalar_loads += taps;
-                                counters.vfmas += taps;
-                                counters.fma_elems += taps * vl as u64;
-
-                                // --- write partial sums back.
-                                store_block(
-                                    arena, dst, n, c0, oh0, ow0, rbh_cur, rbw_cur, vl, &accs,
-                                    counters,
-                                );
-                                ow0 += rb_w;
+        // --- inner (kh, kw, c_i) loop, in the simulator's exact
+        // per-accumulator tap order: (kh, kw) outer, `c` fastest. The
+        // spatial position of an accumulator is free to move outward — each
+        // accumulator only sees its own taps — so the lowering walks
+        // point-major: weight vectors resolved once per (kh, kw), the reached
+        // rows and columns taken from the walk's tap maps (no per-point
+        // checks), and per row each channel run sweeps the reached
+        // accumulators with one address increment per point. Runs iterate
+        // in ascending `c`, so every accumulator still receives its taps
+        // `c`-fastest. The weight double-buffer is value-transparent: count
+        // its pipelined loads, read at use; counters batch in locals.
+        counters.vloads += (kh_cnt * kw_cnt * r_cnt) as u64;
+        let mut taps = 0u64;
+        for kh in kh0..kh0 + kh_cnt {
+            let rows = walk.rows.reach(y0, rbh, kh);
+            if rows.count == 0 {
+                continue;
+            }
+            for kw in kw0..kw0 + kw_cnt {
+                let cols = walk.cols.reach(x0, rbw, kw);
+                if cols.count == 0 {
+                    continue;
+                }
+                wvs.clear();
+                wvs.extend((r0..r0 + r_cnt).map(|c| {
+                    let at = ((wei.oc_vector_at(vb, c, kh, kw) - wei.base) / 4) as usize;
+                    &wmem[at..at + vl]
+                }));
+                taps += (rows.count * cols.count * r_cnt) as u64;
+                let sstep = (cols.coord_step * cb * 4) as u64;
+                for (h, y) in rows.iter() {
+                    let acc_row = accs.row(h * rbw, rbw, vl);
+                    for (i, run) in runs(r0, r_cnt, cb) {
+                        let mut saddr = sca_t.at(n, r0 + i, y, cols.coord);
+                        let wv = &wvs[i..i + run];
+                        if cols.step == 1 {
+                            // The reached accumulators are contiguous:
+                            // sweep them without per-point index checks.
+                            let span =
+                                &mut acc_row[cols.first * vl..(cols.first + cols.count) * vl];
+                            for acc in span.chunks_exact_mut(vl) {
+                                fma_run(acc, wv, arena.slice(saddr, run));
+                                saddr += sstep;
                             }
-                            oh0 += rb_h;
+                        } else {
+                            for (w, _) in cols.iter() {
+                                fma_run(
+                                    &mut acc_row[w * vl..(w + 1) * vl],
+                                    wv,
+                                    arena.slice(saddr, run),
+                                );
+                                saddr += sstep;
+                            }
                         }
                     }
                 }
             }
         }
+        counters.scalar_loads += taps;
+        counters.vfmas += taps;
+        counters.fma_elems += taps * vl as u64;
+
+        // --- write partial sums back.
+        store_block(arena, acc_t, n, c0, y0, x0, rbh, rbw, vl, &accs, counters);
     }
 }
 
-/// Native lowering of [`crate::kernels::bwd_data::run`]: vectorizes `IC`,
-/// register-blocks `(IW, IH)`, scalar stream walks `D_diff` through the
-/// shared [`producer`] coordinate mapping.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_bwd_data(
-    cfg: &KernelConfig,
-    p: &ConvProblem,
-    arena: &mut Arena,
-    src_diff: &ActTensor,
-    wei: &WeiTensor,
-    dst_diff: &ActTensor,
-    n_range: Range<usize>,
-    counters: &mut InstCounters,
-) {
-    debug_assert!(cfg.wei_swapped);
-    let (oh, ow) = (p.oh(), p.ow());
-    let vl_max = cfg.vl;
-    let ic_vblocks = p.ic.div_ceil(vl_max);
-    let (rb_w, rb_h) = (cfg.rb.rb_w, cfg.rb.rb_h);
-    let tile = cfg.tile;
-    let kh_blocks = p.kh.div_ceil(tile.kh_i);
-    let kw_blocks = p.kw.div_ceil(tile.kw_i);
-    let oc_chunks = p.oc.div_ceil(tile.c_i);
-    let mut accs = AccFile::new(rb_w * rb_h, vl_max);
-
-    for n in n_range {
-        for icv in 0..ic_vblocks {
-            let vl = vl_max.min(p.ic - icv * vl_max);
-            let c0 = icv * vl_max;
-            for occ in 0..oc_chunks {
-                let oc0 = occ * tile.c_i;
-                let oc_cnt = tile.c_i.min(p.oc - oc0);
-                // Address-contiguous `oc` runs, as in `run_fwd`.
-                let dd_cb = dst_diff.layout.cb;
-                let runs: Vec<(usize, usize)> = {
-                    let mut v = Vec::new();
-                    let mut i = 0;
-                    while i < oc_cnt {
-                        let run = (dd_cb - (oc0 + i) % dd_cb).min(oc_cnt - i);
-                        v.push((i, run));
-                        i += run;
-                    }
-                    v
-                };
-                for khb in 0..kh_blocks {
-                    let kh0 = khb * tile.kh_i;
-                    let kh_cnt = tile.kh_i.min(p.kh - kh0);
-                    for kwb in 0..kw_blocks {
-                        let kw0 = kwb * tile.kw_i;
-                        let kw_cnt = tile.kw_i.min(p.kw - kw0);
-                        let first_pass = occ == 0 && khb == 0 && kwb == 0;
-                        let mut ih0 = 0;
-                        while ih0 < p.ih {
-                            let rbh_cur = rb_h.min(p.ih - ih0);
-                            let mut iw0 = 0;
-                            while iw0 < p.iw {
-                                let rbw_cur = rb_w.min(p.iw - iw0);
-
-                                if first_pass {
-                                    accs.row(0, rbh_cur * rbw_cur, vl).fill(0.0);
-                                } else {
-                                    load_block(
-                                        arena, src_diff, n, c0, ih0, iw0, rbh_cur, rbw_cur, vl,
-                                        &mut accs, counters,
-                                    );
-                                }
-
-                                // Same point-major hot-loop shape as
-                                // `run_fwd` (per-accumulator tap order is
-                                // (kh, kw) outer, `oc` fastest): weight
-                                // vectors resolved once per (kh, kw), each
-                                // `oc` run sweeps the valid accumulators
-                                // with one address increment per point (the
-                                // producing `ox` step by 1 while the valid
-                                // `w` step by `stride_w`), counters batch in
-                                // locals.
-                                counters.vloads += (kh_cnt * kw_cnt * oc_cnt) as u64;
-                                let mut taps = 0u64;
-                                {
-                                    let dstep = (dd_cb * 4) as u64;
-                                    let mut wvs: Vec<&[f32]> = Vec::with_capacity(oc_cnt);
-                                    for kh in kh0..kh0 + kh_cnt {
-                                        for kw in kw0..kw0 + kw_cnt {
-                                            // Strength-reduced [`producer`]:
-                                            // within a register-block row the
-                                            // valid `w` step by `stride_w`
-                                            // while `ox` steps by 1, so the
-                                            // per-point div/mod disappears.
-                                            let tw0 = (iw0 + p.pad_w) as isize - kw as isize;
-                                            let sw = p.stride_w as isize;
-                                            let w_start = if tw0 >= 0 {
-                                                ((sw - tw0 % sw) % sw) as usize
-                                            } else {
-                                                (-tw0) as usize
-                                            };
-                                            let ox_start = ((tw0 + w_start as isize) / sw) as usize;
-                                            if w_start >= rbw_cur || ox_start >= ow {
-                                                continue;
-                                            }
-                                            let cnt = (rbw_cur - w_start)
-                                                .div_ceil(p.stride_w)
-                                                .min(ow - ox_start);
-                                            wvs.clear();
-                                            for oc in oc0..oc0 + oc_cnt {
-                                                // Role-swapped: "oc" slot indexes IC blocks.
-                                                let w_addr = wei.oc_vector_at(icv, oc, kh, kw);
-                                                wvs.push(arena.slice(w_addr, vl));
-                                            }
-                                            for h in 0..rbh_cur {
-                                                let Some(oy) =
-                                                    producer(ih0 + h, kh, p.pad_h, p.stride_h, oh)
-                                                else {
-                                                    continue;
-                                                };
-                                                taps += (cnt * oc_cnt) as u64;
-                                                let acc_row = accs.row(h * rbw_cur, rbw_cur, vl);
-                                                if p.stride_w == 1 {
-                                                    // Unit stride: the valid
-                                                    // accumulators are
-                                                    // contiguous — sweep them
-                                                    // without per-point index
-                                                    // checks.
-                                                    let span = &mut acc_row
-                                                        [w_start * vl..(w_start + cnt) * vl];
-                                                    for &(i, run) in &runs {
-                                                        let mut daddr =
-                                                            dst_diff.at(n, oc0 + i, oy, ox_start);
-                                                        let wv = &wvs[i..i + run];
-                                                        for acc in span.chunks_exact_mut(vl) {
-                                                            fma_run(
-                                                                acc,
-                                                                wv,
-                                                                arena.slice(daddr, run),
-                                                            );
-                                                            daddr += dstep;
-                                                        }
-                                                    }
-                                                } else {
-                                                    for &(i, run) in &runs {
-                                                        let mut daddr =
-                                                            dst_diff.at(n, oc0 + i, oy, ox_start);
-                                                        let wv = &wvs[i..i + run];
-                                                        let mut w = w_start;
-                                                        for _ in 0..cnt {
-                                                            fma_run(
-                                                                &mut acc_row[w * vl..(w + 1) * vl],
-                                                                wv,
-                                                                arena.slice(daddr, run),
-                                                            );
-                                                            daddr += dstep;
-                                                            w += p.stride_w;
-                                                        }
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                                counters.scalar_loads += taps;
-                                counters.vfmas += taps;
-                                counters.fma_elems += taps * vl as u64;
-
-                                store_block(
-                                    arena, src_diff, n, c0, ih0, iw0, rbh_cur, rbw_cur, vl, &accs,
-                                    counters,
-                                );
-                                iw0 += rb_w;
-                            }
-                            ih0 += rb_h;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Native lowering of [`crate::kernels::bwd_weights::run`]: vectorizes the
-/// larger feature-map dimension, `RB_c` accumulator chains held across the
-/// whole `(n, oh, ow)` reduction, one store per finished `W_diff` vector.
-#[allow(clippy::too_many_arguments)]
+/// Native lowering of [`crate::kernels::bwd_weights::run`]: the same
+/// [`WeightWalk`], `RB_c` accumulator chains held across the whole
+/// `(n, oh, ow)` reduction, one store per finished `W_diff` vector.
 pub(crate) fn run_bwd_weights(
     cfg: &KernelConfig,
     p: &ConvProblem,
     arena: &mut Arena,
-    src: &ActTensor,
-    wei_diff: &WeiTensor,
-    dst_diff: &ActTensor,
+    t: &ConvTensors,
     small_blocks: Range<usize>,
-    n_range: Range<usize>,
+    images: Range<usize>,
     counters: &mut InstCounters,
 ) {
-    let (oh, ow) = (p.oh(), p.ow());
+    let walk = WeightWalk::new(cfg, p, small_blocks);
+    let (vec_t, sca_t) = walk.roles(t);
     let vl_max = cfg.vl;
-    let (c_vec, c_small) = if cfg.vec_over_ic {
-        (p.ic, p.oc)
-    } else {
-        (p.oc, p.ic)
-    };
-    let vec_blocks = c_vec.div_ceil(vl_max);
-    let rb_c = cfg.rb_c;
-    let (vec_t, sca_t) = if cfg.vec_over_ic {
-        (src, dst_diff)
-    } else {
-        (dst_diff, src)
-    };
     let lanes_max = act_vec_lanes(vec_t, vl_max);
-    let mut accs = AccFile::new(rb_c, vl_max);
+    let mut accs = AccFile::new(cfg.rb_c, vl_max);
     let mut vbuf = vec![0.0f32; lanes_max.max(vl_max)];
+    let (vec_cb, sca_cb) = (vec_t.layout.cb, sca_t.layout.cb);
 
-    for cvb in 0..vec_blocks {
-        let vl = vl_max.min(c_vec - cvb * vl_max);
-        let c0 = cvb * vl_max;
-        for csb in small_blocks.clone() {
-            let cs0 = csb * rb_c;
-            if cs0 >= c_small {
-                break;
-            }
-            let rb_cur = rb_c.min(c_small - cs0);
-            let vec_cb = vec_t.layout.cb;
-            let sca_cb = sca_t.layout.cb;
-            // The `rb_cur` scalar channels are address-consecutive when they
-            // sit in one channel block — the common case, read via one slice.
-            let sca_contig = cs0 % sca_cb + rb_cur <= sca_cb;
-            for kh in 0..p.kh {
-                // Valid output rows for this tap in closed form: `ih = oy*sh
-                // + kh - ph` must land in `[0, p.ih)`. Hoisting the bounds
-                // replaces the per-point padding checks of the simulator's
-                // enumeration (which visits the same points, in the same
-                // order) with dense loops over the valid rectangle.
-                let oy_lo = if p.pad_h > kh {
-                    (p.pad_h - kh).div_ceil(p.stride_h)
-                } else {
-                    0
-                };
-                let top = p.ih as isize - 1 + p.pad_h as isize - kh as isize;
-                let oy_hi = if top < 0 {
-                    0
-                } else {
-                    oh.min(top as usize / p.stride_h + 1)
-                };
-                for kw in 0..p.kw {
-                    let ox_lo = if p.pad_w > kw {
-                        (p.pad_w - kw).div_ceil(p.stride_w)
+    for tap in walk.taps() {
+        let WeightTap {
+            vb,
+            c0,
+            vl,
+            cs0,
+            rb_cur,
+            kh,
+            kw,
+            rows,
+            cols,
+            ..
+        } = tap;
+        // The `rb_cur` scalar channels are address-consecutive when they sit
+        // in one channel block — the common case, read via one slice.
+        let sca_contig = cs0 % sca_cb + rb_cur <= sca_cb;
+        let points = (images.len() * rows.count * cols.count) as u64;
+        accs.row(0, rb_cur, vl).fill(0.0);
+        // The spatial sweep over the tap's valid rectangle: per point one
+        // vector load of the vectorized activations (software-pipelined in
+        // the simulator — each point is loaded exactly once either way) and
+        // `rb_cur` scalar-load + FMA pairs, in the walk's order.
+        if vec_cb >= vl && sca_contig && cols.count > 0 {
+            // Fast path: both operands are contiguous arena slices whose
+            // addresses advance by a fixed stride per output column — hoist
+            // the layout math to one base address per row and step
+            // incrementally (the `cols.count > 0` guard keeps the hoisted
+            // base addresses in bounds when the tap reaches no column).
+            let vstep = ((if cfg.vec_over_ic { cols.coord_step } else { 1 }) * vec_cb * 4) as u64;
+            let sstep = ((if cfg.vec_over_ic { 1 } else { cols.coord_step }) * sca_cb * 4) as u64;
+            let voff = ((c0 % vec_cb) as u64) * 4;
+            let acc_row = accs.row(0, rb_cur, vl);
+            for n in images.clone() {
+                for (oy, ih) in rows.iter() {
+                    let (ox0, iw0) = (cols.first, cols.coord);
+                    let ((y, x0), (sy, sx0)) = if cfg.vec_over_ic {
+                        ((ih, iw0), (oy, ox0))
                     } else {
-                        0
+                        ((oy, ox0), (ih, iw0))
                     };
-                    let right = p.iw as isize - 1 + p.pad_w as isize - kw as isize;
-                    let ox_hi = if right < 0 {
-                        0
-                    } else {
-                        ow.min(right as usize / p.stride_w + 1)
-                    };
-                    let (oy_cnt, ox_cnt) =
-                        (oy_hi.saturating_sub(oy_lo), ox_hi.saturating_sub(ox_lo));
-                    let points = (n_range.len() * oy_cnt * ox_cnt) as u64;
-                    accs.row(0, rb_cur, vl).fill(0.0);
-                    // The spatial sweep: per valid point one vector load of
-                    // the vectorized activations (software-pipelined in the
-                    // simulator — each point is loaded exactly once either
-                    // way) and `rb_cur` scalar-load + FMA pairs, in
-                    // enumeration order.
-                    if vec_cb >= vl && sca_contig && ox_cnt > 0 {
-                        // Fast path: both operands are contiguous arena
-                        // slices whose addresses advance by a fixed stride
-                        // per output column — hoist the layout math to one
-                        // base address per row and step incrementally (the
-                        // `ox_cnt > 0` guard keeps the hoisted `ox_lo` base
-                        // addresses in bounds when the tap has no valid
-                        // columns at all).
-                        let vstep =
-                            ((if cfg.vec_over_ic { p.stride_w } else { 1 }) * vec_cb * 4) as u64;
-                        let sstep =
-                            ((if cfg.vec_over_ic { 1 } else { p.stride_w }) * sca_cb * 4) as u64;
-                        let voff = ((c0 % vec_cb) as u64) * 4;
-                        let acc_row = accs.row(0, rb_cur, vl);
-                        for n in n_range.clone() {
-                            for oy in oy_lo..oy_hi {
-                                let ih = oy * p.stride_h + kh - p.pad_h;
-                                let iw0 = ox_lo * p.stride_w + kw - p.pad_w;
-                                let (y, x0) = if cfg.vec_over_ic {
-                                    (ih, iw0)
-                                } else {
-                                    (oy, ox_lo)
-                                };
-                                let (sy, sx0) = if cfg.vec_over_ic {
-                                    (oy, ox_lo)
-                                } else {
-                                    (ih, iw0)
-                                };
-                                let mut vaddr = vec_t.block_at(n, c0 / vec_cb, y, x0) + voff;
-                                let mut saddr = sca_t.at(n, cs0, sy, sx0);
-                                for _ in 0..ox_cnt {
-                                    let vs = arena.slice(vaddr, vl);
-                                    let svals = arena.slice(saddr, rb_cur);
-                                    fma_sweep(acc_row, vs, svals, vl);
-                                    vaddr += vstep;
-                                    saddr += sstep;
-                                }
-                            }
-                        }
-                    } else {
-                        for n in n_range.clone() {
-                            for oy in oy_lo..oy_hi {
-                                let ih = oy * p.stride_h + kh - p.pad_h;
-                                for ox in ox_lo..ox_hi {
-                                    let iw = ox * p.stride_w + kw - p.pad_w;
-                                    let (y, x) = if cfg.vec_over_ic { (ih, iw) } else { (oy, ox) };
-                                    let vslice: &[f32] = if vec_cb >= vl {
-                                        let addr = vec_t.block_at(n, c0 / vec_cb, y, x)
-                                            + ((c0 % vec_cb) as u64) * 4;
-                                        arena.slice(addr, vl)
-                                    } else {
-                                        gather_blocks(arena, vec_t, n, c0, y, x, vl, &mut vbuf);
-                                        &vbuf
-                                    };
-                                    let (sy, sx) =
-                                        if cfg.vec_over_ic { (oy, ox) } else { (ih, iw) };
-                                    let vs = &vslice[..vl];
-                                    if sca_contig {
-                                        let svals = arena.slice(sca_t.at(n, cs0, sy, sx), rb_cur);
-                                        fma_sweep(accs.row(0, rb_cur, vl), vs, svals, vl);
-                                    } else {
-                                        for c in 0..rb_cur {
-                                            let sv = arena.read(sca_t.at(n, cs0 + c, sy, sx));
-                                            fma_bcast(accs.reg(c, vl), vs, sv);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if vec_cb >= vl {
-                        counters.vloads += points;
-                    } else {
-                        counters.gathers += points;
-                    }
-                    counters.scalar_loads += points * rb_cur as u64;
-                    counters.vfmas += points * rb_cur as u64;
-                    counters.fma_elems += points * (rb_cur * vl) as u64;
-                    for j in 0..rb_cur {
-                        counters.vstores += 1;
-                        let addr = wei_diff.oc_vector_at(cvb, cs0 + j, kh, kw);
-                        arena.store_slice(addr, accs.reg(j, vl));
+                    let mut vaddr = vec_t.block_at(n, c0 / vec_cb, y, x0) + voff;
+                    let mut saddr = sca_t.at(n, cs0, sy, sx0);
+                    for _ in 0..cols.count {
+                        let vs = arena.slice(vaddr, vl);
+                        let svals = arena.slice(saddr, rb_cur);
+                        fma_sweep(acc_row, vs, svals, vl);
+                        vaddr += vstep;
+                        saddr += sstep;
                     }
                 }
             }
+        } else {
+            for n in images.clone() {
+                for (oy, ih) in rows.iter() {
+                    for (ox, iw) in cols.iter() {
+                        let (y, x) = if cfg.vec_over_ic { (ih, iw) } else { (oy, ox) };
+                        let vslice: &[f32] = if vec_cb >= vl {
+                            let addr =
+                                vec_t.block_at(n, c0 / vec_cb, y, x) + ((c0 % vec_cb) as u64) * 4;
+                            arena.slice(addr, vl)
+                        } else {
+                            gather_blocks(arena, vec_t, n, c0, y, x, vl, &mut vbuf);
+                            &vbuf
+                        };
+                        let (sy, sx) = if cfg.vec_over_ic { (oy, ox) } else { (ih, iw) };
+                        let vs = &vslice[..vl];
+                        if sca_contig {
+                            let svals = arena.slice(sca_t.at(n, cs0, sy, sx), rb_cur);
+                            fma_sweep(accs.row(0, rb_cur, vl), vs, svals, vl);
+                        } else {
+                            for c in 0..rb_cur {
+                                let sv = arena.read(sca_t.at(n, cs0 + c, sy, sx));
+                                fma_bcast(accs.reg(c, vl), vs, sv);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if vec_cb >= vl {
+            counters.vloads += points;
+        } else {
+            counters.gathers += points;
+        }
+        counters.scalar_loads += points * rb_cur as u64;
+        counters.vfmas += points * rb_cur as u64;
+        counters.fma_elems += points * (rb_cur * vl) as u64;
+        for j in 0..rb_cur {
+            counters.vstores += 1;
+            let addr = t.wei.oc_vector_at(vb, cs0 + j, kh, kw);
+            arena.store_slice(addr, accs.reg(j, vl));
         }
     }
 }

@@ -371,23 +371,12 @@ impl ConvPrimitive {
     ) {
         let p = &self.desc.problem;
         match self.desc.direction {
-            Direction::Fwd => {
-                kernels::fwd::run(&self.cfg, p, core, arena, &t.src, &t.wei, &t.dst, n_range)
+            Direction::Fwd | Direction::BwdData => {
+                kernels::data::run(&self.cfg, p, core, arena, t, n_range)
             }
-            Direction::BwdData => {
-                kernels::bwd_data::run(&self.cfg, p, core, arena, &t.src, &t.wei, &t.dst, n_range)
+            Direction::BwdWeights => {
+                kernels::bwd_weights::run(&self.cfg, p, core, arena, t, small_blocks, n_range)
             }
-            Direction::BwdWeights => kernels::bwd_weights::run(
-                &self.cfg,
-                p,
-                core,
-                arena,
-                &t.src,
-                &t.wei,
-                &t.dst,
-                small_blocks,
-                n_range,
-            ),
         }
     }
 

@@ -1,6 +1,7 @@
 //! Convolution problem descriptors (Section 2's tensor-shape conventions).
 
 use std::fmt;
+use std::ops::Range;
 
 /// Training pass direction (Section 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,11 +96,10 @@ pub struct ConvProblem {
 
 impl ConvProblem {
     /// Construct a problem with symmetric stride and padding (the paper's
-    /// geometry domain); validates that the output shape is non-empty.
+    /// geometry domain).
     ///
     /// # Panics
-    /// Panics if the geometry is degenerate (zero dims, stride 0, or the
-    /// padded input is smaller than the kernel).
+    /// Panics where [`ConvProblem::try_new`] returns an error.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         n: usize,
@@ -120,8 +120,7 @@ impl ConvProblem {
     /// padding).
     ///
     /// # Panics
-    /// Panics if the geometry is degenerate (zero dims, a zero stride, or a
-    /// padded input axis smaller than the kernel axis).
+    /// Panics where [`ConvProblem::try_new`] returns an error.
     #[allow(clippy::too_many_arguments)]
     pub fn new_asym(
         n: usize,
@@ -136,13 +135,43 @@ impl ConvProblem {
         pad_h: usize,
         pad_w: usize,
     ) -> Self {
-        assert!(n > 0 && ic > 0 && oc > 0 && ih > 0 && iw > 0 && kh > 0 && kw > 0);
-        assert!(stride_h > 0 && stride_w > 0, "stride must be positive");
-        assert!(
-            ih + 2 * pad_h >= kh && iw + 2 * pad_w >= kw,
-            "kernel larger than padded input"
-        );
-        Self {
+        Self::try_new(n, ic, oc, ih, iw, kh, kw, stride_h, stride_w, pad_h, pad_w)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The one validity rule of a problem: every dimension and stride is
+    /// positive and the kernel fits the padded input on both axes, so the
+    /// output shape is non-empty. Returns the violated rule otherwise.
+    #[allow(clippy::too_many_arguments)]
+    pub fn try_new(
+        n: usize,
+        ic: usize,
+        oc: usize,
+        ih: usize,
+        iw: usize,
+        kh: usize,
+        kw: usize,
+        stride_h: usize,
+        stride_w: usize,
+        pad_h: usize,
+        pad_w: usize,
+    ) -> Result<Self, String> {
+        if [n, ic, oc, ih, iw, kh, kw].contains(&0) {
+            return Err(format!(
+                "minibatch, channels, image and kernel sizes must be positive \
+                 (n {n}, ic {ic}, oc {oc}, ih {ih}, iw {iw}, kh {kh}, kw {kw})"
+            ));
+        }
+        if stride_h == 0 || stride_w == 0 {
+            return Err("stride must be positive".to_string());
+        }
+        if ih + 2 * pad_h < kh || iw + 2 * pad_w < kw {
+            return Err(format!(
+                "kernel larger than padded input ({kh}x{kw} kernel, \
+                 {ih}x{iw} input padded by {pad_h}x{pad_w})"
+            ));
+        }
+        Ok(Self {
             n,
             ic,
             oc,
@@ -154,7 +183,7 @@ impl ConvProblem {
             stride_w,
             pad_h,
             pad_w,
-        }
+        })
     }
 
     /// Same problem with a different minibatch size.
@@ -215,6 +244,20 @@ impl ConvProblem {
             }
         }
     }
+}
+
+/// Output positions `o` in `0..out` whose input coordinate
+/// `o * stride + k - pad` falls inside `0..len`, for kernel offset `k`: the
+/// outputs kernel tap `k` reaches along one axis. Every backend and the
+/// naive reference derive tap validity from this one function.
+pub fn taps(out: usize, stride: usize, k: usize, pad: usize, len: usize) -> Range<usize> {
+    let lo = pad.saturating_sub(k).div_ceil(stride);
+    let hi = if len + pad > k {
+        ((len + pad - k - 1) / stride + 1).min(out)
+    } else {
+        0
+    };
+    lo..hi.max(lo)
 }
 
 impl fmt::Display for ConvProblem {
@@ -325,6 +368,38 @@ mod tests {
         assert_eq!(p.to_string(), "n8ic64oc64ih56iw56kh3kw3s2p1");
         let q = ConvProblem::new_asym(8, 64, 64, 56, 56, 3, 3, 2, 1, 1, 0);
         assert_eq!(q.to_string(), "n8ic64oc64ih56iw56kh3kw3s2x1p1x0");
+    }
+
+    #[test]
+    fn try_new_names_the_violated_rule() {
+        let bad = |r: Result<ConvProblem, String>| r.unwrap_err();
+        assert!(bad(ConvProblem::try_new(0, 1, 1, 4, 4, 1, 1, 1, 1, 0, 0)).contains("positive"));
+        assert!(bad(ConvProblem::try_new(1, 1, 1, 4, 4, 1, 1, 0, 1, 0, 0)).contains("stride"));
+        assert!(
+            bad(ConvProblem::try_new(1, 1, 1, 2, 2, 5, 5, 1, 1, 1, 1)).contains("kernel larger")
+        );
+        assert_eq!(
+            ConvProblem::try_new(2, 3, 4, 8, 8, 3, 3, 1, 1, 1, 1),
+            Ok(ConvProblem::new(2, 3, 4, 8, 8, 3, 3, 1, 1))
+        );
+    }
+
+    #[test]
+    fn taps_cover_exactly_the_in_image_outputs() {
+        for (out, stride, k, pad, len) in [
+            (4, 1, 0, 1, 4),
+            (4, 1, 2, 1, 4),
+            (2, 3, 0, 0, 4),
+            (3, 2, 4, 4, 2),
+            (5, 1, 0, 4, 2),
+        ] {
+            let want: Vec<usize> = (0..out)
+                .filter(|&o| {
+                    (0..len as isize).contains(&((o * stride + k) as isize - pad as isize))
+                })
+                .collect();
+            assert_eq!(taps(out, stride, k, pad, len).collect::<Vec<_>>(), want);
+        }
     }
 
     #[test]

@@ -339,7 +339,7 @@ mod tests {
     fn lint_schema_accepts_entries_and_catches_drift() {
         let good = r#"[
           {"layer": 0, "problem": "8x64x64x28x28 k3 s1 p1", "direction": "fwdd",
-           "algorithm": "DC", "vlen_bits": 16384, "replayed": false,
+           "algorithm": "DC", "vlen_bits": 16384,
            "deny": 0, "warn": 1, "note": 0,
            "diagnostics": [
              {"rule": "DEAD-WRITE", "severity": "warn", "message": "x"}
@@ -350,8 +350,8 @@ mod tests {
         // An unknown rule string is drift: the enum pins the wire format.
         let drifted = good.replace("DEAD-WRITE", "DEAD-WRITES");
         assert!(validate_lint_json(&drifted).is_err());
-        // Dropping a required member (the static-path marker) is drift too.
-        let missing = good.replace("\"replayed\": false,", "");
+        // Dropping a required member is drift too.
+        let missing = good.replace("\"vlen_bits\": 16384,", "");
         assert!(validate_lint_json(&missing).is_err());
         assert!(validate_lint_json("[{]").is_err());
     }

@@ -20,7 +20,7 @@
 //! * [`conv`] — the paper's contribution: DC, BDC, MBDC, the auto-tuner and
 //!   the oneDNN-style primitive API.
 //! * [`analyze`] — static kernel verifier + lint framework (Formula 3/4
-//!   lints, layout contracts, trace sanitizers).
+//!   lints, layout contracts, recorded-stream proofs).
 //! * [`obs`] — profile exporters for the region profiler (Perfetto traces,
 //!   folded flamegraph stacks, schema-validated `profile.json`).
 //! * [`vednn`] — the baseline proprietary-library stand-in.

@@ -9,11 +9,12 @@
 //! deny-linter enabled exactly as the CLI runs it.
 
 use lsvconv::analyze::deny_validator;
-use lsvconv::conv::fuzz::{run_corpus, run_fuzz, seed_corpus};
+use lsvconv::conv::fuzz::{run_corpus_backend, run_fuzz_backend, seed_corpus};
+use lsvconv::conv::BackendKind;
 
 #[test]
 fn seed_corpus_replays_clean_under_lint() {
-    let out = run_corpus(&deny_validator);
+    let out = run_corpus_backend(&deny_validator, None, BackendKind::Sim);
     assert!(
         out.clean(),
         "corpus violations:\n{}",
@@ -54,7 +55,7 @@ fn corpus_spans_the_irregular_geometry_axes() {
 fn short_randomized_run_is_clean() {
     // A bounded randomized slice in tier-1 (the full 500-case sweep runs in
     // CI via `lsvconv fuzz`); fixed seed keeps it deterministic.
-    let out = run_fuzz(40, 0xC0FFEE, &deny_validator);
+    let out = run_fuzz_backend(40, 0xC0FFEE, &deny_validator, None, BackendKind::Sim);
     assert!(out.clean(), "failures: {:?}", out.failures);
     assert_eq!(out.cases_run, 40);
 }
