@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release"
 cargo build --release --workspace
 
+echo "== lsvbench golden ledger (smoke: a few items of every workload)"
+# Exits 1 on any mismatch against the golden ledger, a results/ row or a
+# replay checksum.
+./target/release/lsvbench --workload all --smoke
+
 echo "== cargo test"
 cargo test --workspace -q
 

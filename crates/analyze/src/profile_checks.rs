@@ -95,7 +95,7 @@ mod tests {
 
     fn profiled_run() -> (RegionProfile, CoreStats) {
         let arch = sx_aurora();
-        let mut core = VCore::new(&arch, ExecutionMode::TimingOnly, 1);
+        let mut core = VCore::new(&arch, ExecutionMode::TimingOnly);
         core.enable_profiler();
         core.region_enter("a");
         core.scalar_ops(7);

@@ -216,7 +216,7 @@ fn check_layout_contracts(
             }
             let c_probe = c.min(2 * cb + cb / 2).max(1);
             let mut arena = Arena::new();
-            let mut core = VCore::new(arch, ExecutionMode::Functional, 1);
+            let mut core = VCore::new(arch, ExecutionMode::Functional);
             let nchw = ActTensor::alloc(&mut arena, 1, c_probe, 2, 2, ActivationLayout::nchw());
             let blocked = ActTensor::alloc(&mut arena, 1, c_probe, 2, 2, ActivationLayout { cb });
             let back = ActTensor::alloc(&mut arena, 1, c_probe, 2, 2, ActivationLayout::nchw());

@@ -30,7 +30,7 @@ use crate::diagnostics::{CappedRule, Report, RuleId, Severity};
 use lsv_arch::ArchParams;
 use lsv_conv::multicore::partition_ranges;
 use lsv_conv::{ConvDesc, ConvProblem, Direction, KernelConfig};
-use lsv_vengine::{Arena, TraceEvent, VCore};
+use lsv_vengine::{Arena, ExecutionMode, TraceEvent, VCore};
 use std::ops::Range;
 
 /// Affine model of one arena region: an access recorded at offset `o` with
@@ -306,7 +306,8 @@ pub fn lift_kernel(arch: &ArchParams, p: &ConvProblem, cfg: &KernelConfig) -> (K
     let p1 = p.with_minibatch(1);
     let desc = ConvDesc::new(p1, cfg.direction, cfg.algorithm);
     let prim = desc.create_with_config(arch, *cfg, 1);
-    let mut arena = Arena::new();
+    // Introspection cores run timing-only and never move data.
+    let mut arena = Arena::for_mode(ExecutionMode::TimingOnly);
     let t = prim.alloc_tensors(&mut arena);
     let (regions, findings) = region_models(&arena, &t, p.n);
 

@@ -268,7 +268,7 @@ fn every_rule_id_has_a_demonstrated_firing() {
     fired.merge(check_stream(&stream, &symbolic_regions(1), 1, 64)); // OOB-ADDR
     fired.merge(analyze_dataflow(&stream, arch.n_vregs).0); // ACC-CLOBBER
 
-    let mut core = VCore::new(&arch, ExecutionMode::TimingOnly, 1);
+    let mut core = VCore::new(&arch, ExecutionMode::TimingOnly);
     core.enable_profiler();
     core.region_enter("r");
     core.scalar_ops(3);

@@ -216,7 +216,7 @@ pub fn analyze_kernel_replay(arch: &ArchParams, p: &ConvProblem, cfg: &KernelCon
     let prim = ConvDesc::new(p1, cfg.direction, cfg.algorithm).create_with_config(arch, *cfg, 1);
     let mut arena = Arena::new();
     let t = prim.alloc_tensors(&mut arena);
-    let mut core = VCore::new(arch, ExecutionMode::TimingOnly, 1);
+    let mut core = VCore::new(arch, ExecutionMode::TimingOnly);
     core.enable_trace();
     prim.execute_core(&mut core, &mut arena, &t, 0..1, 0..prim.bwdw_small_blocks());
     let trace = core.trace().expect("trace was enabled");

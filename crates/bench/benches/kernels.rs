@@ -17,7 +17,7 @@ fn bench_cache_hierarchy(c: &mut Criterion) {
     g.throughput(Throughput::Elements(10_000));
     g.bench_function("sequential_10k", |b| {
         b.iter_batched(
-            || Hierarchy::for_core(&arch, 1),
+            || Hierarchy::for_core(&arch),
             |mut h| {
                 for i in 0..10_000u64 {
                     std::hint::black_box(h.access_line(i * 128, false));
@@ -28,7 +28,7 @@ fn bench_cache_hierarchy(c: &mut Criterion) {
     });
     g.bench_function("thrashing_10k", |b| {
         b.iter_batched(
-            || Hierarchy::for_core(&arch, 1),
+            || Hierarchy::for_core(&arch),
             |mut h| {
                 for i in 0..10_000u64 {
                     std::hint::black_box(h.access_line((i % 24) * 2048 + (i / 24) * 4, false));
@@ -112,7 +112,7 @@ fn bench_scoreboard(c: &mut Criterion) {
     g.throughput(Throughput::Elements(10_000));
     g.bench_function("timing_only_10k", |b| {
         b.iter_batched(
-            || VCore::new(&arch, ExecutionMode::TimingOnly, 1),
+            || VCore::new(&arch, ExecutionMode::TimingOnly),
             |mut core| {
                 for i in 0..10_000usize {
                     core.vfma_bcast(i % 16, 30, ScalarValue::constant(1.0), 512);
@@ -124,7 +124,7 @@ fn bench_scoreboard(c: &mut Criterion) {
     });
     g.bench_function("functional_10k", |b| {
         b.iter_batched(
-            || VCore::new(&arch, ExecutionMode::Functional, 1),
+            || VCore::new(&arch, ExecutionMode::Functional),
             |mut core| {
                 for i in 0..10_000usize {
                     core.vfma_bcast(i % 16, 30, ScalarValue::constant(1.0), 512);

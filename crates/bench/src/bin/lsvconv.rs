@@ -173,7 +173,8 @@ fn backend_from_flags(flags: &Flags, cmd: &str, allow_native: bool) -> BackendKi
 
 /// Apply `--no-store` / `--store-dir <path>` before the first store access.
 /// Defaults come from the environment (`LSV_STORE`, `LSV_STORE_DIR`,
-/// `LSV_STORE_PARANOID`); the flags override it.
+/// `LSV_STORE_PARANOID`); the flags override it. A store directory that
+/// cannot be created is a usage error naming it.
 fn configure_store(flags: &Flags) {
     let mut cfg = lsv_conv::StoreConfig::from_env();
     match (flags.has("no-store"), flags.str("store-dir")) {
@@ -188,8 +189,9 @@ fn configure_store(flags: &Flags) {
         }
         (false, None) => {}
     }
-    // Infallible here: this runs before anything touches the store.
-    lsv_conv::store::configure(cfg).expect("store configured before first use");
+    // This runs before anything touches the store, so only the directory
+    // can fail.
+    lsv_conv::store::configure(cfg).unwrap_or_else(|e| usage(&e));
 }
 
 fn direction_by_name(name: Option<&str>) -> Direction {
@@ -423,6 +425,7 @@ fn main() {
         }
         "verify" => {
             let backend = backend_from_flags(&flags, "verify", true);
+            configure_store(&flags);
             let p = problem_from_flags(&flags, 2);
             let dir = direction_by_name(flags.str("dir"));
             match engine_by_name(flags.str("alg")) {

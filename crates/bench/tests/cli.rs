@@ -195,6 +195,32 @@ fn an_invalid_problem_is_a_usage_error_not_a_panic() {
 }
 
 #[test]
+fn an_uncreatable_store_dir_is_a_usage_error_not_a_panic() {
+    // No directory can be created under a regular file.
+    let dir = std::env::temp_dir().join(format!("lsv-store-dir-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("regular-file");
+    std::fs::write(&file, b"").expect("regular file");
+    let bad = file.join("sub");
+    let bad = bad.to_str().expect("utf-8 temp path");
+    let needle = format!("cannot create {bad}");
+    assert_usage_error(&["bench", "--layer", "0", "--store-dir", bad], &needle);
+    for cmd in ["bench", "verify"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_lsvconv-cli"))
+            .args([cmd, "--layer", "0"])
+            .env("LSV_STORE_DIR", bad)
+            .env_remove("LSV_STORE")
+            .output()
+            .expect("lsvconv runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "LSV_STORE_DIR {cmd}: {err}");
+        assert!(err.contains(&needle), "LSV_STORE_DIR {cmd}: {err}");
+        assert!(err.contains("usage: lsvconv"), "LSV_STORE_DIR {cmd}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_vector_width_off_the_32_bit_grid_is_a_usage_error() {
     assert_usage_error(
         &["bench", "--arch", "aurora-vl3", "--no-store"],

@@ -47,11 +47,14 @@ pub struct AccessOutcome {
 
 /// Per-core cache hierarchy.
 ///
-/// The LLC is physically shared between cores on the modelled machine; the
-/// multi-core scheduler in `lsv-conv` simulates one representative core and
-/// treats its LLC occupancy as that core's fair share (see DESIGN.md for the
-/// approximation note). `llc_shared_fraction` shrinks the private LLC model
-/// accordingly when more than one core is active.
+/// The LLC is physically shared between cores on the modelled machine.
+/// [`Hierarchy::for_core`] gives one core a private LLC of the full
+/// capacity (all 16 MB on SX-Aurora), not a fair share: the representative
+/// core of `lsv-conv`'s performance model runs without its peers' LLC
+/// traffic. DESIGN.md notes the approximation; the detailed multi-core
+/// simulation, which builds every core with
+/// [`Hierarchy::for_core_with_llc`] over one shared instance, measures the
+/// gap.
 #[derive(Debug)]
 pub struct Hierarchy {
     l1: SetAssocCache,
@@ -64,33 +67,10 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Build a hierarchy for one core of `arch`, with the LLC capacity
-    /// divided by `llc_share` (1 = whole LLC; `arch.cores` = fair share when
-    /// all cores are active).
-    pub fn for_core(arch: &ArchParams, llc_share: usize) -> Self {
-        assert!(llc_share >= 1, "llc_share must be at least 1");
-        let mut llc_geom = arch.llc;
-        if llc_share > 1 {
-            // Shrink capacity by reducing the number of sets, keeping
-            // associativity and line size (a reasonable model of competitive
-            // sharing among symmetric cores).
-            let shrunk = (arch.llc.size / llc_share).max(arch.llc.line * arch.llc.ways);
-            // Round down to a multiple of line*ways so the geometry stays valid.
-            let quantum = arch.llc.line * arch.llc.ways;
-            llc_geom = lsv_arch::CacheGeometry::new(
-                shrunk / quantum * quantum,
-                arch.llc.line,
-                arch.llc.ways,
-            );
-        }
-        Self {
-            l1: SetAssocCache::new(arch.l1d, true),
-            l2: SetAssocCache::new(arch.l2, false),
-            llc: Rc::new(RefCell::new(SetAssocCache::new(llc_geom, false))),
-            lat: arch.lat,
-            line: arch.l1d.line as u64,
-            prefetch_degree: 2,
-        }
+    /// Build a hierarchy for one core of `arch` with a private, full-capacity
+    /// LLC.
+    pub fn for_core(arch: &ArchParams) -> Self {
+        Self::for_core_with_llc(arch, shared_llc(arch))
     }
 
     /// Build a per-core hierarchy whose LLC is the given shared instance
@@ -380,7 +360,7 @@ mod tests {
     #[test]
     fn miss_walks_down_then_hits_up() {
         let arch = sx_aurora();
-        let mut h = Hierarchy::for_core(&arch, 1);
+        let mut h = Hierarchy::for_core(&arch);
         let first = h.access_line(0x1000, false);
         assert_eq!(first.level, Level::Mem);
         assert_eq!(first.latency, arch.lat.mem);
@@ -392,7 +372,7 @@ mod tests {
     #[test]
     fn l1_eviction_falls_back_to_l2() {
         let arch = sx_aurora();
-        let mut h = Hierarchy::for_core(&arch, 1);
+        let mut h = Hierarchy::for_core(&arch);
         // Fill one L1 set (2 ways, 32KB stride) with 3 lines, then revisit.
         h.access_line(0, false);
         h.access_line(32 * 1024, false);
@@ -403,21 +383,9 @@ mod tests {
     }
 
     #[test]
-    fn llc_share_shrinks_capacity() {
-        let arch = sx_aurora();
-        let h8 = Hierarchy::for_core(&arch, 8);
-        let h1 = Hierarchy::for_core(&arch, 1);
-        assert!(
-            h8.llc.borrow().geometry().size
-                <= h1.llc.borrow().geometry().size / 8 + arch.llc.line * arch.llc.ways
-        );
-        assert_eq!(h8.llc.borrow().geometry().ways, arch.llc.ways);
-    }
-
-    #[test]
     fn stats_mem_fetches_match_llc_misses() {
         let arch = sx_aurora();
-        let mut h = Hierarchy::for_core(&arch, 1);
+        let mut h = Hierarchy::for_core(&arch);
         h.set_prefetch_degree(0);
         for i in 0..100u64 {
             h.access_line(i * 128, false);
@@ -430,7 +398,7 @@ mod tests {
     #[test]
     fn next_line_prefetch_hides_sequential_stream() {
         let arch = sx_aurora();
-        let mut h = Hierarchy::for_core(&arch, 1);
+        let mut h = Hierarchy::for_core(&arch);
         for i in 0..99u64 {
             h.access_line(i * 128, false);
         }
@@ -439,7 +407,7 @@ mod tests {
         // stream misses only on its very first line.
         assert_eq!(s.l1.misses, 1, "prefetched stream misses once");
         // A 3-line-stride stream defeats the degree-2 prefetcher entirely.
-        let mut h2 = Hierarchy::for_core(&arch, 1);
+        let mut h2 = Hierarchy::for_core(&arch);
         for i in 0..50u64 {
             h2.access_line(0x100_0000 + i * 3 * 128, false);
         }
@@ -449,8 +417,8 @@ mod tests {
     #[test]
     fn range_llc_matches_per_line_walk() {
         let arch = sx_aurora();
-        let mut bulk = Hierarchy::for_core(&arch, 1);
-        let mut step = Hierarchy::for_core(&arch, 1);
+        let mut bulk = Hierarchy::for_core(&arch);
+        let mut step = Hierarchy::for_core(&arch);
         // Mixed unaligned ranges, re-touches and a write pass.
         let ranges = [
             (0x2000u64, 1024u64, false),
@@ -487,7 +455,7 @@ mod tests {
     #[test]
     fn reset_stats_keeps_contents() {
         let arch = sx_aurora();
-        let mut h = Hierarchy::for_core(&arch, 1);
+        let mut h = Hierarchy::for_core(&arch);
         h.access_line(0, false);
         h.reset_stats();
         assert_eq!(h.stats().l1.accesses(), 0);

@@ -7,8 +7,14 @@
 //! constant-time, allocation-free accesses:
 //!
 //! * the ways of all sets live in one flat array (no per-set `Vec` pointer
-//!   chase; LRU order is maintained by shifting at most `ways` copies of a
-//!   16-byte `Way`),
+//!   chase; LRU order is maintained by shifting at most `ways` copies of an
+//!   8-byte way: the line address with the dirty and prefetched flags packed
+//!   into its low bits),
+//! * construction costs what a run touches, not the cache's capacity: the
+//!   way array is never written until a line fills it (the per-set
+//!   occupancy says which ways are valid; nothing past it is read), so it
+//!   is allocated zeroed, or taken without clearing from a cache of the
+//!   same size that this thread dropped, instead of being filled up front,
 //! * set lookup is shift/mask (all practical geometries have power-of-two
 //!   set counts; a modulo fallback keeps odd geometries correct),
 //! * the conflict-classification shadow is an exact fully-associative LRU in
@@ -26,14 +32,21 @@
 
 use crate::stats::LevelStats;
 use lsv_arch::CacheGeometry;
+use std::cell::Cell;
 
-/// One way of a set: the line tag plus dirty/prefetch flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Way {
-    line_addr: u64,
-    dirty: bool,
-    /// Filled by a prefetch and not yet demand-hit (stream-training state).
-    prefetched: bool,
+/// Way flag: the line was written since it was filled.
+const DIRTY: u64 = 1;
+/// Way flag: filled by a prefetch and not yet demand-hit (stream-training
+/// state).
+const PREFETCHED: u64 = 2;
+/// One way is a `u64`: the line address (lines are at least 4 bytes, so its
+/// two low bits are zero) with [`DIRTY`] and [`PREFETCHED`] in those bits.
+const FLAGS: u64 = DIRTY | PREFETCHED;
+
+/// Whether the packed `way` holds `line_addr` (whatever its flags).
+#[inline]
+fn holds(way: u64, line_addr: u64) -> bool {
+    way & !FLAGS == line_addr
 }
 
 const NO_NODE: u32 = u32::MAX;
@@ -252,7 +265,7 @@ const HIT_MRU: LineAccess = LineAccess {
 /// `lsv_vengine::Arena` — only residency metadata. Ways within a set are
 /// kept in LRU order (index 0 = most recently used) in one flat array;
 /// associativities in this workload are small (2-16), so shifting a few
-/// `Way`s beats pointer chasing.
+/// packed ways beats pointer chasing.
 #[derive(Debug)]
 pub struct SetAssocCache {
     geom: CacheGeometry,
@@ -263,8 +276,9 @@ pub struct SetAssocCache {
     /// Whether `set_mask` is usable; otherwise fall back to a modulo.
     sets_po2: bool,
     ways: usize,
-    /// `sets * ways` ways; set `s` owns `[s*ways, s*ways + len[s])`.
-    entries: Box<[Way]>,
+    /// `sets * ways` packed ways; set `s` owns `[s*ways, s*ways + len[s])`.
+    /// A way past its set's `len` is never read, so its bits are arbitrary.
+    entries: Box<[u64]>,
     /// Occupancy per set.
     lens: Box<[u8]>,
     /// Most-recently-accessed line (fast path), `NO_LINE` when invalid.
@@ -283,6 +297,11 @@ impl SetAssocCache {
     pub fn new(geom: CacheGeometry, classify_conflicts: bool) -> Self {
         let sets = geom.sets();
         assert!(geom.ways <= u8::MAX as usize, "associativity fits a u8");
+        assert!(
+            geom.line >= 4,
+            "a {}-byte line leaves no two low address bits for the way flags",
+            geom.line
+        );
         let shadow = classify_conflicts.then(|| ShadowLru::new(geom.lines()));
         Self {
             geom,
@@ -290,15 +309,7 @@ impl SetAssocCache {
             set_mask: sets as u64 - 1,
             sets_po2: sets.is_power_of_two(),
             ways: geom.ways,
-            entries: vec![
-                Way {
-                    line_addr: NO_LINE,
-                    dirty: false,
-                    prefetched: false,
-                };
-                sets * geom.ways
-            ]
-            .into_boxed_slice(),
+            entries: take_ways(sets * geom.ways),
             lens: vec![0; sets].into_boxed_slice(),
             mru_line: NO_LINE,
             mru_set: 0,
@@ -325,11 +336,8 @@ impl SetAssocCache {
 
     /// Drop all contents and counters.
     pub fn flush(&mut self) {
-        self.entries.fill(Way {
-            line_addr: NO_LINE,
-            dirty: false,
-            prefetched: false,
-        });
+        // Emptying every set invalidates its ways; their stale bits are never
+        // read again.
         self.lens.fill(0);
         self.mru_line = NO_LINE;
         if let Some(sh) = &mut self.shadow {
@@ -361,7 +369,7 @@ impl SetAssocCache {
         if line_addr == self.mru_line {
             self.stats.hits += 1;
             if write {
-                self.entries[self.mru_set * self.ways].dirty = true;
+                self.entries[self.mru_set * self.ways] |= DIRTY;
             }
             return HIT_MRU;
         }
@@ -376,13 +384,11 @@ impl SetAssocCache {
         let base = set_idx * self.ways;
         let len = self.lens[set_idx] as usize;
         let set = &mut self.entries[base..base + len];
-        if let Some(pos) = set.iter().position(|w| w.line_addr == line_addr) {
-            let mut way = set[pos];
-            way.dirty |= write;
-            let first_hit_on_prefetch = way.prefetched;
-            way.prefetched = false;
+        if let Some(pos) = set.iter().position(|&w| holds(w, line_addr)) {
+            let way = set[pos];
+            let first_hit_on_prefetch = way & PREFETCHED != 0;
             set.copy_within(0..pos, 1);
-            set[0] = way;
+            set[0] = (way & !PREFETCHED) | if write { DIRTY } else { 0 };
             self.stats.hits += 1;
             self.mru_line = line_addr;
             self.mru_set = set_idx;
@@ -402,8 +408,7 @@ impl SetAssocCache {
         }
         let mut writeback = false;
         if len == self.ways {
-            let victim = set[len - 1];
-            if victim.dirty {
+            if set[len - 1] & DIRTY != 0 {
                 writeback = true;
                 self.stats.writebacks += 1;
             }
@@ -413,11 +418,7 @@ impl SetAssocCache {
         let shift = len.min(self.ways - 1);
         let set = &mut self.entries[base..base + self.ways];
         set.copy_within(0..shift, 1);
-        set[0] = Way {
-            line_addr,
-            dirty: write,
-            prefetched: false,
-        };
+        set[0] = line_addr | if write { DIRTY } else { 0 };
         self.mru_line = line_addr;
         self.mru_set = set_idx;
         LineAccess {
@@ -439,7 +440,7 @@ impl SetAssocCache {
         // already this set's MRU way and — when a shadow exists — also the
         // shadow's most recent line. Re-inserting would reshuffle nothing,
         // so no state (including the demand MRU shortcut) needs touching.
-        if self.lens[set_idx] > 0 && self.entries[set_idx * self.ways].line_addr == line_addr {
+        if self.lens[set_idx] > 0 && holds(self.entries[set_idx * self.ways], line_addr) {
             match &self.shadow {
                 None => return,
                 Some(sh) if sh.mru_line() == Some(line_addr) => return,
@@ -461,7 +462,7 @@ impl SetAssocCache {
         let base = set_idx * self.ways;
         let len = self.lens[set_idx] as usize;
         let set = &mut self.entries[base..base + len];
-        if let Some(pos) = set.iter().position(|w| w.line_addr == line_addr) {
+        if let Some(pos) = set.iter().position(|&w| holds(w, line_addr)) {
             let way = set[pos];
             set.copy_within(0..pos, 1);
             set[0] = way;
@@ -473,11 +474,7 @@ impl SetAssocCache {
         let shift = len.min(self.ways - 1);
         let set = &mut self.entries[base..base + self.ways];
         set.copy_within(0..shift, 1);
-        set[0] = Way {
-            line_addr,
-            dirty: false,
-            prefetched: true,
-        };
+        set[0] = line_addr | PREFETCHED;
     }
 
     /// Whether a line is currently resident (no LRU update, no stats).
@@ -488,7 +485,43 @@ impl SetAssocCache {
         let len = self.lens[set_idx] as usize;
         self.entries[base..base + len]
             .iter()
-            .any(|w| w.line_addr == line_addr)
+            .any(|&w| holds(w, line_addr))
+    }
+}
+
+/// Way arrays of at least 64 KiB (an LLC's, not an L1's or L2's) are
+/// recycled: zeroing a smaller one costs less than the rest of a cache's
+/// construction.
+const RECYCLE_MIN_WAYS: usize = (64 << 10) / std::mem::size_of::<u64>();
+
+thread_local! {
+    /// The way array of the last large cache this thread dropped. A zeroed
+    /// allocation of a megabyte-sized LLC array is cheap only the first
+    /// time: once freed, the allocator hands the chunk back and must clear
+    /// all of it. Runs that build cores back to back (a fuzz case, a tuner
+    /// sweep) have one LLC alive at a time.
+    static SPARE_WAYS: Cell<Option<Box<[u64]>>> = const { Cell::new(None) };
+}
+
+/// A way array of `n` ways: this thread's spare one if it has that size
+/// (its stale bits are never read), else a zeroed allocation.
+fn take_ways(n: usize) -> Box<[u64]> {
+    if n >= RECYCLE_MIN_WAYS {
+        if let Some(ways) = SPARE_WAYS.take().filter(|w| w.len() == n) {
+            return ways;
+        }
+    }
+    vec![0; n].into_boxed_slice()
+}
+
+impl Drop for SetAssocCache {
+    fn drop(&mut self) {
+        let ways = std::mem::take(&mut self.entries);
+        if ways.len() >= RECYCLE_MIN_WAYS {
+            // During thread teardown the slot may be gone: then the array
+            // is simply freed.
+            let _ = SPARE_WAYS.try_with(|spare| spare.set(Some(ways)));
+        }
     }
 }
 
@@ -597,6 +630,23 @@ mod tests {
         c.access_line(128 + 256, false);
         let r = c.access_line(128 + 512, false);
         assert!(r.writeback, "dirty bit set through the fast path");
+    }
+
+    #[test]
+    fn a_recycled_way_array_starts_empty() {
+        // 8192 ways (64 KiB): recycled when its cache drops.
+        let geom = CacheGeometry::new(8192 * 64, 64, 2);
+        let mut old = SetAssocCache::new(geom, false);
+        for i in 0..8192u64 {
+            old.access_line(i * 64, true);
+        }
+        let ways = old.entries.as_ptr();
+        drop(old);
+        let mut new = SetAssocCache::new(geom, true);
+        assert_eq!(new.entries.as_ptr(), ways, "the dropped cache's array");
+        assert!((0..8192u64).all(|i| !new.probe(i * 64)), "no line survives");
+        let r = new.access_line(0, false);
+        assert!(!r.hit && !r.conflict && !r.writeback);
     }
 
     #[test]

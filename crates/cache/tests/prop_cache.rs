@@ -1,8 +1,10 @@
 //! Property tests for the cache simulator: accounting invariants, LRU
-//! behaviour, and the conflict-miss classifier's defining property.
+//! behaviour, the conflict-miss classifier's defining property, and
+//! step-by-step equivalence of `SetAssocCache` with a plain reference model.
 
 use lsv_arch::{ArchParams, CacheGeometry};
-use lsv_cache::{Hierarchy, SetAssocCache};
+use lsv_cache::set_assoc::LineAccess;
+use lsv_cache::{Hierarchy, LevelStats, SetAssocCache};
 use proptest::prelude::*;
 
 fn small_geom() -> CacheGeometry {
@@ -85,7 +87,7 @@ proptest! {
     #[test]
     fn hierarchy_latency_matches_level(addrs in proptest::collection::vec(0u64..8192, 1..200)) {
         let arch = tiny_arch();
-        let mut h = Hierarchy::for_core(&arch, 1);
+        let mut h = Hierarchy::for_core(&arch);
         for &a in &addrs {
             let out = h.access_line(a, false);
             let expected = h.latency_of(out.level);
@@ -96,7 +98,7 @@ proptest! {
     #[test]
     fn hierarchy_l1_stats_count_all_accesses(addrs in proptest::collection::vec(0u64..8192, 1..200)) {
         let arch = tiny_arch();
-        let mut h = Hierarchy::for_core(&arch, 1);
+        let mut h = Hierarchy::for_core(&arch);
         for &a in &addrs {
             h.access_line(a, false);
         }
@@ -106,5 +108,201 @@ proptest! {
         // the level above (prefetch fills are silent).
         prop_assert!(s.l2.accesses() <= s.l1.misses);
         prop_assert!(s.llc.accesses() <= s.l2.misses + s.l2.hits);
+    }
+}
+
+/// Naive fully-associative LRU: the same-capacity shadow the conflict
+/// classifier is defined against (front = most recently used).
+struct NaiveLru {
+    capacity: usize,
+    order: Vec<u64>,
+}
+
+impl NaiveLru {
+    fn access(&mut self, line: u64) -> bool {
+        let hit = match self.order.iter().position(|&l| l == line) {
+            Some(p) => {
+                self.order.remove(p);
+                true
+            }
+            None => false,
+        };
+        self.order.insert(0, line);
+        self.order.truncate(self.capacity);
+        hit
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+struct RefWay {
+    line: u64,
+    dirty: bool,
+    prefetched: bool,
+}
+
+/// The straightforward set-associative cache: one `Vec` per set in LRU
+/// order (front = most recently used), no packing, no fast paths.
+struct RefCache {
+    line: u64,
+    ways: usize,
+    sets: Vec<Vec<RefWay>>,
+    shadow: Option<NaiveLru>,
+    stats: LevelStats,
+}
+
+impl RefCache {
+    fn new(geom: CacheGeometry, classify_conflicts: bool) -> Self {
+        Self {
+            line: geom.line as u64,
+            ways: geom.ways,
+            sets: vec![Vec::new(); geom.sets()],
+            shadow: classify_conflicts.then(|| NaiveLru {
+                capacity: geom.lines(),
+                order: Vec::new(),
+            }),
+            stats: LevelStats::default(),
+        }
+    }
+
+    /// (set index, line address) of a byte address.
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line = addr / self.line;
+        ((line % self.sets.len() as u64) as usize, line * self.line)
+    }
+
+    fn access_line(&mut self, addr: u64, write: bool) -> LineAccess {
+        let (s, line) = self.locate(addr);
+        let shadow_hit = self.shadow.as_mut().is_some_and(|sh| sh.access(line));
+        let set = &mut self.sets[s];
+        if let Some(pos) = set.iter().position(|w| w.line == line) {
+            let mut way = set.remove(pos);
+            let first_hit_on_prefetch = way.prefetched;
+            way.dirty |= write;
+            way.prefetched = false;
+            set.insert(0, way);
+            self.stats.hits += 1;
+            return LineAccess {
+                hit: true,
+                conflict: false,
+                writeback: false,
+                first_hit_on_prefetch,
+            };
+        }
+        self.stats.misses += 1;
+        if shadow_hit {
+            self.stats.conflict_misses += 1;
+        }
+        let writeback = set.len() == self.ways && set.pop().is_some_and(|victim| victim.dirty);
+        if writeback {
+            self.stats.writebacks += 1;
+        }
+        set.insert(
+            0,
+            RefWay {
+                line,
+                dirty: write,
+                prefetched: false,
+            },
+        );
+        LineAccess {
+            hit: false,
+            conflict: shadow_hit,
+            writeback,
+            first_hit_on_prefetch: false,
+        }
+    }
+
+    fn insert_silent(&mut self, addr: u64) {
+        let (s, line) = self.locate(addr);
+        if let Some(sh) = self.shadow.as_mut() {
+            sh.access(line);
+        }
+        let set = &mut self.sets[s];
+        let way = match set.iter().position(|w| w.line == line) {
+            Some(pos) => set.remove(pos),
+            None => {
+                if set.len() == self.ways {
+                    set.pop();
+                }
+                RefWay {
+                    line,
+                    dirty: false,
+                    prefetched: true,
+                }
+            }
+        };
+        set.insert(0, way);
+    }
+
+    fn probe(&self, addr: u64) -> bool {
+        let (s, line) = self.locate(addr);
+        self.sets[s].iter().any(|w| w.line == line)
+    }
+}
+
+/// Direct-mapped, 2-way, non-power-of-two set counts (3 and 5 sets, one
+/// with 3 ways), a single fully-associative set, and the smallest line
+/// the packed ways allow (4 bytes), once with 8192 ways: a cache that large
+/// reuses the way array an earlier case of its size dropped.
+fn reference_geometries() -> [CacheGeometry; 7] {
+    [
+        CacheGeometry::new(256, 64, 1),
+        CacheGeometry::new(512, 64, 2),
+        CacheGeometry::new(384, 64, 2),
+        CacheGeometry::new(960, 64, 3),
+        CacheGeometry::new(256, 64, 4),
+        CacheGeometry::new(32, 4, 2),
+        CacheGeometry::new(8192 * 4, 4, 1),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn set_assoc_matches_reference_model(
+        geom_idx in 0usize..7,
+        shadow in 0u8..2,
+        ops in proptest::collection::vec((0u8..8, 0u64..1 << 20), 1..600),
+    ) {
+        // Ops: 0 read, 1 write, 2 silent (prefetch) fill, 3 probe; 4-7 do the
+        // same at the last read or write's address, so re-touches of the MRU
+        // line (the fast paths) interleave with fills elsewhere. Addresses
+        // span three capacities so sets both hit and thrash.
+        let geom = reference_geometries()[geom_idx];
+        let span = 3 * geom.size as u64;
+        let mut fast = SetAssocCache::new(geom, shadow == 1);
+        let mut slow = RefCache::new(geom, shadow == 1);
+        let mut last_demand = 0;
+        for (step, &(op, raw)) in ops.iter().enumerate() {
+            let addr = if op < 4 { raw % span } else { last_demand };
+            let op = op % 4;
+            if op < 2 {
+                last_demand = addr;
+            }
+            match op {
+                0 | 1 => {
+                    let got = fast.access_line(addr, op == 1);
+                    let want = slow.access_line(addr, op == 1);
+                    prop_assert_eq!(got, want, "step {} op {} addr {:#x}", step, op, addr);
+                }
+                2 => {
+                    fast.insert_silent(addr);
+                    slow.insert_silent(addr);
+                }
+                _ => prop_assert_eq!(
+                    fast.probe(addr),
+                    slow.probe(addr),
+                    "step {} probe addr {:#x}",
+                    step,
+                    addr
+                ),
+            }
+        }
+        prop_assert_eq!(fast.stats(), slow.stats);
+        for line in 0..span / geom.line as u64 {
+            let addr = line * geom.line as u64;
+            prop_assert_eq!(fast.probe(addr), slow.probe(addr), "final residency of {:#x}", addr);
+        }
     }
 }

@@ -92,7 +92,7 @@ impl SimBackend {
     /// one place (outside the shared-LLC multicore path) where the conv
     /// crate instantiates a simulated core.
     pub fn make_core(&self, arch: &ArchParams) -> VCore {
-        VCore::new(arch, self.mode, 1)
+        VCore::new(arch, self.mode)
     }
 }
 

@@ -281,9 +281,9 @@ fn check_case(
     }
 
     // Property 2: TimingOnly must replay the identical instruction stream.
-    let mut arena = Arena::new();
+    let mut arena = Arena::for_mode(ExecutionMode::TimingOnly);
     let t = prim.alloc_tensors(&mut arena);
-    let mut core = VCore::new(&arch, ExecutionMode::TimingOnly, 1);
+    let mut core = VCore::new(&arch, ExecutionMode::TimingOnly);
     prim.execute_core(
         &mut core,
         &mut arena,

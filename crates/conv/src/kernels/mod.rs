@@ -148,7 +148,7 @@ mod tests {
         let arch = sx_aurora();
         for cb in [512usize, 32] {
             let mut arena = Arena::new();
-            let mut core = VCore::new(&arch, ExecutionMode::Functional, 1);
+            let mut core = VCore::new(&arch, ExecutionMode::Functional);
             let t = ActTensor::alloc(&mut arena, 1, 512, 3, 3, ActivationLayout { cb });
             let data: Vec<f32> = (0..t.elems()).map(|i| i as f32).collect();
             t.store_nchw(&mut arena, &data);

@@ -318,7 +318,7 @@ fn simulate_minibatch_slice(
     n_sim: usize,
     profiled: bool,
 ) -> SliceSim {
-    let mut arena = Arena::new();
+    let mut arena = Arena::for_mode(mode);
     let t = prim.alloc_tensors(&mut arena);
     if mode.is_functional() {
         t.src.fill_random(&mut arena, 11);
@@ -398,7 +398,7 @@ fn simulate_bwdw_run(
 ) -> SliceSim {
     let n_sim = prim.desc().problem.n;
     let blocks_per_core = prim.bwdw_small_blocks().div_ceil(cores).max(1);
-    let mut arena = Arena::new();
+    let mut arena = Arena::for_mode(mode);
     let t = prim.alloc_tensors(&mut arena);
     if mode.is_functional() {
         t.src.fill_random(&mut arena, 19);

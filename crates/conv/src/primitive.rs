@@ -550,7 +550,7 @@ mod tests {
     #[test]
     fn exec_report_from_core_stats() {
         let arch = sx_aurora();
-        let mut core = lsv_vengine::VCore::new(&arch, lsv_vengine::ExecutionMode::TimingOnly, 1);
+        let mut core = lsv_vengine::VCore::new(&arch, lsv_vengine::ExecutionMode::TimingOnly);
         core.scalar_op();
         let report = ExecReport::from(core.drain());
         assert_eq!(report.insts.scalar_ops, 1);

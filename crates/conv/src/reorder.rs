@@ -232,8 +232,9 @@ fn reorder_cost_impl(
     cfg: &crate::tuning::KernelConfig,
     profiled: bool,
 ) -> (lsv_vengine::CoreStats, Option<lsv_vengine::RegionProfile>) {
-    let mut arena = Arena::new();
-    let mut core = VCore::new(arch, lsv_vengine::ExecutionMode::TimingOnly, 1);
+    let mode = lsv_vengine::ExecutionMode::TimingOnly;
+    let mut arena = Arena::for_mode(mode);
+    let mut core = VCore::new(arch, mode);
     if profiled {
         core.enable_profiler();
     }
@@ -278,7 +279,7 @@ mod tests {
     fn activation_reorder_roundtrip() {
         let arch = sx_aurora();
         let mut arena = Arena::new();
-        let mut core = VCore::new(&arch, ExecutionMode::Functional, 1);
+        let mut core = VCore::new(&arch, ExecutionMode::Functional);
         let nchw = ActTensor::alloc(&mut arena, 2, 40, 5, 6, ActivationLayout::nchw());
         let blocked = ActTensor::alloc(&mut arena, 2, 40, 5, 6, ActivationLayout { cb: 32 });
         let back = ActTensor::alloc(&mut arena, 2, 40, 5, 6, ActivationLayout::nchw());
@@ -300,7 +301,7 @@ mod tests {
         let arch = lsv_arch::presets::aurora_with_vlen_bits(512);
         assert!(arch.n_vlen() < 32, "premise: block wider than a register");
         let mut arena = Arena::new();
-        let mut core = VCore::new(&arch, ExecutionMode::Functional, 1);
+        let mut core = VCore::new(&arch, ExecutionMode::Functional);
         let nchw = ActTensor::alloc(&mut arena, 1, 40, 3, 3, ActivationLayout::nchw());
         let blocked = ActTensor::alloc(&mut arena, 1, 40, 3, 3, ActivationLayout { cb: 32 });
         let back = ActTensor::alloc(&mut arena, 1, 40, 3, 3, ActivationLayout::nchw());
@@ -322,7 +323,7 @@ mod tests {
     fn weight_reorder_matches_host_conversion() {
         let arch = sx_aurora();
         let mut arena = Arena::new();
-        let mut core = VCore::new(&arch, ExecutionMode::Functional, 1);
+        let mut core = VCore::new(&arch, ExecutionMode::Functional);
         let oihw = WeiTensor::alloc(&mut arena, 20, 6, 3, 3, WeightLayout::oihw());
         let blocked = WeiTensor::alloc(&mut arena, 20, 6, 3, 3, WeightLayout { icb: 4, ocb: 16 });
         let data: Vec<f32> = (0..oihw.elems()).map(|i| (i as f32).sin()).collect();

@@ -279,7 +279,7 @@ impl ModelRunner {
         let prim = ConvDesc::new(spec.problem, entry.direction, algorithm)
             .create(&self.arch, self.arch.cores)
             .expect("planned entry must be creatable");
-        let mut arena = Arena::new();
+        let mut arena = Arena::for_mode(ExecutionMode::TimingOnly);
         let tensors = prim.alloc_tensors(&mut arena);
         execute_multicore(&prim, &mut arena, &tensors, ExecutionMode::TimingOnly)
     }

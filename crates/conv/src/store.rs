@@ -597,23 +597,32 @@ pub struct LayerStore {
 
 impl LayerStore {
     /// Build a store from explicit knobs (tests and tools; the process-wide
-    /// instance comes from [`store`]).
+    /// instance comes from [`configure`] or [`store`]).
+    ///
+    /// # Panics
+    /// If the persistent tier's directory cannot be created ([`configure`]
+    /// returns that as an error instead).
     pub fn new(cfg: StoreConfig) -> Self {
+        Self::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Like [`LayerStore::new`], with an error naming the directory when the
+    /// persistent tier cannot be created.
+    fn try_new(cfg: StoreConfig) -> Result<Self, String> {
         if let Some(dir) = &cfg.dir {
             if !cfg.disabled {
-                std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-                    panic!("layer store: cannot create {}: {e}", dir.display())
-                });
+                std::fs::create_dir_all(dir)
+                    .map_err(|e| format!("layer store: cannot create {}: {e}", dir.display()))?;
             }
         }
-        Self {
+        Ok(Self {
             disabled: cfg.disabled,
             dir: if cfg.disabled { None } else { cfg.dir },
             paranoid_pct: cfg.paranoid_pct,
             mem: Mutex::new(HashMap::new()),
             naive: Mutex::new(HashMap::new()),
             counters: Counters::default(),
-        }
+        })
     }
 
     /// A store with every tier disabled.
@@ -878,30 +887,26 @@ fn read_entry(path: &Path, key: &Key) -> Option<Record> {
     }
 }
 
-static CONFIG: Mutex<Option<StoreConfig>> = Mutex::new(None);
 static STORE: OnceLock<LayerStore> = OnceLock::new();
 
-/// Set the process-wide store configuration (CLI flags). Must run before the
-/// first [`store`] access; returns `Err` if the store is already live.
-pub fn configure(cfg: StoreConfig) -> Result<(), &'static str> {
+/// Build the process-wide store from `cfg` (CLI flags). Must run before the
+/// first [`store`] access. Returns `Err` if the store is already live, or,
+/// naming the directory, if the persistent tier cannot be created there.
+pub fn configure(cfg: StoreConfig) -> Result<(), String> {
+    const LIVE: &str = "layer store already initialized";
     if STORE.get().is_some() {
-        return Err("layer store already initialized");
+        return Err(LIVE.to_string());
     }
-    *CONFIG.lock().unwrap() = Some(cfg);
-    Ok(())
+    STORE
+        .set(LayerStore::try_new(cfg)?)
+        .map_err(|_| LIVE.to_string())
 }
 
-/// The process-wide store, lazily built from [`configure`]d knobs or the
-/// environment (`LSV_STORE`, `LSV_STORE_DIR`, `LSV_STORE_PARANOID`).
+/// The process-wide store: the [`configure`]d one, else one lazily built
+/// from the environment (`LSV_STORE`, `LSV_STORE_DIR`,
+/// `LSV_STORE_PARANOID`).
 pub fn store() -> &'static LayerStore {
-    STORE.get_or_init(|| {
-        let cfg = CONFIG
-            .lock()
-            .unwrap()
-            .take()
-            .unwrap_or_else(StoreConfig::from_env);
-        LayerStore::new(cfg)
-    })
+    STORE.get_or_init(|| LayerStore::new(StoreConfig::from_env()))
 }
 
 /// Store counters (typically one phase's [`StoreStats::delta`]) plus the

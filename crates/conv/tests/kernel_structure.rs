@@ -22,7 +22,7 @@ fn trace_of_problem(alg: Algorithm, dir: Direction, p: ConvProblem) -> Vec<Trace
     let prim = ConvDesc::new(p, dir, alg).create(&arch, 1).unwrap();
     let mut arena = Arena::new();
     let t = prim.alloc_tensors(&mut arena);
-    let mut core = VCore::new(&arch, ExecutionMode::TimingOnly, 1);
+    let mut core = VCore::new(&arch, ExecutionMode::TimingOnly);
     core.enable_trace();
     prim.execute_core(&mut core, &mut arena, &t, 0..1, 0..prim.bwdw_small_blocks());
     core.trace().unwrap().to_vec()
@@ -96,7 +96,7 @@ fn mbdc_uses_gathers_dc_uses_unit_stride() {
     let prim = desc.create_with_config(&arch, cfg, 1);
     let mut arena = Arena::new();
     let t = prim.alloc_tensors(&mut arena);
-    let mut core = VCore::new(&arch, ExecutionMode::TimingOnly, 1);
+    let mut core = VCore::new(&arch, ExecutionMode::TimingOnly);
     core.enable_trace();
     prim.execute_core(&mut core, &mut arena, &t, 0..1, 0..0);
     let chunked = core.trace().unwrap();

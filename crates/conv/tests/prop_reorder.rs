@@ -21,7 +21,7 @@ proptest! {
     ) {
         let arch = sx_aurora();
         let mut arena = Arena::new();
-        let mut core = VCore::new(&arch, ExecutionMode::Functional, 1);
+        let mut core = VCore::new(&arch, ExecutionMode::Functional);
         let nchw = ActTensor::alloc(&mut arena, n, c, h, w, ActivationLayout::nchw());
         let blocked = ActTensor::alloc(&mut arena, n, c, h, w, ActivationLayout { cb });
         let back = ActTensor::alloc(&mut arena, n, c, h, w, ActivationLayout::nchw());
@@ -43,7 +43,7 @@ proptest! {
     ) {
         let arch = sx_aurora();
         let mut arena = Arena::new();
-        let mut core = VCore::new(&arch, ExecutionMode::Functional, 1);
+        let mut core = VCore::new(&arch, ExecutionMode::Functional);
         let oihw = WeiTensor::alloc(&mut arena, oc, ic, k, k, WeightLayout::oihw());
         let blocked = WeiTensor::alloc(&mut arena, oc, ic, k, k, WeightLayout { icb, ocb });
         let data: Vec<f32> = (0..oihw.elems()).map(|i| (i as f32).sin()).collect();
@@ -59,7 +59,7 @@ proptest! {
     ) {
         let arch = sx_aurora();
         let mut arena = Arena::new();
-        let mut core = VCore::new(&arch, ExecutionMode::TimingOnly, 1);
+        let mut core = VCore::new(&arch, ExecutionMode::TimingOnly);
         let nchw = ActTensor::alloc(&mut arena, 1, c, hw, hw, ActivationLayout::nchw());
         let blocked = ActTensor::alloc(&mut arena, 1, c, hw, hw, ActivationLayout { cb: 32 });
         reorder_activations(&mut core, &mut arena, &nchw, &blocked);

@@ -36,7 +36,7 @@ mod tests {
     #[test]
     fn stacks_sum_to_total_and_use_semicolon_paths() {
         let arch = sx_aurora();
-        let mut core = VCore::new(&arch, ExecutionMode::TimingOnly, 1);
+        let mut core = VCore::new(&arch, ExecutionMode::TimingOnly);
         core.enable_profiler();
         core.region_enter("fwd");
         core.scalar_ops(6);

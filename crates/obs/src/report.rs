@@ -284,7 +284,7 @@ mod tests {
 
     fn sample() -> (RegionProfile, ProfileMeta) {
         let arch = sx_aurora();
-        let mut core = VCore::new(&arch, ExecutionMode::TimingOnly, 1);
+        let mut core = VCore::new(&arch, ExecutionMode::TimingOnly);
         core.enable_profiler();
         core.region_enter("fwd");
         core.scalar_ops(5);

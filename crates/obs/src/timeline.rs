@@ -203,7 +203,7 @@ mod tests {
     fn profile_trace_has_one_event_per_span() {
         use lsv_arch::presets::sx_aurora;
         use lsv_vengine::{ExecutionMode, VCore};
-        let mut core = VCore::new(&sx_aurora(), ExecutionMode::TimingOnly, 1);
+        let mut core = VCore::new(&sx_aurora(), ExecutionMode::TimingOnly);
         core.enable_profiler();
         core.region_enter("outer");
         core.scalar_ops(4);

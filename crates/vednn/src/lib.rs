@@ -177,9 +177,9 @@ impl VednnConv {
                 continue;
             }
             let probe = Self::with_algo(arch, problem.with_minibatch(1), direction, algo);
-            let mut arena = Arena::new();
+            let mut arena = Arena::for_mode(ExecutionMode::TimingOnly);
             let t = probe.alloc_tensors(&mut arena);
-            let mut core = VCore::new(arch, ExecutionMode::TimingOnly, 1);
+            let mut core = VCore::new(arch, ExecutionMode::TimingOnly);
             core.region_enter("tune_candidate");
             probe.execute_core(&mut core, &mut arena, &t, 0..1);
             core.region_exit();
@@ -275,7 +275,7 @@ impl VednnConv {
         let p = &self.problem;
         let mut arena = Arena::new();
         let t = self.alloc_tensors(&mut arena);
-        let mut core = VCore::new(&self.arch, ExecutionMode::Functional, 1);
+        let mut core = VCore::new(&self.arch, ExecutionMode::Functional);
         match self.direction {
             Direction::Fwd => {
                 t.src.store_nchw(&mut arena, src_nchw);

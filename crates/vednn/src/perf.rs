@@ -22,14 +22,14 @@ fn simulate_slice(
     mode: ExecutionMode,
     n_sim: usize,
 ) -> (u64, u64, ExecReport) {
-    let mut arena = Arena::new();
+    let mut arena = Arena::for_mode(mode);
     let t = conv.alloc_tensors(&mut arena);
-    if matches!(mode, ExecutionMode::Functional) {
+    if mode.is_functional() {
         t.src.fill_random(&mut arena, 31);
         t.dst.fill_random(&mut arena, 37);
         t.wei.fill_random(&mut arena, 41);
     }
-    let mut core = VCore::new(arch, mode, 1);
+    let mut core = VCore::new(arch, mode);
     // Warm the LLC with the input activations (just produced by the
     // adjacent layer); weights stream from memory once per step, exactly as
     // for the direct algorithms (see lsv_conv::perf::warm_inputs).

@@ -9,6 +9,12 @@
 //! Every allocation is recorded as a [`Region`] so the trace facility and
 //! the `lsv-analyze` bounds sanitizer can map any address back to the tensor
 //! it belongs to (or prove it belongs to none).
+//!
+//! A timing-only run needs the addresses but never the values, so its arena
+//! is *data-free* (see [`Arena::for_mode`]): same bases, same regions, no
+//! backing memory.
+
+use crate::core::ExecutionMode;
 
 /// Alignment of every allocation (a 4 KiB page).
 pub const PAGE_BYTES: u64 = 4096;
@@ -41,21 +47,39 @@ impl Region {
 /// Addresses handed out by [`Arena::alloc`] are byte offsets; element
 /// accessors divide by 4. The arena never frees — convolution runs allocate
 /// their operand tensors once.
+///
+/// A *backed* arena ([`Arena::new`]) holds every allocated element,
+/// zero-initialized. A *data-free* arena ([`Arena::for_mode`] with
+/// [`ExecutionMode::TimingOnly`]) hands out the same bases and records the
+/// same regions but holds no element at all, so its memory does not grow
+/// with the tensors; any read or write on it panics, naming the region.
 #[derive(Debug, Default, Clone)]
 pub struct Arena {
+    /// Backing store; stays empty when `data_free`.
     data: Vec<f32>,
+    data_free: bool,
     next: u64,
     regions: Vec<Region>,
 }
 
 impl Arena {
-    /// Empty arena.
+    /// Empty backed arena.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Allocate `elems` f32 elements, zero-initialized; returns the base byte
-    /// address (page aligned).
+    /// Empty arena for a run in `mode`: backed for
+    /// [`ExecutionMode::Functional`], data-free for
+    /// [`ExecutionMode::TimingOnly`], whose cores never move data.
+    pub fn for_mode(mode: ExecutionMode) -> Self {
+        Self {
+            data_free: !mode.is_functional(),
+            ..Self::default()
+        }
+    }
+
+    /// Allocate `elems` f32 elements (zero-initialized when backed); returns
+    /// the base byte address (page aligned).
     pub fn alloc(&mut self, elems: usize) -> u64 {
         self.alloc_labeled(elems, "anon")
     }
@@ -65,7 +89,7 @@ impl Arena {
     pub fn alloc_labeled(&mut self, elems: usize, label: &str) -> u64 {
         let base = self.next.next_multiple_of(PAGE_BYTES);
         let end_elems = base as usize / 4 + elems;
-        if self.data.len() < end_elems {
+        if !self.data_free && self.data.len() < end_elems {
             self.data.resize(end_elems, 0.0);
         }
         self.next = (end_elems as u64) * 4;
@@ -77,7 +101,7 @@ impl Arena {
         base
     }
 
-    /// Total bytes currently backed.
+    /// Total bytes currently backed (0 for a data-free arena).
     pub fn len_bytes(&self) -> u64 {
         self.data.len() as u64 * 4
     }
@@ -103,11 +127,16 @@ impl Arena {
     #[cold]
     #[inline(never)]
     fn bad_access(&self, what: &str, addr: u64, bytes: u64) -> ! {
+        let (fault, overrun) = if self.data_free {
+            ("touches a data-free (timing-only) arena", "")
+        } else {
+            ("is out of bounds", " but overrunning it")
+        };
         let where_ = match self.region_of(addr) {
             Some(i) => {
                 let r = &self.regions[i as usize];
                 format!(
-                    "inside region #{i} `{}` [{:#x}, {:#x}) but overrunning it",
+                    "inside region #{i} `{}` [{:#x}, {:#x}){overrun}",
                     r.label,
                     r.base,
                     r.end()
@@ -116,7 +145,7 @@ impl Arena {
             None => "outside every allocation".to_string(),
         };
         panic!(
-            "arena {what} of {bytes} bytes at address {addr:#x} is out of bounds: \
+            "arena {what} of {bytes} bytes at address {addr:#x} {fault}: \
              arena holds {} bytes across {} allocations; the access is {where_}",
             self.len_bytes(),
             self.regions.len()
@@ -253,6 +282,57 @@ mod tests {
         let mut a = Arena::new();
         let base = a.alloc_labeled(4, "tiny");
         a.read(base + 10 * PAGE_BYTES);
+    }
+
+    #[test]
+    fn data_free_arena_hands_out_the_same_addresses_and_regions() {
+        let sizes = [
+            (10, "src"),
+            (3, "wei"),
+            (5000, "dst"),
+            (0, "empty"),
+            (1, "tail"),
+        ];
+        let mut backed = Arena::for_mode(ExecutionMode::Functional);
+        let mut free = Arena::for_mode(ExecutionMode::TimingOnly);
+        for &(elems, label) in &sizes {
+            assert_eq!(
+                backed.alloc_labeled(elems, label),
+                free.alloc_labeled(elems, label)
+            );
+        }
+        let extents = |a: &Arena| {
+            a.regions()
+                .iter()
+                .map(|r| (r.base, r.bytes, r.label.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(extents(&backed), extents(&free));
+        let probe = backed.regions()[2].base + 40;
+        assert_eq!(backed.region_of(probe), free.region_of(probe));
+        assert!(backed.len_bytes() >= backed.regions()[4].end());
+        assert_eq!(free.len_bytes(), 0, "a data-free arena backs nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "read of 4 bytes at address 0x1000 touches a data-free \
+                               (timing-only) arena: arena holds 0 bytes across 2 \
+                               allocations; the access is inside region #1 `dst`")]
+    fn data_free_read_names_the_region() {
+        let mut a = Arena::for_mode(ExecutionMode::TimingOnly);
+        a.alloc_labeled(16, "src");
+        let dst = a.alloc_labeled(16, "dst");
+        a.read(dst);
+    }
+
+    #[test]
+    #[should_panic(expected = "write of 4 bytes at address 0x8 touches a data-free \
+                               (timing-only) arena: arena holds 0 bytes across 1 \
+                               allocations; the access is inside region #0 `src`")]
+    fn data_free_write_names_the_region() {
+        let mut a = Arena::for_mode(ExecutionMode::TimingOnly);
+        let src = a.alloc_labeled(16, "src");
+        a.write(src + 8, 1.0);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use crate::arena::Arena;
 use crate::profile::{Profiler, RegionProfile, Snapshot};
-use lsv_arch::ArchParams;
+use lsv_arch::{ArchParams, CacheGeometry};
 use lsv_cache::{banks, Hierarchy, HierarchyStats, Level};
 
 /// Whether to perform the functional f32 arithmetic alongside timing.
@@ -308,11 +308,10 @@ pub struct VCore {
 }
 
 impl VCore {
-    /// Build a core for `arch`. `llc_share` divides the modelled LLC capacity
-    /// (pass `arch.cores` when all cores are active; see
+    /// Build a core for `arch` with a private, full-capacity LLC (see
     /// [`Hierarchy::for_core`]).
-    pub fn new(arch: &ArchParams, mode: ExecutionMode, llc_share: usize) -> Self {
-        Self::with_hierarchy(arch, mode, Hierarchy::for_core(arch, llc_share))
+    pub fn new(arch: &ArchParams, mode: ExecutionMode) -> Self {
+        Self::with_hierarchy(arch, mode, Hierarchy::for_core(arch))
     }
 
     /// Build a core whose LLC is a shared instance (the detailed multi-core
@@ -363,7 +362,14 @@ impl VCore {
     /// indices or vector lengths are recorded (so the analyzer can *deny*
     /// them) instead of asserting.
     pub fn new_introspect(arch: &ArchParams) -> Self {
-        let mut core = Self::new(arch, ExecutionMode::TimingOnly, 1);
+        // The hierarchy is never accessed: one line per level stands in for
+        // caches that would cost megabytes to build.
+        let mut stub = arch.clone();
+        for level in [&mut stub.l1d, &mut stub.l2, &mut stub.llc] {
+            *level = CacheGeometry::new(level.line, level.line, 1);
+        }
+        let mut core =
+            Self::with_hierarchy(arch, ExecutionMode::TimingOnly, Hierarchy::for_core(&stub));
         core.introspect = true;
         core.trace = Some(Vec::new());
         core
@@ -1245,7 +1251,7 @@ mod tests {
 
     fn functional_core() -> (VCore, Arena) {
         (
-            VCore::new(&sx_aurora(), ExecutionMode::Functional, 1),
+            VCore::new(&sx_aurora(), ExecutionMode::Functional),
             Arena::new(),
         )
     }
@@ -1402,7 +1408,7 @@ mod tests {
     #[test]
     fn timing_only_mode_skips_data() {
         let arch = sx_aurora();
-        let mut c = VCore::new(&arch, ExecutionMode::TimingOnly, 1);
+        let mut c = VCore::new(&arch, ExecutionMode::TimingOnly);
         let mut a = Arena::new();
         let src = a.alloc(512);
         c.vload(&a, 0, src, 512);
@@ -1478,8 +1484,8 @@ mod tests {
     #[test]
     fn strided_load_touches_more_lines_than_unit() {
         let arch = sx_aurora();
-        let mut c1 = VCore::new(&arch, ExecutionMode::TimingOnly, 1);
-        let mut c2 = VCore::new(&arch, ExecutionMode::TimingOnly, 1);
+        let mut c1 = VCore::new(&arch, ExecutionMode::TimingOnly);
+        let mut c2 = VCore::new(&arch, ExecutionMode::TimingOnly);
         let mut a = Arena::new();
         let base = a.alloc(8192);
         c1.vload(&a, 0, base, 512);
@@ -1538,7 +1544,7 @@ mod tests {
     #[test]
     fn trace_tags_regions_and_footprints() {
         let arch = sx_aurora();
-        let mut c = VCore::new(&arch, ExecutionMode::TimingOnly, 1);
+        let mut c = VCore::new(&arch, ExecutionMode::TimingOnly);
         c.enable_trace();
         let mut a = Arena::new();
         let src = a.alloc_labeled(4096, "src");
@@ -1603,7 +1609,7 @@ mod tests {
             c.vgather_blocks(a, 3, &[x, x + 512], 32);
             c.vscatter_blocks(a, 3, &[x, x + 512], 32);
         };
-        let mut timed = VCore::new(&arch, ExecutionMode::TimingOnly, 1);
+        let mut timed = VCore::new(&arch, ExecutionMode::TimingOnly);
         timed.enable_trace();
         run(&mut timed, &mut a);
         let mut intro = VCore::new_introspect(&arch);
@@ -1651,7 +1657,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "only kept in Functional mode")]
     fn vreg_in_timing_only_mode_panics_descriptively() {
-        let c = VCore::new(&sx_aurora(), ExecutionMode::TimingOnly, 1);
+        let c = VCore::new(&sx_aurora(), ExecutionMode::TimingOnly);
         let _ = c.vreg(0);
     }
 

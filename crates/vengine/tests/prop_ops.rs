@@ -12,7 +12,7 @@ proptest! {
     #[test]
     fn vload_vstore_roundtrip(vl in 1usize..513, offset_lines in 0u64..8) {
         let arch = sx_aurora();
-        let mut core = VCore::new(&arch, ExecutionMode::Functional, 1);
+        let mut core = VCore::new(&arch, ExecutionMode::Functional);
         let mut arena = Arena::new();
         let src = arena.alloc(1024) + offset_lines * 128;
         let dst = arena.alloc(1024);
@@ -26,7 +26,7 @@ proptest! {
     #[test]
     fn fma_bcast_matches_scalar_math(vl in 1usize..513, scalar in -10.0f32..10.0) {
         let arch = sx_aurora();
-        let mut core = VCore::new(&arch, ExecutionMode::Functional, 1);
+        let mut core = VCore::new(&arch, ExecutionMode::Functional);
         let mut arena = Arena::new();
         let w = arena.alloc(512);
         let acc0 = arena.alloc(512);
@@ -52,7 +52,7 @@ proptest! {
         prop_assume!(nblocks * block_elems <= 512);
         prop_assume!(stride_lines * 128 >= (block_elems * 4) as u64);
         let arch = sx_aurora();
-        let mut core = VCore::new(&arch, ExecutionMode::Functional, 1);
+        let mut core = VCore::new(&arch, ExecutionMode::Functional);
         let mut arena = Arena::new();
         let span = (nblocks as u64 * stride_lines * 128 / 4) as usize + block_elems;
         let src_base = arena.alloc(span);
@@ -81,7 +81,7 @@ proptest! {
     ) {
         prop_assume!(rows * row_elems <= 512);
         let arch = sx_aurora();
-        let mut core = VCore::new(&arch, ExecutionMode::Functional, 1);
+        let mut core = VCore::new(&arch, ExecutionMode::Functional);
         let mut arena = Arena::new();
         let base = arena.alloc(rows * stride_elems + row_elems);
         for i in 0..(rows * stride_elems + row_elems) {
@@ -98,7 +98,7 @@ proptest! {
     #[test]
     fn strided_load_store_roundtrip(count in 1usize..129, stride_elems in 1usize..9) {
         let arch = sx_aurora();
-        let mut core = VCore::new(&arch, ExecutionMode::Functional, 1);
+        let mut core = VCore::new(&arch, ExecutionMode::Functional);
         let mut arena = Arena::new();
         let base = arena.alloc(count * stride_elems + 1);
         let out = arena.alloc(count * stride_elems + 1);
@@ -116,7 +116,7 @@ proptest! {
     fn cycles_monotone_in_fma_count(n1 in 1usize..50, extra in 1usize..50) {
         let arch = sx_aurora();
         let run = |n: usize| -> u64 {
-            let mut core = VCore::new(&arch, ExecutionMode::TimingOnly, 1);
+            let mut core = VCore::new(&arch, ExecutionMode::TimingOnly);
             let arena = Arena::new();
             for i in 0..n {
                 core.vfma_bcast(i % 8, 30, ScalarValue::constant(1.0), 512);
