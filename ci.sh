@@ -37,7 +37,7 @@ cargo run --release -p lsv-bench --bin lsvconv-cli -- fuzz --smoke --backend nat
 echo "== profile smoke (reconciliation + profile.json schema are hard errors)"
 cargo run --release -p lsv-bench --bin lsvconv-cli -- profile --smoke --out results/ci-profile
 
-echo "== layer-store smoke (cold -> warm >= 5x + byte-identical, then store-off equality)"
+echo "== layer-store smoke (cold == results/mpki.csv; cold -> warm >= 5x + byte-identical; store-off equality)"
 STORE_SMOKE_DIR=results/.ci-store
 STORE_SMOKE_OUT=results/logs
 mkdir -p "$STORE_SMOKE_OUT"
@@ -50,6 +50,7 @@ t1=$(date +%s%N)
     --out "$STORE_SMOKE_OUT/ci-store-warm" >/dev/null 2>&1
 t2=$(date +%s%N)
 cmp "$STORE_SMOKE_OUT/ci-store-cold/mpki.csv" "$STORE_SMOKE_OUT/ci-store-warm/mpki.csv"
+cmp "$STORE_SMOKE_OUT/ci-store-cold/mpki.csv" results/mpki.csv
 cold_ms=$(((t1 - t0) / 1000000))
 warm_ms=$(((t2 - t1) / 1000000))
 echo "   cold ${cold_ms}ms, warm ${warm_ms}ms"
@@ -69,6 +70,19 @@ rm -rf "$VALIDATE_STORE_DIR"
     --out "$STORE_SMOKE_OUT/ci-validate" >/dev/null 2>&1
 cmp "$STORE_SMOKE_OUT/ci-validate/validate.csv" results/validate.csv
 rm -rf "$VALIDATE_STORE_DIR"
+
+echo "== layer meter gate (cold store; figure4.csv and ablation.csv must equal results/)"
+# Direct kernels, the vednn baseline and the ablation's overridden configs
+# are all measured by one representative-core slice through one store memo:
+# the committed per-layer artifacts pin that meter.
+METER_STORE_DIR=results/.ci-meter-store
+for name in figure4 ablation; do
+    rm -rf "$METER_STORE_DIR"
+    ./target/release/lsvconv-cli run "$name" --store-dir "$METER_STORE_DIR" \
+        --out "$STORE_SMOKE_OUT/ci-$name" >/dev/null 2>&1
+    cmp "$STORE_SMOKE_OUT/ci-$name/$name.csv" "results/$name.csv"
+done
+rm -rf "$METER_STORE_DIR"
 
 echo "== model roll-up gate (cold store; figure6.csv must equal results/figure6.csv)"
 # Every engine, vednn included, prices ResNet-101 through one ModelRunner

@@ -33,7 +33,6 @@ use lsv_serve::{
     reference_capacity_rps, run_sweep, run_timeseries, serving_trace_json, ArrivalShape,
     BatchPolicy, LatencyTable, Reconciliation, ServeEngine, SweepConfig, TraceMeta,
 };
-use lsv_vengine::CoreStats;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -550,17 +549,7 @@ fn main() {
 
             // Cross-check the profile against the *independently kept* slice
             // report, not just its own embedded totals.
-            let r = &perf.report;
-            let slice_stats = CoreStats {
-                cycles: r.cycles,
-                insts: r.insts,
-                cache: r.cache,
-                stall_scalar: r.stall_scalar,
-                stall_dep: r.stall_dep,
-                stall_port: r.stall_port,
-                bank_serial_cycles: r.bank_serial_cycles,
-            };
-            let reconciliation = lsv_analyze::check_profile_reconciliation(&profile, &slice_stats);
+            let reconciliation = lsv_analyze::check_profile_reconciliation(&profile, &perf.report);
             for d in &reconciliation.diagnostics {
                 eprintln!("{d}");
             }

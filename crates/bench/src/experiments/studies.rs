@@ -7,11 +7,11 @@ use crate::profiling::{profile_meta, write_profile_artifacts};
 use crate::{bench_engine, geomean, Engine, Row};
 use lsv_arch::presets::{a64fx_sve, rvv_longvector, skylake_avx512, sx_aurora};
 use lsv_conv::par::par_map;
-use lsv_conv::perf::{bench_layer_profiled_cached, bench_minibatch_parallel_with};
+use lsv_conv::perf::bench_layer_profiled_cached;
 use lsv_conv::tuning::{kernel_config, split_register_block};
 use lsv_conv::{
-    bench_layer, bench_layer_profiled, Algorithm, ConvDesc, ConvProblem, Direction, ExecutionMode,
-    KernelConfig,
+    bench_config, bench_layer, bench_layer_profiled, Algorithm, ConvProblem, Direction,
+    ExecutionMode, KernelConfig,
 };
 use lsv_models::{resnet_layer, resnet_layers};
 use std::fmt::Write as _;
@@ -191,18 +191,7 @@ pub fn ablation(_: &Ctx) -> Outcome {
     }
 
     let bdc_point = |problem: &ConvProblem, cfg: KernelConfig| {
-        let slice = bench_minibatch_parallel_with(
-            &arch,
-            problem,
-            Direction::Fwd,
-            ExecutionMode::TimingOnly,
-            arch.cores,
-            &|p_sim| {
-                ConvDesc::new(p_sim, Direction::Fwd, Algorithm::Bdc)
-                    .create_with_config(&arch, cfg, arch.cores)
-            },
-        );
-        slice.into_layer_perf(&arch, problem, Direction::Fwd, Algorithm::Bdc)
+        bench_config(&arch, problem, &cfg, ExecutionMode::TimingOnly)
     };
     let lines: Vec<(usize, String)> = par_map(jobs, |job| match job {
         Job::Rb { target, cfg } => {

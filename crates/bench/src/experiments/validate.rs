@@ -39,7 +39,7 @@ pub fn validate(_: &Ctx) -> Outcome {
                     // Deterministic in (arch, p, dir): served from the layer
                     // store when a previous regen validated the same point.
                     let key = store::validation_key(&arch, &p, dir, "vednn");
-                    store::store().validation(&key, || {
+                    store::store().memo(&key, || {
                         let mut rng = rand::rngs::StdRng::seed_from_u64(99 + id as u64);
                         let src: Vec<f32> = (0..p.n * p.ic * p.ih * p.iw)
                             .map(|_| rng.gen_range(-1.0..1.0))

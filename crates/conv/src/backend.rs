@@ -18,7 +18,7 @@
 
 use crate::multicore::{self, partition_ranges, MulticoreReport};
 use crate::native;
-use crate::primitive::{ConvPrimitive, ConvTensors, ExecReport};
+use crate::primitive::{ConvPrimitive, ConvTensors};
 use crate::problem::Direction;
 use lsv_arch::ArchParams;
 use lsv_vengine::{Arena, CoreStats, ExecutionMode, InstCounters, VCore};
@@ -53,7 +53,7 @@ pub trait ExecBackend {
         t: &ConvTensors,
         n_range: Range<usize>,
         small_blocks: Range<usize>,
-    ) -> ExecReport;
+    ) -> CoreStats;
 
     /// Execute the whole problem with the Section 4.3 work partitioning
     /// across the chip's cores.
@@ -112,10 +112,10 @@ impl ExecBackend for SimBackend {
         t: &ConvTensors,
         n_range: Range<usize>,
         small_blocks: Range<usize>,
-    ) -> ExecReport {
+    ) -> CoreStats {
         let mut core = self.make_core(prim.arch());
         prim.execute_core(&mut core, arena, t, n_range, small_blocks);
-        ExecReport::from(core.drain())
+        core.drain()
     }
 
     fn execute_multicore(
@@ -173,11 +173,11 @@ impl ExecBackend for NativeBackend {
         t: &ConvTensors,
         n_range: Range<usize>,
         small_blocks: Range<usize>,
-    ) -> ExecReport {
+    ) -> CoreStats {
         let insts = self.run(prim, arena, t, n_range, small_blocks);
-        ExecReport {
+        CoreStats {
             insts,
-            ..ExecReport::default()
+            ..CoreStats::default()
         }
     }
 

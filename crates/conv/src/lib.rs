@@ -50,9 +50,10 @@ pub use analysis::{scalar_stream_profile, ScalarStreamProfile};
 pub use backend::{BackendKind, ExecBackend, NativeBackend, SimBackend};
 pub use multicore::{execute_multicore, MulticoreReport};
 pub use perf::{
-    bench_layer, bench_layer_native, bench_layer_profiled, chip_ms, LayerPerf, NativePerf,
+    bench_config, bench_layer, bench_layer_native, bench_layer_profiled, chip_ms, LayerPerf,
+    NativePerf,
 };
-pub use primitive::{ConvDesc, ConvPrimitive, ConvTensors, ExecReport, UnsupportedReason};
+pub use primitive::{ConvDesc, ConvPrimitive, ConvTensors, UnsupportedReason};
 pub use problem::{Algorithm, ConvProblem, Direction};
 pub use runner::{CostFn, Kernel, LayerCost, LayerSpec, ModelPlan, ModelRunner, Pass, PlanEntry};
 pub use store::{stats_metrics_json, LayerStore, StoreConfig, StoreStats};

@@ -1,30 +1,41 @@
-//! The multi-core performance model used by every figure of the evaluation.
+//! The one place a layer is measured: the multi-core performance model
+//! behind every figure of the evaluation.
 //!
 //! The paper runs each layer on all 8 SX-Aurora cores with OpenMP
 //! (Section 7). We simulate **one representative core's slice** of the
 //! parallel loop and derive chip wall-time from it:
 //!
-//! * Forward / backward-data: the minibatch is the parallel loop
-//!   (Section 4.3). The representative core executes up to two images — the
-//!   first cold, the second in steady state — and the remaining
-//!   `images_per_core - 2` images are charged at the steady-state cost
-//!   (every image of a layer executes the identical instruction stream over
-//!   a warmed weight working set).
-//! * Backward-weights: the smaller feature-map dimension is the parallel
-//!   loop. The core executes its block share over a 1-image and a 2-image
-//!   reduction; the marginal cost of the second image is the steady-state
-//!   per-image sweep, charged for the remaining `N - 1` images.
+//! * Minibatch-parallel kernels — the direct forward / backward-data passes
+//!   (Section 4.3) and every vednn kernel, whose library splits the
+//!   minibatch in every direction. The representative core executes up to
+//!   two images — the first cold, the second in steady state — and the
+//!   remaining `images_per_core - 2` images are charged at the steady-state
+//!   cost (every image of a layer executes the identical instruction stream
+//!   over a warmed weight working set). [`bench_images`] is that routine for
+//!   any [`SliceKernel`].
+//! * Direct backward-weights: the smaller feature-map dimension is the
+//!   parallel loop. The core executes its block share over a 1-image and a
+//!   2-image reduction; the marginal cost of the second image is the
+//!   steady-state per-image sweep, charged for the remaining `N - 1` images.
 //!
 //! Chip wall-time is the representative core's total (cores are symmetric;
 //! idle cores when `N < cores` show up as reduced GFLOP/s exactly as on the
 //! real machine — Figure 6's scaling behaviour).
+//!
+//! [`bench_config`] measures a given effective [`KernelConfig`]: the
+//! tuner's candidates and the ablation's overrides call it directly, and
+//! [`bench_layer`] and its profiled variants measure the configuration
+//! [`ConvDesc::create`] generates. Every slice is served through the layer
+//! store's one memo ([`store::LayerStore::memo`]).
 
 use crate::backend::{ExecBackend, NativeBackend, SimBackend};
-use crate::primitive::{ConvDesc, ConvPrimitive, ExecReport};
+use crate::primitive::{ConvDesc, ConvPrimitive, ConvTensors};
 use crate::problem::{Algorithm, ConvProblem, Direction};
-use crate::store;
+use crate::store::{self, Record, Stored};
+use crate::tuning::KernelConfig;
 use lsv_arch::ArchParams;
-use lsv_vengine::{Arena, ExecutionMode, RegionProfile, VCore};
+use lsv_vengine::{Arena, CoreStats, ExecutionMode, RegionProfile, VCore};
+use std::ops::Range;
 
 /// Performance of one (layer, direction, algorithm) under the multi-core
 /// model.
@@ -46,7 +57,7 @@ pub struct LayerPerf {
     /// Whether Formula 3 predicted conflicts for this configuration.
     pub conflicts_predicted: bool,
     /// Raw statistics of the measured core slice.
-    pub report: ExecReport,
+    pub report: CoreStats,
 }
 
 impl LayerPerf {
@@ -58,7 +69,7 @@ impl LayerPerf {
         arch: &ArchParams,
         problem: &ConvProblem,
         chip_cycles: u64,
-        report: ExecReport,
+        report: CoreStats,
         conflicts_predicted: bool,
     ) -> Self {
         let cycles = chip_cycles.max(1);
@@ -105,7 +116,8 @@ pub fn bench_layer(
     algorithm: Algorithm,
     mode: ExecutionMode,
 ) -> LayerPerf {
-    bench_layer_impl(arch, problem, direction, algorithm, mode, ProfileMode::Off).0
+    let cfg = generated_config(arch, problem, direction, algorithm);
+    bench_config(arch, problem, &cfg, mode)
 }
 
 /// [`bench_layer`] with the measured core's region profiler enabled.
@@ -122,14 +134,8 @@ pub fn bench_layer_profiled(
     algorithm: Algorithm,
     mode: ExecutionMode,
 ) -> (LayerPerf, RegionProfile) {
-    let (perf, profile) = bench_layer_impl(
-        arch,
-        problem,
-        direction,
-        algorithm,
-        mode,
-        ProfileMode::Required,
-    );
+    let cfg = generated_config(arch, problem, direction, algorithm);
+    let (perf, profile) = measure(arch, problem, &cfg, mode, ProfileMode::Required);
     (perf, profile.expect("profiler enabled"))
 }
 
@@ -147,14 +153,35 @@ pub fn bench_layer_profiled_cached(
     algorithm: Algorithm,
     mode: ExecutionMode,
 ) -> (LayerPerf, Option<RegionProfile>) {
-    bench_layer_impl(
-        arch,
-        problem,
-        direction,
-        algorithm,
-        mode,
-        ProfileMode::IfSimulated,
-    )
+    let cfg = generated_config(arch, problem, direction, algorithm);
+    measure(arch, problem, &cfg, mode, ProfileMode::IfSimulated)
+}
+
+/// Simulate one layer running the effective configuration `cfg`, which
+/// carries the direction and algorithm, under the paper's 8-core execution
+/// model. `cfg` is used as given (an override must fit the register file);
+/// its Formula 3 verdict is the reported `conflicts_predicted`.
+pub fn bench_config(
+    arch: &ArchParams,
+    problem: &ConvProblem,
+    cfg: &KernelConfig,
+    mode: ExecutionMode,
+) -> LayerPerf {
+    measure(arch, problem, cfg, mode, ProfileMode::Off).0
+}
+
+/// The configuration [`ConvDesc::create`] generates for a layer that runs
+/// on all of the chip's cores.
+fn generated_config(
+    arch: &ArchParams,
+    problem: &ConvProblem,
+    direction: Direction,
+    algorithm: Algorithm,
+) -> KernelConfig {
+    *ConvDesc::new(*problem, direction, algorithm)
+        .create(arch, arch.cores.max(1))
+        .expect("primitive creation")
+        .cfg()
 }
 
 /// How a bench call interacts with the region profiler and the layer store.
@@ -170,27 +197,235 @@ enum ProfileMode {
     IfSimulated,
 }
 
-fn bench_layer_impl(
+fn measure(
     arch: &ArchParams,
     problem: &ConvProblem,
-    direction: Direction,
-    algorithm: Algorithm,
+    cfg: &KernelConfig,
     mode: ExecutionMode,
     pmode: ProfileMode,
 ) -> (LayerPerf, Option<RegionProfile>) {
-    let cores = arch.cores.max(1);
-    let (slice, profile) = match direction {
-        Direction::Fwd | Direction::BwdData => {
-            let make_prim = |p_sim: ConvProblem| {
-                ConvDesc::new(p_sim, direction, algorithm)
-                    .create(arch, cores)
-                    .expect("primitive creation")
-            };
-            bench_minibatch_parallel_impl(arch, problem, direction, mode, cores, &make_prim, pmode)
-        }
-        Direction::BwdWeights => bench_bwdw_parallel(arch, problem, algorithm, mode, cores, pmode),
+    let prim = |images: usize| {
+        ConvDesc::new(problem.with_minibatch(images), cfg.direction, cfg.algorithm)
+            .create_with_config(arch, *cfg, arch.cores.max(1))
     };
-    (finish(arch, problem, direction, algorithm, slice), profile)
+    if cfg.direction != Direction::BwdWeights {
+        let kernel = prim(slice_problem(arch, problem).n);
+        return measure_images(arch, problem, &kernel, mode, pmode);
+    }
+    // Marginal-image cost from a 1-image and a 2-image reduction over the
+    // core's block share. Only the second (reported) run is profiled.
+    let c1 = reduction(arch, &prim(1), mode, ProfileMode::Off).cold;
+    let s = reduction(arch, &prim(2.min(problem.n)), mode, pmode);
+    let marginal = s.cold.saturating_sub(c1).max(1);
+    let chip_cycles = if problem.n <= 2 {
+        s.cold
+    } else {
+        s.cold + marginal * (problem.n as u64 - 2)
+    };
+    let perf = LayerPerf::new(
+        arch,
+        problem,
+        chip_cycles,
+        s.report,
+        cfg.conflicts_predicted,
+    );
+    (perf, s.profile)
+}
+
+/// A kernel the representative core runs: the direct primitive and every
+/// vednn kernel. It supplies its operand allocation and its per-image run;
+/// the warm-up, the cold/steady image pair and the store key are shared.
+pub trait SliceKernel {
+    /// The operand tensors, plus any kernel-private scratch.
+    type Tensors: AsRef<ConvTensors>;
+    /// The slice problem the kernel was built for.
+    fn problem(&self) -> &ConvProblem;
+    /// The pass it computes.
+    fn direction(&self) -> Direction;
+    /// Its store engine tag and, for a generated kernel, its effective
+    /// configuration (which also carries Formula 3's verdict).
+    fn identity(&self) -> (&'static str, Option<&KernelConfig>);
+    /// Allocate the operands (and scratch) in their layouts.
+    fn alloc(&self, arena: &mut Arena) -> Self::Tensors;
+    /// Execute `images` of the slice problem on `core`.
+    fn run_images(
+        &self,
+        core: &mut VCore,
+        arena: &mut Arena,
+        t: &Self::Tensors,
+        images: Range<usize>,
+    );
+}
+
+impl SliceKernel for ConvPrimitive {
+    type Tensors = ConvTensors;
+
+    fn problem(&self) -> &ConvProblem {
+        &self.desc().problem
+    }
+
+    fn direction(&self) -> Direction {
+        self.desc().direction
+    }
+
+    fn identity(&self) -> (&'static str, Option<&KernelConfig>) {
+        ("direct", Some(self.cfg()))
+    }
+
+    fn alloc(&self, arena: &mut Arena) -> ConvTensors {
+        self.alloc_tensors(arena)
+    }
+
+    fn run_images(
+        &self,
+        core: &mut VCore,
+        arena: &mut Arena,
+        t: &ConvTensors,
+        images: Range<usize>,
+    ) {
+        self.execute_core(core, arena, t, images, 0..0);
+    }
+}
+
+/// Images each core owns when a minibatch-parallel layer is split.
+fn images_per_core(arch: &ArchParams, problem: &ConvProblem) -> usize {
+    problem.n.div_ceil(arch.cores.max(1)).max(1)
+}
+
+/// The problem the representative core of a minibatch-parallel layer
+/// simulates: its first one or two images.
+pub fn slice_problem(arch: &ArchParams, problem: &ConvProblem) -> ConvProblem {
+    problem.with_minibatch(images_per_core(arch, problem).min(2))
+}
+
+/// Simulate a minibatch-parallel layer of `problem.n` images from the
+/// representative core's share. `kernel`, built for [`slice_problem`], runs
+/// the core's first image cold and, when the core owns more, its second in
+/// steady state; the remaining images are charged at the steady cost.
+pub fn bench_images<K: SliceKernel>(
+    arch: &ArchParams,
+    problem: &ConvProblem,
+    kernel: &K,
+    mode: ExecutionMode,
+) -> LayerPerf {
+    measure_images(arch, problem, kernel, mode, ProfileMode::Off).0
+}
+
+fn measure_images<K: SliceKernel>(
+    arch: &ArchParams,
+    problem: &ConvProblem,
+    kernel: &K,
+    mode: ExecutionMode,
+    pmode: ProfileMode,
+) -> (LayerPerf, Option<RegionProfile>) {
+    assert_eq!(
+        *kernel.problem(),
+        slice_problem(arch, problem),
+        "the kernel must be built for the representative core's images"
+    );
+    let s = via_store(arch, kernel, mode, pmode, |profiled| {
+        image_pair(arch, kernel, mode, profiled)
+    });
+    let chip_cycles = s.cold + s.steady * (images_per_core(arch, problem) as u64 - 1);
+    let conflicts_predicted = kernel.identity().1.is_some_and(|c| c.conflicts_predicted);
+    let perf = LayerPerf::new(arch, problem, chip_cycles, s.report, conflicts_predicted);
+    (perf, s.profile)
+}
+
+/// One simulated slice: the representative core's raw measurement before
+/// any chip-cycle derivation (the unit the layer store records).
+struct Slice {
+    /// Cold-image cycles, or the whole reduction run's (bwd-weights).
+    cold: u64,
+    /// Steady-image cycles (`cold` again for a one-image slice); 0 for a
+    /// reduction run.
+    steady: u64,
+    report: CoreStats,
+    profile: Option<RegionProfile>,
+}
+
+impl Stored for Slice {
+    fn to_record(&self) -> Record {
+        Record::Slice {
+            a: self.cold,
+            b: self.steady,
+            report: self.report,
+        }
+    }
+
+    fn from_record(rec: Record) -> Option<Self> {
+        match rec {
+            Record::Slice { a, b, report } => Some(Slice {
+                cold: a,
+                steady: b,
+                report,
+                profile: None,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// Serve `kernel`'s slice through the store's memo, or simulate it with
+/// `sim(profiled)`. A [`ProfileMode::Required`] call always simulates — a
+/// region profile cannot be cached — but still records the slice. The key
+/// names the effective config: ablation overrides individual variables and
+/// `create` shrinks blocks under register pressure, so two calls share an
+/// entry iff the kernel that actually runs is identical.
+fn via_store<K: SliceKernel>(
+    arch: &ArchParams,
+    kernel: &K,
+    mode: ExecutionMode,
+    pmode: ProfileMode,
+    sim: impl Fn(bool) -> Slice,
+) -> Slice {
+    let (engine, cfg) = kernel.identity();
+    let key = store::slice_key(
+        arch,
+        kernel.problem(),
+        kernel.direction(),
+        engine,
+        arch.cores.max(1),
+        mode,
+        cfg,
+    );
+    let st = store::store();
+    if pmode == ProfileMode::Required {
+        let s = sim(true);
+        st.put(&key, s.to_record());
+        return s;
+    }
+    st.memo(&key, || sim(pmode == ProfileMode::IfSimulated))
+}
+
+/// The representative core ready to run `kernel`: operands allocated (and
+/// filled, in functional mode), the profiler on when asked, and the LLC
+/// warmed with the pass's input activations.
+fn prepare<K: SliceKernel>(
+    arch: &ArchParams,
+    kernel: &K,
+    mode: ExecutionMode,
+    profiled: bool,
+) -> (VCore, Arena, K::Tensors) {
+    let mut arena = Arena::for_mode(mode);
+    let t = kernel.alloc(&mut arena);
+    if mode.is_functional() {
+        fill_operands(&mut arena, t.as_ref());
+    }
+    let mut core = SimBackend { mode }.make_core(arch);
+    if profiled {
+        core.enable_profiler();
+    }
+    warm_inputs(&mut core, t.as_ref(), kernel.direction());
+    (core, arena, t)
+}
+
+/// Deterministic pseudo-random operands (simulated timing never depends on
+/// them).
+fn fill_operands(arena: &mut Arena, t: &ConvTensors) {
+    t.src.fill_random(arena, 11);
+    t.dst.fill_random(arena, 13);
+    t.wei.fill_random(arena, 17);
 }
 
 /// Warm the LLC with the pass's input *activations*: in a training step the
@@ -199,7 +434,7 @@ fn bench_layer_impl(
 /// model's weights (~170 MB for ResNet-101) vastly exceed the LLC, so each
 /// layer's weights stream in from memory once per step; that cost amortizes
 /// over the minibatch, which is the scaling mechanism of Figure 6.
-fn warm_inputs(core: &mut VCore, t: &crate::primitive::ConvTensors, direction: Direction) {
+fn warm_inputs(core: &mut VCore, t: &ConvTensors, direction: Direction) {
     let warm_act = |core: &mut VCore, a: &lsv_tensor::ActTensor| {
         core.warm_llc(a.base, (a.elems_padded() * 4) as u64);
     };
@@ -213,284 +448,58 @@ fn warm_inputs(core: &mut VCore, t: &crate::primitive::ConvTensors, direction: D
     }
 }
 
-/// Measured core slice plus derived chip cycles.
-pub struct SliceResult {
-    /// Chip wall-clock cycles for the whole minibatch.
-    pub chip_cycles: u64,
-    /// Raw statistics of the measured core slice.
-    pub report: ExecReport,
-}
-
-impl SliceResult {
-    /// Convert a slice into a [`LayerPerf`] for a problem (ablation-bench
-    /// helper; [`bench_layer`] does this internally).
-    pub fn into_layer_perf(
-        self,
-        arch: &ArchParams,
-        problem: &ConvProblem,
-        direction: Direction,
-        algorithm: Algorithm,
-    ) -> LayerPerf {
-        finish(arch, problem, direction, algorithm, self)
-    }
-}
-
-/// Like [`bench_layer`] for the minibatch-parallel directions but with an
-/// arbitrary primitive factory — the hook the ablation benches use to sweep
-/// individual optimization variables.
-pub fn bench_minibatch_parallel_with(
+/// The cold/steady image pair on the representative core.
+fn image_pair<K: SliceKernel>(
     arch: &ArchParams,
-    problem: &ConvProblem,
-    direction: Direction,
+    kernel: &K,
     mode: ExecutionMode,
-    cores: usize,
-    make_prim: &dyn Fn(ConvProblem) -> ConvPrimitive,
-) -> SliceResult {
-    bench_minibatch_parallel_impl(
-        arch,
-        problem,
-        direction,
-        mode,
-        cores,
-        make_prim,
-        ProfileMode::Off,
-    )
-    .0
-}
-
-/// One simulated slice: the representative core's raw measurement before any
-/// chip-cycle derivation (the unit the layer store caches).
-struct SliceSim {
-    /// Cold-image cycles (fwd/bwd-data) or the whole reduction run's cycles
-    /// (bwd-weights).
-    cold: u64,
-    /// Steady-image cycles (fwd/bwd-data with `n_sim > 1`); 0 for
-    /// bwd-weights runs.
-    steady: u64,
-    report: ExecReport,
-    profile: Option<RegionProfile>,
-}
-
-/// Serve a slice from the layer store, or simulate it (and insert). A
-/// [`ProfileMode::Required`] call always simulates — a region profile cannot
-/// be cached — but still populates the store. Paranoid mode re-simulates a
-/// deterministic sample of hits and asserts bit-equality.
-fn slice_via_store(
-    key: &store::Key,
-    pmode: ProfileMode,
-    sim: impl Fn(bool) -> SliceSim,
-) -> SliceSim {
-    let st = store::store();
-    let profile_on_sim = pmode != ProfileMode::Off;
-    if !st.enabled() || pmode == ProfileMode::Required {
-        let s = sim(profile_on_sim);
-        st.put_slice(key, s.cold, s.steady, &s.report);
-        return s;
-    }
-    if let Some((cold, steady, report)) = st.get_slice(key) {
-        if st.paranoid_sample(key) {
-            let s = sim(false);
-            assert_eq!(
-                (s.cold, s.steady, s.report),
-                (cold, steady, report),
-                "paranoid store recheck diverged for key {}",
-                key.canonical()
-            );
-            st.note_paranoid_recheck();
-        }
-        return SliceSim {
-            cold,
-            steady,
-            report,
-            profile: None,
-        };
-    }
-    let s = sim(profile_on_sim);
-    st.put_slice(key, s.cold, s.steady, &s.report);
-    s
-}
-
-fn simulate_minibatch_slice(
-    arch: &ArchParams,
-    prim: &ConvPrimitive,
-    direction: Direction,
-    mode: ExecutionMode,
-    n_sim: usize,
     profiled: bool,
-) -> SliceSim {
-    let mut arena = Arena::for_mode(mode);
-    let t = prim.alloc_tensors(&mut arena);
-    if mode.is_functional() {
-        t.src.fill_random(&mut arena, 11);
-        t.dst.fill_random(&mut arena, 13);
-        t.wei.fill_random(&mut arena, 17);
-    }
-    let mut core = SimBackend { mode }.make_core(arch);
-    if profiled {
-        core.enable_profiler();
-    }
-    warm_inputs(&mut core, &t, direction);
+) -> Slice {
+    let (mut core, mut arena, t) = prepare(arch, kernel, mode, profiled);
     // Image 0: warm LLC (benchdnn-style repeated iterations), cold L1/L2.
-    prim.execute_core(&mut core, &mut arena, &t, 0..1, 0..0);
+    kernel.run_images(&mut core, &mut arena, &t, 0..1);
     let cold = core.drain().cycles;
-    let (steady, report) = if n_sim > 1 {
-        prim.execute_core(&mut core, &mut arena, &t, 1..2, 0..0);
+    let (steady, report) = if kernel.problem().n > 1 {
+        kernel.run_images(&mut core, &mut arena, &t, 1..2);
         let s = core.drain();
-        (s.cycles - cold, ExecReport::from(s))
+        (s.cycles - cold, s)
     } else {
-        let s = core.drain();
-        (cold, ExecReport::from(s))
+        (cold, core.drain())
     };
-    let profile = core.take_profile();
-    SliceSim {
+    Slice {
         cold,
         steady,
         report,
-        profile,
+        profile: core.take_profile(),
     }
 }
 
-fn bench_minibatch_parallel_impl(
-    arch: &ArchParams,
-    problem: &ConvProblem,
-    direction: Direction,
-    mode: ExecutionMode,
-    cores: usize,
-    make_prim: &dyn Fn(ConvProblem) -> ConvPrimitive,
-    pmode: ProfileMode,
-) -> (SliceResult, Option<RegionProfile>) {
-    let images_per_core = problem.n.div_ceil(cores).max(1);
-    let n_sim = images_per_core.min(2);
-    let p_sim = problem.with_minibatch(n_sim);
-    let prim = make_prim(p_sim);
-    // Keyed on the *effective* config of the created primitive: ablation
-    // sweeps override individual variables and `create` shrinks blocks under
-    // register pressure, so two calls share an entry iff the kernel that
-    // actually runs is identical.
-    let key = store::slice_key(
-        arch,
-        &p_sim,
-        direction,
-        "direct",
-        cores,
-        mode,
-        Some(prim.cfg()),
-    );
-    let s = slice_via_store(&key, pmode, |profiled| {
-        simulate_minibatch_slice(arch, &prim, direction, mode, n_sim, profiled)
-    });
-    let chip_cycles = s.cold + s.steady * (images_per_core as u64 - 1);
-    (
-        SliceResult {
-            chip_cycles,
-            report: s.report,
-        },
-        s.profile,
-    )
-}
-
-fn simulate_bwdw_run(
+/// One backward-weights reduction over all of `prim`'s images and the
+/// representative core's share of the small-dimension blocks.
+fn reduction(
     arch: &ArchParams,
     prim: &ConvPrimitive,
     mode: ExecutionMode,
-    cores: usize,
-    profiled: bool,
-) -> SliceSim {
-    let n_sim = prim.desc().problem.n;
-    let blocks_per_core = prim.bwdw_small_blocks().div_ceil(cores).max(1);
-    let mut arena = Arena::for_mode(mode);
-    let t = prim.alloc_tensors(&mut arena);
-    if mode.is_functional() {
-        t.src.fill_random(&mut arena, 19);
-        t.dst.fill_random(&mut arena, 23);
-    }
-    let mut core = SimBackend { mode }.make_core(arch);
-    if profiled {
-        core.enable_profiler();
-    }
-    warm_inputs(&mut core, &t, Direction::BwdWeights);
-    prim.execute_core(&mut core, &mut arena, &t, 0..n_sim, 0..blocks_per_core);
-    let s = core.drain();
-    let profile = core.take_profile();
-    SliceSim {
-        cold: s.cycles,
-        steady: 0,
-        report: ExecReport::from(s),
-        profile,
-    }
-}
-
-/// Like [`bench_minibatch_parallel_with`] for the backward-weights pass:
-/// the 1-image/2-image reduction pair with an arbitrary primitive factory
-/// (the hook the empirical tuner uses to sweep `RB_c`).
-pub fn bench_bwdw_parallel_with(
-    arch: &ArchParams,
-    problem: &ConvProblem,
-    mode: ExecutionMode,
-    cores: usize,
-    make_prim: &dyn Fn(ConvProblem) -> ConvPrimitive,
-) -> SliceResult {
-    bench_bwdw_parallel_impl(arch, problem, mode, cores, make_prim, ProfileMode::Off).0
-}
-
-fn bench_bwdw_parallel(
-    arch: &ArchParams,
-    problem: &ConvProblem,
-    algorithm: Algorithm,
-    mode: ExecutionMode,
-    cores: usize,
     pmode: ProfileMode,
-) -> (SliceResult, Option<RegionProfile>) {
-    let make_prim = |p_sim: ConvProblem| {
-        ConvDesc::new(p_sim, Direction::BwdWeights, algorithm)
-            .create(arch, cores)
-            .expect("primitive creation")
-    };
-    bench_bwdw_parallel_impl(arch, problem, mode, cores, &make_prim, pmode)
-}
-
-fn bench_bwdw_parallel_impl(
-    arch: &ArchParams,
-    problem: &ConvProblem,
-    mode: ExecutionMode,
-    cores: usize,
-    make_prim: &dyn Fn(ConvProblem) -> ConvPrimitive,
-    pmode: ProfileMode,
-) -> (SliceResult, Option<RegionProfile>) {
-    // Marginal-image cost from a 1-image and a 2-image reduction over the
-    // core's block share. Only the second (reported) run is profiled.
-    let run = |n_sim: usize, pmode: ProfileMode| -> (u64, ExecReport, Option<RegionProfile>) {
-        let p_sim = problem.with_minibatch(n_sim);
-        let prim = make_prim(p_sim);
-        let key = store::slice_key(
-            arch,
-            &p_sim,
-            Direction::BwdWeights,
-            "direct",
-            cores,
-            mode,
-            Some(prim.cfg()),
+) -> Slice {
+    via_store(arch, prim, mode, pmode, |profiled| {
+        let blocks = prim.bwdw_small_blocks().div_ceil(arch.cores.max(1)).max(1);
+        let (mut core, mut arena, t) = prepare(arch, prim, mode, profiled);
+        prim.execute_core(
+            &mut core,
+            &mut arena,
+            &t,
+            0..prim.desc().problem.n,
+            0..blocks,
         );
-        let s = slice_via_store(&key, pmode, |profiled| {
-            simulate_bwdw_run(arch, &prim, mode, cores, profiled)
-        });
-        (s.cold, s.report, s.profile)
-    };
-    let (c1, _, _) = run(1, ProfileMode::Off);
-    let (c2, report, profile) = run(2.min(problem.n), pmode);
-    let marginal = c2.saturating_sub(c1).max(1);
-    let chip_cycles = if problem.n <= 2 {
-        c2
-    } else {
-        c2 + marginal * (problem.n as u64 - 2)
-    };
-    (
-        SliceResult {
-            chip_cycles,
+        let report = core.drain();
+        Slice {
+            cold: report.cycles,
+            steady: 0,
             report,
-        },
-        profile,
-    )
+            profile: core.take_profile(),
+        }
+    })
 }
 
 /// Host-side performance of the native backend on one layer: what the
@@ -521,9 +530,7 @@ pub fn bench_layer_native(
         .expect("primitive creation");
     let mut arena = Arena::new();
     let t = prim.alloc_tensors(&mut arena);
-    t.src.fill_random(&mut arena, 11);
-    t.dst.fill_random(&mut arena, 13);
-    t.wei.fill_random(&mut arena, 17);
+    fill_operands(&mut arena, &t);
     let backend = NativeBackend;
     let start = std::time::Instant::now();
     let report = backend.execute_slice(
@@ -539,23 +546,6 @@ pub fn bench_layer_native(
         host_gflops: problem.flops() as f64 / host_secs / 1e9,
         insts: report.insts,
     }
-}
-
-fn finish(
-    arch: &ArchParams,
-    problem: &ConvProblem,
-    direction: Direction,
-    algorithm: Algorithm,
-    slice: SliceResult,
-) -> LayerPerf {
-    let cfg = crate::tuning::kernel_config(arch, problem, direction, algorithm, arch.cores);
-    LayerPerf::new(
-        arch,
-        problem,
-        slice.chip_cycles,
-        slice.report,
-        cfg.conflicts_predicted,
-    )
 }
 
 #[cfg(test)]

@@ -13,9 +13,8 @@ use crate::kernels;
 use crate::problem::{Algorithm, ConvProblem, Direction};
 use crate::tuning::{kernel_config, KernelConfig};
 use lsv_arch::ArchParams;
-use lsv_cache::HierarchyStats;
 use lsv_tensor::{ActTensor, WeiTensor};
-use lsv_vengine::{Arena, CoreStats, InstCounters, VCore};
+use lsv_vengine::{Arena, CoreStats, VCore};
 use std::fmt;
 use std::ops::Range;
 
@@ -69,58 +68,9 @@ pub struct ConvTensors {
     pub dst: ActTensor,
 }
 
-/// Execution statistics of one primitive run (one simulated core).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ExecReport {
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Dynamic instruction counters.
-    pub insts: InstCounters,
-    /// Cache statistics.
-    pub cache: HierarchyStats,
-    /// Frontend cycles blocked on scalar load data.
-    pub stall_scalar: u64,
-    /// Vector-pipe cycles waiting on source registers.
-    pub stall_dep: u64,
-    /// Vector-pipe cycles waiting on a free FMA port.
-    pub stall_port: u64,
-    /// Extra cycles from LLC bank serialization of gathers/scatters.
-    pub bank_serial_cycles: u64,
-}
-
-impl From<CoreStats> for ExecReport {
-    fn from(s: CoreStats) -> Self {
-        ExecReport {
-            cycles: s.cycles,
-            insts: s.insts,
-            cache: s.cache,
-            stall_scalar: s.stall_scalar,
-            stall_dep: s.stall_dep,
-            stall_port: s.stall_port,
-            bank_serial_cycles: s.bank_serial_cycles,
-        }
-    }
-}
-
-impl ExecReport {
-    /// The stall counters paired with [`lsv_vengine::STALL_LABELS`] (the one
-    /// naming scheme shared by [`CoreStats::stall_breakdown`], the region
-    /// profiler and every reporting bin), in label order.
-    pub fn stall_breakdown(&self) -> [(&'static str, u64); 4] {
-        let cycles = [
-            self.stall_scalar,
-            self.stall_dep,
-            self.stall_port,
-            self.bank_serial_cycles,
-        ];
-        let mut out = [("", 0u64); 4];
-        for (slot, (label, c)) in out
-            .iter_mut()
-            .zip(lsv_vengine::STALL_LABELS.into_iter().zip(cycles))
-        {
-            *slot = (label, c);
-        }
-        out
+impl AsRef<ConvTensors> for ConvTensors {
+    fn as_ref(&self) -> &ConvTensors {
+        self
     }
 }
 
@@ -431,7 +381,7 @@ impl ConvPrimitive {
         src_nchw: &[f32],
         wei_oihw: &[f32],
         dst_nchw: &[f32],
-    ) -> (Vec<f32>, ExecReport) {
+    ) -> (Vec<f32>, CoreStats) {
         let p = &self.desc.problem;
         let mut arena = Arena::new();
         let t = self.alloc_tensors(&mut arena);
@@ -449,7 +399,7 @@ impl ConvPrimitive {
         src_nchw: &[f32],
         wei_oihw: &[f32],
         dst_nchw: &[f32],
-    ) -> (Vec<f32>, ExecReport) {
+    ) -> (Vec<f32>, CoreStats) {
         self.run_with_backend(
             &crate::backend::SimBackend::functional(),
             src_nchw,
@@ -545,15 +495,6 @@ mod tests {
         cfg.rb.rb_w = 60;
         cfg.rb.rb_h = 2;
         desc.create_with_config(&arch, cfg, 1);
-    }
-
-    #[test]
-    fn exec_report_from_core_stats() {
-        let arch = sx_aurora();
-        let mut core = lsv_vengine::VCore::new(&arch, lsv_vengine::ExecutionMode::TimingOnly);
-        core.scalar_op();
-        let report = ExecReport::from(core.drain());
-        assert_eq!(report.insts.scalar_ops, 1);
     }
 
     #[test]

@@ -37,25 +37,30 @@
 //! worker pool) first, then the optional on-disk tier: one text file per
 //! entry named by the key hash, written atomically (`.tmp.<pid>` then
 //! rename) so concurrently regenerating bins share a store safely. A
-//! version-stamp mismatch in line 1 is a *silent miss* (stale schema); any
-//! other malformed content is a *loud error* (truncation or corruption must
-//! not silently re-simulate forever). A key-string mismatch under a matching
-//! hash (a 2⁻¹²⁸ event) is treated as a miss.
+//! version-stamp mismatch in line 1 is a *silent miss* (stale schema). An
+//! unreadable, truncated or malformed entry is a *counted* miss: it bumps
+//! [`StoreStats::corrupt`], prints one warning naming the file and the
+//! reason, and the recomputed record overwrites it, so one damaged file
+//! costs one re-simulation, never a run. A key-string mismatch under a
+//! matching hash (a 2⁻¹²⁸ event) is treated as a miss.
+//!
+//! Every user goes through one lookup protocol, [`LayerStore::memo`]: get,
+//! else compute and insert, for any [`Stored`] value (a slice, a
+//! validation, a choice).
 //!
 //! # Paranoid mode
 //!
 //! `LSV_STORE_PARANOID=<pct>` re-simulates a deterministic `pct`% sample of
 //! hits (selected by key hash, so the sample is stable across runs) and
 //! asserts bit-equality with the stored record — the guard that the key
-//! really is content-addressing the simulation inputs.
+//! really is content-addressing the simulation inputs. A mismatch panics.
 
-use crate::primitive::ExecReport;
 use crate::problem::{ConvProblem, Direction};
 use crate::tuning::{KernelConfig, MicroTile, RegisterBlocking};
 use crate::verify::ValidationReport;
 use lsv_arch::{ArchParams, CacheGeometry, LlcBanking, MemLatencies};
 use lsv_cache::{HierarchyStats, LevelStats};
-use lsv_vengine::{ExecutionMode, InstCounters};
+use lsv_vengine::{CoreStats, ExecutionMode, InstCounters};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -312,7 +317,7 @@ pub enum Record {
         /// Second payload word (steady-image cycles, or 0).
         b: u64,
         /// Raw statistics of the measured slice.
-        report: ExecReport,
+        report: CoreStats,
     },
     /// A validation outcome, f32 values stored bit-exactly.
     Validation {
@@ -327,10 +332,44 @@ pub enum Record {
     Choice(u8),
 }
 
+/// A value the store can hold: it maps to one [`Record`] kind and back.
+pub trait Stored: Sized {
+    /// This value as a record.
+    fn to_record(&self) -> Record;
+    /// The value `rec` holds, or `None` for a record of another kind.
+    fn from_record(rec: Record) -> Option<Self>;
+}
+
+/// A validation outcome, its f32s kept bit-exactly.
+impl Stored for ValidationReport {
+    fn to_record(&self) -> Record {
+        Record::Validation {
+            max_abs_bits: self.max_abs_err.to_bits(),
+            rel_bits: self.rel_err.to_bits(),
+            passed: self.passed,
+        }
+    }
+
+    fn from_record(rec: Record) -> Option<Self> {
+        match rec {
+            Record::Validation {
+                max_abs_bits,
+                rel_bits,
+                passed,
+            } => Some(ValidationReport {
+                max_abs_err: f32::from_bits(max_abs_bits),
+                rel_err: f32::from_bits(rel_bits),
+                passed,
+            }),
+            _ => None,
+        }
+    }
+}
+
 const REPORT_WORDS: usize = 26;
 
-fn report_to_words(r: &ExecReport) -> [u64; REPORT_WORDS] {
-    let ExecReport {
+fn report_to_words(r: &CoreStats) -> [u64; REPORT_WORDS] {
+    let CoreStats {
         cycles,
         insts,
         cache,
@@ -381,14 +420,14 @@ fn report_to_words(r: &ExecReport) -> [u64; REPORT_WORDS] {
     w
 }
 
-fn report_from_words(w: &[u64; REPORT_WORDS]) -> ExecReport {
+fn report_from_words(w: &[u64; REPORT_WORDS]) -> CoreStats {
     let level = |i: usize| LevelStats {
         hits: w[9 + 4 * i],
         misses: w[10 + 4 * i],
         conflict_misses: w[11 + 4 * i],
         writebacks: w[12 + 4 * i],
     };
-    ExecReport {
+    CoreStats {
         cycles: w[0],
         insts: InstCounters {
             scalar_loads: w[1],
@@ -540,6 +579,8 @@ pub struct StoreStats {
     pub inserts: u64,
     /// Hits re-simulated and asserted by paranoid mode.
     pub paranoid_rechecks: u64,
+    /// Disk entries that could not be read or parsed (each also a miss).
+    pub corrupt: u64,
 }
 
 impl StoreStats {
@@ -561,6 +602,7 @@ impl StoreStats {
             paranoid_rechecks: self
                 .paranoid_rechecks
                 .saturating_sub(since.paranoid_rechecks),
+            corrupt: self.corrupt.saturating_sub(since.corrupt),
         }
     }
 
@@ -573,6 +615,7 @@ impl StoreStats {
         reg.counter_add("store.misses", self.misses);
         reg.counter_add("store.inserts", self.inserts);
         reg.counter_add("store.paranoid_rechecks", self.paranoid_rechecks);
+        reg.counter_add("store.corrupt", self.corrupt);
     }
 }
 
@@ -583,6 +626,7 @@ struct Counters {
     misses: AtomicU64,
     inserts: AtomicU64,
     paranoid_rechecks: AtomicU64,
+    corrupt: AtomicU64,
 }
 
 /// The content-addressed result store (see module docs).
@@ -639,15 +683,8 @@ impl LayerStore {
     }
 
     /// Whether `key` falls in the deterministic paranoid re-check sample.
-    pub fn paranoid_sample(&self, key: &Key) -> bool {
+    fn paranoid_sample(&self, key: &Key) -> bool {
         self.paranoid_pct > 0 && (key.hash128() as u64 % 100) < self.paranoid_pct as u64
-    }
-
-    /// Count one paranoid re-check (the caller re-simulated and asserted).
-    pub fn note_paranoid_recheck(&self) {
-        self.counters
-            .paranoid_rechecks
-            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Look up a record, promoting disk hits into the in-process map.
@@ -665,13 +702,25 @@ impl LayerStore {
             }
         }
         if let Some(dir) = &self.dir {
-            if let Some(rec) = read_entry(&entry_path(dir, key), key) {
-                self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.mem
-                    .lock()
-                    .unwrap()
-                    .insert(key.hash128(), (key.canonical().into(), rec.clone()));
-                return Some(rec);
+            let path = entry_path(dir, key);
+            match read_entry(&path, key) {
+                Ok(Some(rec)) => {
+                    self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
+                    self.mem
+                        .lock()
+                        .unwrap()
+                        .insert(key.hash128(), (key.canonical().into(), rec.clone()));
+                    return Some(rec);
+                }
+                Ok(None) => {}
+                Err(why) => {
+                    // The caller recomputes and its put overwrites the file.
+                    self.counters.corrupt.fetch_add(1, Ordering::Relaxed);
+                    eprintln!(
+                        "layer store: ignoring corrupt entry {} ({why})",
+                        path.display()
+                    );
+                }
             }
         }
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
@@ -693,86 +742,27 @@ impl LayerStore {
             .insert(key.hash128(), (key.canonical().into(), rec));
     }
 
-    /// Typed access: one simulated slice.
-    pub fn get_slice(&self, key: &Key) -> Option<(u64, u64, ExecReport)> {
-        match self.get(key) {
-            Some(Record::Slice { a, b, report }) => Some((a, b, report)),
-            _ => None,
-        }
-    }
-
-    /// Typed insert: one simulated slice.
-    pub fn put_slice(&self, key: &Key, a: u64, b: u64, report: &ExecReport) {
-        self.put(
-            key,
-            Record::Slice {
-                a,
-                b,
-                report: *report,
-            },
-        );
-    }
-
-    /// Typed access: one validation outcome (bit-exact f32 round-trip).
-    pub fn get_validation(&self, key: &Key) -> Option<ValidationReport> {
-        match self.get(key) {
-            Some(Record::Validation {
-                max_abs_bits,
-                rel_bits,
-                passed,
-            }) => Some(ValidationReport {
-                max_abs_err: f32::from_bits(max_abs_bits),
-                rel_err: f32::from_bits(rel_bits),
-                passed,
-            }),
-            _ => None,
-        }
-    }
-
-    /// Typed insert: one validation outcome.
-    pub fn put_validation(&self, key: &Key, r: &ValidationReport) {
-        self.put(
-            key,
-            Record::Validation {
-                max_abs_bits: r.max_abs_err.to_bits(),
-                rel_bits: r.rel_err.to_bits(),
-                passed: r.passed,
-            },
-        );
-    }
-
-    /// The validation stored under `key`, or `fresh()`'s outcome, recorded.
-    /// A paranoid-sampled hit re-runs `fresh` and asserts bit-equality.
-    pub fn validation(&self, key: &Key, fresh: impl Fn() -> ValidationReport) -> ValidationReport {
-        let Some(r) = self.get_validation(key) else {
-            let r = fresh();
-            self.put_validation(key, &r);
-            return r;
+    /// The value stored under `key`, or `fresh()`'s, inserted: the one
+    /// lookup protocol of every store user. A paranoid-sampled hit re-runs
+    /// `fresh` and asserts that it records the same.
+    pub fn memo<T: Stored>(&self, key: &Key, fresh: impl Fn() -> T) -> T {
+        let Some(hit) = self.get(key).and_then(T::from_record) else {
+            let value = fresh();
+            self.put(key, value.to_record());
+            return value;
         };
         if self.paranoid_sample(key) {
-            let f = fresh();
             assert_eq!(
-                (f.max_abs_err.to_bits(), f.rel_err.to_bits(), f.passed),
-                (r.max_abs_err.to_bits(), r.rel_err.to_bits(), r.passed),
+                fresh().to_record(),
+                hit.to_record(),
                 "paranoid store recheck diverged for key {}",
                 key.canonical()
             );
-            self.note_paranoid_recheck();
+            self.counters
+                .paranoid_rechecks
+                .fetch_add(1, Ordering::Relaxed);
         }
-        r
-    }
-
-    /// Typed access: one discrete decision.
-    pub fn get_choice(&self, key: &Key) -> Option<u8> {
-        match self.get(key) {
-            Some(Record::Choice(tag)) => Some(tag),
-            _ => None,
-        }
-    }
-
-    /// Typed insert: one discrete decision.
-    pub fn put_choice(&self, key: &Key, tag: u8) {
-        self.put(key, Record::Choice(tag));
+        hit
     }
 
     /// Memoize a pure host-side f32 computation (the validate sweep's naive
@@ -802,6 +792,7 @@ impl LayerStore {
             misses: self.counters.misses.load(Ordering::Relaxed),
             inserts: self.counters.inserts.load(Ordering::Relaxed),
             paranoid_rechecks: self.counters.paranoid_rechecks.load(Ordering::Relaxed),
+            corrupt: self.counters.corrupt.load(Ordering::Relaxed),
         }
     }
 
@@ -826,12 +817,10 @@ fn entry_path(dir: &Path, key: &Key) -> PathBuf {
 
 fn write_entry(dir: &Path, key: &Key, rec: &Record) {
     let path = entry_path(dir, key);
-    if let Ok(resident) = std::fs::read_to_string(&path) {
-        if resident.lines().next() == Some(SCHEMA) {
-            // Entries are deterministic; the resident copy is as good as ours.
-            return;
-        }
-        // Stale schema (or damaged header): fall through and overwrite.
+    // Entries are deterministic, so a resident copy that parses is as good
+    // as ours; a stale or damaged one is overwritten.
+    if std::fs::read_to_string(&path).is_ok_and(|text| matches!(parse_entry(&text), Ok(Some(_)))) {
+        return;
     }
     let text = format!(
         "{SCHEMA}\nkey {}\n{}\n",
@@ -845,46 +834,35 @@ fn write_entry(dir: &Path, key: &Key, rec: &Record) {
         .unwrap_or_else(|e| panic!("layer store: cannot publish {}: {e}", path.display()));
 }
 
-/// Read and verify one persisted entry. Version mismatch and hash-collision
-/// key mismatch are silent misses; truncation or corruption is a loud error.
-fn read_entry(path: &Path, key: &Key) -> Option<Record> {
+/// Read one persisted entry for `key`. A missing file, a stale schema stamp
+/// and a hash-collision key mismatch are `Ok(None)`; an unreadable,
+/// truncated or malformed entry is `Err` with the reason.
+fn read_entry(path: &Path, key: &Key) -> Result<Option<Record>, String> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-        Err(e) => panic!("layer store: unreadable entry {}: {e}", path.display()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(format!("unreadable: {e}")),
     };
+    // A 128-bit hash collision (astronomically unlikely) is a plain miss.
+    Ok(parse_entry(&text)?.and_then(|(canon, rec)| (canon == key.canonical()).then_some(rec)))
+}
+
+/// Parse an entry's text into its canonical key and record; `Ok(None)`
+/// under a stale schema stamp (a silent miss the next put overwrites).
+fn parse_entry(text: &str) -> Result<Option<(&str, Record)>, String> {
     let mut lines = text.lines();
-    let version = lines
+    match lines.next() {
+        None => return Err("empty".into()),
+        Some(stamp) if stamp != SCHEMA => return Ok(None),
+        Some(_) => {}
+    }
+    let canon = lines
         .next()
-        .unwrap_or_else(|| panic!("layer store: truncated entry {} (empty)", path.display()));
-    if version != SCHEMA {
-        return None; // stale schema: silent miss, next put overwrites
-    }
-    let key_line = lines.next().unwrap_or_else(|| {
-        panic!(
-            "layer store: truncated entry {} (missing key)",
-            path.display()
-        )
-    });
-    let canon = key_line.strip_prefix("key ").unwrap_or_else(|| {
-        panic!(
-            "layer store: corrupt entry {} (bad key line)",
-            path.display()
-        )
-    });
-    if canon != key.canonical() {
-        return None; // 128-bit hash collision: astronomically unlikely
-    }
-    let rec_line = lines.next().unwrap_or_else(|| {
-        panic!(
-            "layer store: truncated entry {} (missing record)",
-            path.display()
-        )
-    });
-    match record_from_line(rec_line) {
-        Ok(rec) => Some(rec),
-        Err(why) => panic!("layer store: corrupt entry {}: {why}", path.display()),
-    }
+        .ok_or("truncated: missing key")?
+        .strip_prefix("key ")
+        .ok_or("bad key line")?;
+    let rec = record_from_line(lines.next().ok_or("truncated: missing record")?)?;
+    Ok(Some((canon, rec)))
 }
 
 static STORE: OnceLock<LayerStore> = OnceLock::new();
@@ -941,7 +919,7 @@ mod tests {
         )
     }
 
-    fn report_fixture() -> ExecReport {
+    fn report_fixture() -> CoreStats {
         let mut w = [0u64; REPORT_WORDS];
         for (i, slot) in w.iter_mut().enumerate() {
             *slot = (i as u64 + 1) * 7919;
@@ -1038,15 +1016,29 @@ mod tests {
         }
     }
 
+    fn slice_fixture() -> Record {
+        Record::Slice {
+            a: 10,
+            b: 20,
+            report: report_fixture(),
+        }
+    }
+
+    fn validation_fixture() -> ValidationReport {
+        ValidationReport {
+            max_abs_err: 1.1920929e-7,
+            rel_err: 3.5762787e-7,
+            passed: true,
+        }
+    }
+
     #[test]
     fn memory_tier_roundtrip_and_stats() {
         let st = LayerStore::new(StoreConfig::default());
         let key = key_a();
-        assert!(st.get_slice(&key).is_none());
-        st.put_slice(&key, 10, 20, &report_fixture());
-        let (a, b, rep) = st.get_slice(&key).expect("hit");
-        assert_eq!((a, b), (10, 20));
-        assert_eq!(rep, report_fixture());
+        assert!(st.get(&key).is_none());
+        st.put(&key, slice_fixture());
+        assert_eq!(st.get(&key), Some(slice_fixture()));
         let s = st.stats();
         assert_eq!((s.mem_hits, s.misses, s.inserts), (1, 1, 1));
     }
@@ -1055,13 +1047,14 @@ mod tests {
     fn disabled_store_never_hits() {
         let st = LayerStore::disabled();
         let key = key_a();
-        st.put_slice(&key, 1, 2, &report_fixture());
-        assert!(st.get_slice(&key).is_none());
+        st.put(&key, slice_fixture());
+        assert!(st.get(&key).is_none());
+        assert_eq!(st.memo(&key, validation_fixture).rel_err, 3.5762787e-7);
         assert_eq!(st.stats(), StoreStats::default());
     }
 
     #[test]
-    fn validation_roundtrip_is_bit_exact() {
+    fn memo_inserts_a_miss_and_serves_the_hit_bit_exactly() {
         let st = LayerStore::new(StoreConfig::default());
         let key = validation_key(
             &sx_aurora(),
@@ -1069,26 +1062,24 @@ mod tests {
             Direction::Fwd,
             "dc",
         );
-        let r = ValidationReport {
-            max_abs_err: 1.1920929e-7,
-            rel_err: 3.5762787e-7,
-            passed: true,
-        };
-        st.put_validation(&key, &r);
-        let got = st.get_validation(&key).expect("hit");
+        let r = validation_fixture();
+        st.memo(&key, || r);
+        let got: ValidationReport = st.memo(&key, || unreachable!("a hit must not recompute"));
         assert_eq!(got.max_abs_err.to_bits(), r.max_abs_err.to_bits());
         assert_eq!(got.rel_err.to_bits(), r.rel_err.to_bits());
         assert_eq!(got.passed, r.passed);
+        let s = st.stats();
+        assert_eq!((s.mem_hits, s.misses, s.inserts), (1, 1, 1));
     }
 
     #[test]
     fn delta_attributes_one_phase_and_saturates() {
         let st = LayerStore::new(StoreConfig::default());
         let key = key_a();
-        st.put_slice(&key, 1, 2, &report_fixture());
+        st.put(&key, slice_fixture());
         let before = st.stats();
-        st.get_slice(&key).expect("hit");
-        st.get_slice(&key).expect("hit");
+        st.get(&key).expect("hit");
+        st.get(&key).expect("hit");
         let d = st.stats().delta(&before);
         assert_eq!((d.mem_hits, d.misses, d.inserts), (2, 0, 0));
         assert_eq!(d.hits(), 2);
@@ -1104,8 +1095,8 @@ mod tests {
     fn stats_dump_is_a_schema_valid_metrics_document() {
         let st = LayerStore::new(StoreConfig::default());
         let key = key_a();
-        assert!(st.get_slice(&key).is_none());
-        st.put_slice(&key, 1, 2, &report_fixture());
+        assert!(st.get(&key).is_none());
+        st.put(&key, slice_fixture());
         let doc = stats_metrics_json(&st.stats(), st.disk_bytes());
         lsv_obs::validate_metrics_json(&doc).expect("metrics schema");
         let v = lsv_obs::parse_json(&doc).expect("valid JSON");
@@ -1125,17 +1116,41 @@ mod tests {
             ..StoreConfig::default()
         });
         let arch = sx_aurora();
+        let r = validation_fixture();
         let mut sampled = 0;
         for i in 1..=400usize {
             let p = ConvProblem::new(i, 8, 8, 6 + i % 13, 6 + i % 13, 3, 3, 1, 1);
             let key = validation_key(&arch, &p, Direction::Fwd, "dc");
-            let s1 = st.paranoid_sample(&key);
-            assert_eq!(s1, st.paranoid_sample(&key));
-            sampled += s1 as usize;
+            st.memo(&key, || r);
+            let before = st.stats().paranoid_rechecks;
+            st.memo(&key, || r);
+            let once = st.stats().paranoid_rechecks - before;
+            st.memo(&key, || r);
+            assert_eq!(
+                st.stats().paranoid_rechecks - before,
+                2 * once,
+                "stable sample"
+            );
+            sampled += once;
         }
         assert!(
             (40..=200).contains(&sampled),
             "25% of 400 keys, got {sampled}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "paranoid store recheck diverged")]
+    fn paranoid_mismatch_is_loud() {
+        let st = LayerStore::new(StoreConfig {
+            paranoid_pct: 100,
+            ..StoreConfig::default()
+        });
+        let key = key_a();
+        st.memo(&key, validation_fixture);
+        st.memo(&key, || ValidationReport {
+            passed: false,
+            ..validation_fixture()
+        });
     }
 }

@@ -416,7 +416,6 @@ pub fn tune_empirical(
     algorithm: Algorithm,
     mode: lsv_vengine::ExecutionMode,
 ) -> Result<TuneReport, crate::primitive::UnsupportedReason> {
-    use crate::perf::{bench_bwdw_parallel_with, bench_minibatch_parallel_with};
     use crate::primitive::ConvDesc;
 
     let cores = arch.cores.max(1);
@@ -434,7 +433,7 @@ pub fn tune_empirical(
     // simulated slice): dedupe on the same canonical string.
     let p_key = match direction {
         Direction::BwdWeights => problem.with_minibatch(2.min(problem.n.max(1))),
-        _ => problem.with_minibatch(problem.n.div_ceil(cores).clamp(1, 2)),
+        _ => crate::perf::slice_problem(arch, problem),
     };
     let mut admit = |cfg: KernelConfig, unique_cfgs: &mut Vec<KernelConfig>| {
         let key =
@@ -467,7 +466,9 @@ pub fn tune_empirical(
                 let mut cfg = base;
                 cfg.rb = split_register_block_capped(target, ow, oh);
                 cfg.wbuf = wbuf_depth(arch, cfg.vl, cfg.rb.combined());
-                // Register-pressure clamp, same rule as `ConvDesc::create`.
+                // Register-pressure clamp. Unlike `ConvDesc::create`, which
+                // shrinks the block under the analytic `wbuf`, this re-derives
+                // `wbuf` after every shrink step.
                 while cfg.rb.combined() + cfg.wbuf > budget {
                     if cfg.rb.rb_h > 1 {
                         cfg.rb.rb_h -= 1;
@@ -522,25 +523,18 @@ pub fn tune_empirical(
     let mut analytic_cycles = 0u64;
     let mut best: Option<(u64, KernelConfig)> = None;
     for (i, cfg) in unique_cfgs.iter().enumerate() {
-        let slice = match direction {
-            Direction::Fwd | Direction::BwdData => {
-                calls += 1;
-                bench_minibatch_parallel_with(arch, problem, direction, mode, cores, &|p_sim| {
-                    ConvDesc::new(p_sim, direction, algorithm).create_with_config(arch, *cfg, cores)
-                })
-            }
-            Direction::BwdWeights => {
-                calls += 2;
-                bench_bwdw_parallel_with(arch, problem, mode, cores, &|p_sim| {
-                    ConvDesc::new(p_sim, direction, algorithm).create_with_config(arch, *cfg, cores)
-                })
-            }
+        // A bwd-weights evaluation is two reduction slices.
+        calls += if direction == Direction::BwdWeights {
+            2
+        } else {
+            1
         };
+        let cycles = crate::perf::bench_config(arch, problem, cfg, mode).cycles;
         if i == 0 {
-            analytic_cycles = slice.chip_cycles;
+            analytic_cycles = cycles;
         }
-        if best.map(|(c, _)| slice.chip_cycles < c).unwrap_or(true) {
-            best = Some((slice.chip_cycles, *cfg));
+        if best.map(|(c, _)| cycles < c).unwrap_or(true) {
+            best = Some((cycles, *cfg));
         }
     }
     let store_hits = st.stats().delta(&before).hits();
@@ -769,6 +763,30 @@ mod tests {
         let large = wbuf_depth(&arch, 512, 24);
         assert!(small >= large, "{small} >= {large}");
         assert!(small <= 8 && large >= 2);
+    }
+
+    /// The tuner prices candidates with the layer meter: its analytic
+    /// candidate is `bench_layer`'s kernel, and its winner re-measures to
+    /// the cycles it reported.
+    #[test]
+    fn tuner_cycles_agree_with_the_layer_meter() {
+        use crate::perf::{bench_config, bench_layer};
+        let arch = sx_aurora();
+        let mode = lsv_vengine::ExecutionMode::TimingOnly;
+        for p in [
+            ConvProblem::new(8, 32, 32, 10, 10, 3, 3, 1, 1),
+            ConvProblem::new(8, 64, 16, 8, 8, 1, 1, 2, 0),
+        ] {
+            for dir in Direction::ALL {
+                for alg in Algorithm::ALL {
+                    let r = tune_empirical(&arch, &p, dir, alg, mode).expect("creatable");
+                    let analytic = bench_layer(&arch, &p, dir, alg, mode).cycles;
+                    assert_eq!(r.analytic_cycles, analytic, "{p} {dir} {alg}: analytic");
+                    let best = bench_config(&arch, &p, &r.best_cfg, mode).cycles;
+                    assert_eq!(r.best_cycles, best, "{p} {dir} {alg}: best");
+                }
+            }
+        }
     }
 
     /// The Table 3 layer suite at minibatch 256 (duplicated in `lsv-models`;

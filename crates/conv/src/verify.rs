@@ -39,7 +39,7 @@ pub fn validate(
     algorithm: Algorithm,
 ) -> ValidationReport {
     let key = crate::store::validation_key(arch, problem, direction, algorithm.short_name());
-    crate::store::store().validation(&key, || {
+    crate::store::store().memo(&key, || {
         validate_with_backend(
             arch,
             problem,

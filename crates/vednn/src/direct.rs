@@ -202,7 +202,7 @@ pub fn run_fwd(
     let reg_pack = UNROLL_C + VIN_BUFS; // scratch register for packing
     for n in n_range {
         core.scalar_ops(2);
-        let src = t.src;
+        let src = t.ops.src;
         let (in_buf, ih_eff, iw_eff);
         if pb > 0 {
             pack_image(
@@ -225,8 +225,8 @@ pub fn run_fwd(
             ih_eff = p.ih;
             iw_eff = p.iw;
         }
-        let wei = t.wei;
-        let dst = t.dst;
+        let wei = t.ops.wei;
+        let dst = t.ops.dst;
         spatial_conv_image(
             core,
             arena,
@@ -269,7 +269,7 @@ pub fn run_bwd_data(
     let reg_pack = UNROLL_C + VIN_BUFS;
     for n in n_range {
         core.scalar_ops(2);
-        let dstg = t.dst;
+        let dstg = t.ops.dst;
         let (in_buf, ih_eff, iw_eff);
         if pb > 0 {
             pack_image(
@@ -291,8 +291,8 @@ pub fn run_bwd_data(
             ih_eff = oh;
             iw_eff = ow;
         }
-        let wei = t.wei;
-        let src = t.src;
+        let wei = t.ops.wei;
+        let src = t.ops.src;
         let (kh, kw) = (p.kh, p.kw);
         spatial_conv_image(
             core,

@@ -73,7 +73,7 @@ fn im2col(
     {
         // Implicit GEMM: the flattened NCHW image is the column matrix.
         return ColRef {
-            base: t.src.at(n, 0, 0, 0),
+            base: t.ops.src.at(n, 0, 0, 0),
             k: k_total,
             m,
         };
@@ -102,7 +102,7 @@ fn im2col(
                     }
                     if x1 > x0 {
                         let iw0 = x0 * p.stride_w + kw - p.pad_w;
-                        let from = t.src.at(n, ic, ihy, iw0);
+                        let from = t.ops.src.at(n, ic, ihy, iw0);
                         if p.stride_w == 1 {
                             copy_chunked(
                                 core,
@@ -182,14 +182,15 @@ fn gemm_fwd_image(
                     core.scalar_op();
                     let w = core.scalar_load(
                         arena,
-                        t.wei
+                        t.ops
+                            .wei
                             .at(ocb + j, k / (p.kh * p.kw), (k / p.kw) % p.kh, k % p.kw),
                     );
                     core.vfma_bcast(j, vin, w, vl);
                 }
             }
             for j in 0..u {
-                let out = t.dst.at(n, ocb + j, 0, 0) + (mb * 4) as u64;
+                let out = t.ops.dst.at(n, ocb + j, 0, 0) + (mb * 4) as u64;
                 core.vstore(arena, j, out, vl);
             }
             ocb += RB_GEMM;
@@ -257,7 +258,7 @@ pub fn run_bwd_data(
                     core.vbroadcast_zero(j, vl);
                 }
                 let lookahead = (VBUFS - 1).min(p.oc);
-                let d_row = |oc: usize| t.dst.at(n, oc, 0, 0) + (mb * 4) as u64;
+                let d_row = |oc: usize| t.ops.dst.at(n, oc, 0, 0) + (mb * 4) as u64;
                 for oc in 0..lookahead {
                     core.scalar_op();
                     core.vload(arena, vin0 + oc % VBUFS, d_row(oc), vl);
@@ -278,7 +279,9 @@ pub fn run_bwd_data(
                         core.scalar_op();
                         let w = core.scalar_load(
                             arena,
-                            t.wei.at(oc, k / (p.kh * p.kw), (k / p.kw) % p.kh, k % p.kw),
+                            t.ops
+                                .wei
+                                .at(oc, k / (p.kh * p.kw), (k / p.kw) % p.kh, k % p.kw),
                         );
                         core.vfma_bcast(j, vin, w, vl);
                     }
@@ -291,7 +294,7 @@ pub fn run_bwd_data(
             mb += vl_max;
         }
         // --- zero S_diff[n], then col2im scatter-add.
-        let img = t.src.at(n, 0, 0, 0);
+        let img = t.ops.src.at(n, 0, 0, 0);
         zero_chunked(core, arena, img, p.ic * p.ih * p.iw, zreg);
         for ic in 0..p.ic {
             for kh in 0..p.kh {
@@ -309,7 +312,7 @@ pub fn run_bwd_data(
                         let ihy = ihy as usize;
                         let col_row = col.row(k) + ((oy * ow + x0) * 4) as u64;
                         let iw0 = x0 * p.stride_w + kw - p.pad_w;
-                        let s_row = t.src.at(n, ic, ihy, iw0);
+                        let s_row = t.ops.src.at(n, ic, ihy, iw0);
                         let seg = x1 - x0;
                         let mut off = 0usize;
                         while off < seg {
@@ -360,7 +363,7 @@ pub fn run_bwd_weights(
     core.vbroadcast_zero(zreg, nvlen);
     // Zero the output gradient tensor so the per-image RMW accumulation
     // starts clean (and the kernel stays idempotent per invocation).
-    zero_chunked(core, arena, t.wei.base, t.wei.elems_padded(), zreg);
+    zero_chunked(core, arena, t.ops.wei.base, t.ops.wei.elems_padded(), zreg);
     for n in n_range {
         core.scalar_ops(2);
         let col = im2col(p, core, arena, t, n, zreg, creg0);
@@ -406,14 +409,17 @@ pub fn run_bwd_weights(
                     let (mb, vl, j) = coord(i);
                     if j == 0 {
                         core.scalar_op();
-                        core.vload(arena, dreg, t.dst.at(n, oc, 0, 0) + (mb * 4) as u64, vl);
+                        core.vload(arena, dreg, t.ops.dst.at(n, oc, 0, 0) + (mb * 4) as u64, vl);
                     }
                     core.vfma_vv(j, dreg, creg0 + i % VBUFS_BWDW, vl);
                 }
                 for j in 0..u {
                     let k = kb + j;
                     let sum = core.vreduce_sum(j, vl_max);
-                    let addr = t.wei.at(oc, k / (p.kh * p.kw), (k / p.kw) % p.kh, k % p.kw);
+                    let addr = t
+                        .ops
+                        .wei
+                        .at(oc, k / (p.kh * p.kw), (k / p.kw) % p.kh, k % p.kw);
                     let old = core.scalar_load(arena, addr);
                     core.scalar_op();
                     core.scalar_store(arena, addr, old.value + sum.value);

@@ -27,10 +27,10 @@ pub mod perf;
 pub use perf::bench_layer_vednn;
 
 use lsv_arch::ArchParams;
-use lsv_conv::{ConvProblem, ExecReport};
-use lsv_conv::{Direction, ExecutionMode};
+use lsv_conv::store::{self, Record, Stored};
+use lsv_conv::{ConvProblem, ConvTensors, Direction, ExecutionMode};
 use lsv_tensor::{ActTensor, ActivationLayout, WeiTensor, WeightLayout};
-use lsv_vengine::{Arena, VCore};
+use lsv_vengine::{Arena, CoreStats, VCore};
 use std::ops::Range;
 
 /// The kernel families inside the baseline library.
@@ -72,15 +72,29 @@ impl VednnAlgo {
     }
 }
 
+/// A chosen kernel family as the layer store records it.
+impl Stored for VednnAlgo {
+    fn to_record(&self) -> Record {
+        Record::Choice(match self {
+            VednnAlgo::DirectSpatial => 0,
+            VednnAlgo::Im2colGemm => 1,
+        })
+    }
+
+    fn from_record(rec: Record) -> Option<Self> {
+        match rec {
+            Record::Choice(0) => Some(VednnAlgo::DirectSpatial),
+            Record::Choice(_) => Some(VednnAlgo::Im2colGemm),
+            _ => None,
+        }
+    }
+}
+
 /// Operand tensors plus the library-private scratch buffers.
 #[derive(Debug, Clone, Copy)]
 pub struct VednnTensors {
-    /// Source activations, plain NCHW.
-    pub src: ActTensor,
-    /// Weights, plain OIHW.
-    pub wei: WeiTensor,
-    /// Destination activations, plain NCHW.
-    pub dst: ActTensor,
+    /// The three operands: plain NCHW activations and OIHW weights.
+    pub ops: ConvTensors,
     /// Scratch: one physically zero-padded source image
     /// (`IC x (IH+2p) x (IW+2p)`), reused across the minibatch.
     pub pad_buf: u64,
@@ -95,6 +109,12 @@ pub struct VednnConv {
     problem: ConvProblem,
     direction: Direction,
     algo: VednnAlgo,
+}
+
+impl AsRef<ConvTensors> for VednnTensors {
+    fn as_ref(&self) -> &ConvTensors {
+        &self.ops
+    }
 }
 
 impl VednnConv {
@@ -129,36 +149,8 @@ impl VednnConv {
     /// direction), so it is served from the layer store when available;
     /// paranoid mode re-probes a sampled fraction of hits.
     pub fn best(arch: &ArchParams, problem: ConvProblem, direction: Direction) -> Self {
-        let st = lsv_conv::store::store();
-        let key =
-            lsv_conv::store::choice_key(arch, &problem.with_minibatch(1), direction, "vednn-best");
-        let from_tag = |tag: u8| match tag {
-            0 => VednnAlgo::DirectSpatial,
-            _ => VednnAlgo::Im2colGemm,
-        };
-        let algo = if let Some(tag) = st.get_choice(&key) {
-            if st.paranoid_sample(&key) {
-                let probed = Self::probe_best(arch, &problem, direction);
-                assert_eq!(
-                    probed,
-                    from_tag(tag),
-                    "paranoid store recheck diverged for key {}",
-                    key.canonical()
-                );
-                st.note_paranoid_recheck();
-            }
-            from_tag(tag)
-        } else {
-            let algo = Self::probe_best(arch, &problem, direction);
-            st.put_choice(
-                &key,
-                match algo {
-                    VednnAlgo::DirectSpatial => 0,
-                    VednnAlgo::Im2colGemm => 1,
-                },
-            );
-            algo
-        };
+        let key = store::choice_key(arch, &problem.with_minibatch(1), direction, "vednn-best");
+        let algo = store::store().memo(&key, || Self::probe_best(arch, &problem, direction));
         Self {
             arch: arch.clone(),
             problem,
@@ -225,9 +217,7 @@ impl VednnConv {
         let m = p.oh() * p.ow();
         let col_buf = arena.alloc_labeled(k * m, "vednn col_buf");
         VednnTensors {
-            src,
-            wei,
-            dst,
+            ops: ConvTensors { src, wei, dst },
             pad_buf,
             col_buf,
         }
@@ -271,33 +261,33 @@ impl VednnConv {
         src_nchw: &[f32],
         wei_oihw: &[f32],
         dst_nchw: &[f32],
-    ) -> (Vec<f32>, ExecReport) {
+    ) -> (Vec<f32>, CoreStats) {
         let p = &self.problem;
         let mut arena = Arena::new();
         let t = self.alloc_tensors(&mut arena);
         let mut core = VCore::new(&self.arch, ExecutionMode::Functional);
         match self.direction {
             Direction::Fwd => {
-                t.src.store_nchw(&mut arena, src_nchw);
-                t.wei.store_oihw(&mut arena, wei_oihw);
+                t.ops.src.store_nchw(&mut arena, src_nchw);
+                t.ops.wei.store_oihw(&mut arena, wei_oihw);
             }
             Direction::BwdData => {
-                t.dst.store_nchw(&mut arena, dst_nchw);
-                t.wei.store_oihw(&mut arena, wei_oihw);
+                t.ops.dst.store_nchw(&mut arena, dst_nchw);
+                t.ops.wei.store_oihw(&mut arena, wei_oihw);
             }
             Direction::BwdWeights => {
-                t.src.store_nchw(&mut arena, src_nchw);
-                t.dst.store_nchw(&mut arena, dst_nchw);
+                t.ops.src.store_nchw(&mut arena, src_nchw);
+                t.ops.dst.store_nchw(&mut arena, dst_nchw);
             }
         }
         self.execute_core(&mut core, &mut arena, &t, 0..p.n);
         let stats = core.drain();
         let out = match self.direction {
-            Direction::Fwd => t.dst.load_nchw(&arena),
-            Direction::BwdData => t.src.load_nchw(&arena),
-            Direction::BwdWeights => t.wei.load_oihw(&arena),
+            Direction::Fwd => t.ops.dst.load_nchw(&arena),
+            Direction::BwdData => t.ops.src.load_nchw(&arena),
+            Direction::BwdWeights => t.ops.wei.load_oihw(&arena),
         };
-        (out, ExecReport::from(stats))
+        (out, stats)
     }
 }
 

@@ -1,59 +1,52 @@
-//! Multi-core performance model for the baseline library, mirroring
-//! `lsv_conv::perf::bench_layer` so Figure 4/6 can compare vednn against
-//! the direct algorithms on identical terms.
+//! The baseline library under the direct algorithms' 8-core methodology, so
+//! Figure 4/6 compare vednn against DC, BDC and MBDC on identical terms:
+//! the chosen kernel is a [`SliceKernel`] measured by
+//! [`lsv_conv::perf::bench_images`], the same representative-core slice,
+//! warm-up and layer-store memo as `lsv_conv::perf::bench_layer`.
 //!
 //! The library parallelizes the minibatch across cores in every direction
 //! (TensorFlow-VE's data-parallel execution); the backward-weights gradient
 //! reduction across cores is not charged (it is negligible next to the
 //! per-core GEMM work).
 
-use crate::{VednnAlgo, VednnConv};
+use crate::{VednnAlgo, VednnConv, VednnTensors};
 use lsv_arch::ArchParams;
-use lsv_conv::perf::LayerPerf;
-use lsv_conv::{store, ConvProblem, Direction, ExecReport, ExecutionMode};
+use lsv_conv::perf::{self, LayerPerf, SliceKernel};
+use lsv_conv::{ConvProblem, Direction, ExecutionMode, KernelConfig};
 use lsv_vengine::{Arena, VCore};
+use std::ops::Range;
 
-/// Simulate the representative core's slice: one cold image and (if
-/// `n_sim > 1`) one steady-state image.
-fn simulate_slice(
-    arch: &ArchParams,
-    conv: &VednnConv,
-    direction: Direction,
-    mode: ExecutionMode,
-    n_sim: usize,
-) -> (u64, u64, ExecReport) {
-    let mut arena = Arena::for_mode(mode);
-    let t = conv.alloc_tensors(&mut arena);
-    if mode.is_functional() {
-        t.src.fill_random(&mut arena, 31);
-        t.dst.fill_random(&mut arena, 37);
-        t.wei.fill_random(&mut arena, 41);
+impl SliceKernel for VednnConv {
+    type Tensors = VednnTensors;
+
+    fn problem(&self) -> &ConvProblem {
+        &self.problem
     }
-    let mut core = VCore::new(arch, mode);
-    // Warm the LLC with the input activations (just produced by the
-    // adjacent layer); weights stream from memory once per step, exactly as
-    // for the direct algorithms (see lsv_conv::perf::warm_inputs).
-    match direction {
-        Direction::Fwd => {
-            core.warm_llc(t.src.base, (t.src.elems_padded() * 4) as u64);
-        }
-        Direction::BwdData => {
-            core.warm_llc(t.dst.base, (t.dst.elems_padded() * 4) as u64);
-        }
-        Direction::BwdWeights => {
-            core.warm_llc(t.src.base, (t.src.elems_padded() * 4) as u64);
-            core.warm_llc(t.dst.base, (t.dst.elems_padded() * 4) as u64);
-        }
+
+    fn direction(&self) -> Direction {
+        self.direction
     }
-    conv.execute_core(&mut core, &mut arena, &t, 0..1);
-    let cold = core.drain().cycles;
-    if n_sim > 1 {
-        conv.execute_core(&mut core, &mut arena, &t, 1..2);
-        let s = core.drain();
-        (cold, s.cycles - cold, ExecReport::from(s))
-    } else {
-        let s = core.drain();
-        (cold, cold, ExecReport::from(s))
+
+    fn identity(&self) -> (&'static str, Option<&KernelConfig>) {
+        let engine = match self.algo {
+            VednnAlgo::DirectSpatial => "vednn:spatial",
+            VednnAlgo::Im2colGemm => "vednn:gemm",
+        };
+        (engine, None)
+    }
+
+    fn alloc(&self, arena: &mut Arena) -> VednnTensors {
+        self.alloc_tensors(arena)
+    }
+
+    fn run_images(
+        &self,
+        core: &mut VCore,
+        arena: &mut Arena,
+        t: &VednnTensors,
+        images: Range<usize>,
+    ) {
+        self.execute_core(core, arena, t, images);
     }
 }
 
@@ -66,36 +59,8 @@ pub fn bench_layer_vednn(
     direction: Direction,
     mode: ExecutionMode,
 ) -> LayerPerf {
-    let cores = arch.cores.max(1);
-    let images_per_core = problem.n.div_ceil(cores).max(1);
-    let n_sim = images_per_core.min(2);
-    let p_sim = problem.with_minibatch(n_sim);
-    let conv = VednnConv::best(arch, p_sim, direction);
-    let engine = match conv.algo() {
-        VednnAlgo::DirectSpatial => "vednn:spatial",
-        VednnAlgo::Im2colGemm => "vednn:gemm",
-    };
-    let key = store::slice_key(arch, &p_sim, direction, engine, cores, mode, None);
-    let st = store::store();
-    let sim = || simulate_slice(arch, &conv, direction, mode, n_sim);
-    let (cold, steady, report) = if let Some((c, s, r)) = st.get_slice(&key) {
-        if st.paranoid_sample(&key) {
-            assert_eq!(
-                sim(),
-                (c, s, r),
-                "paranoid store recheck diverged for key {}",
-                key.canonical()
-            );
-            st.note_paranoid_recheck();
-        }
-        (c, s, r)
-    } else {
-        let v = sim();
-        st.put_slice(&key, v.0, v.1, &v.2);
-        v
-    };
-    let chip_cycles = cold + steady * (images_per_core as u64 - 1);
-    LayerPerf::new(arch, problem, chip_cycles, report, false)
+    let conv = VednnConv::best(arch, perf::slice_problem(arch, problem), direction);
+    perf::bench_images(arch, problem, &conv, mode)
 }
 
 #[cfg(test)]

@@ -218,7 +218,7 @@ pub enum TraceEvent {
 }
 
 /// Aggregate result of a simulated kernel execution on one core.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CoreStats {
     /// Total cycles from reset to drain.
     pub cycles: u64,

@@ -6,7 +6,8 @@
 //! representative subset of the Table 3 suite — six layers spanning 3x3,
 //! strided-1x1 and conflict-prone shapes, across {DC, BDC, MBDC} x
 //! {fwdd, bwdd, bwdw} — against fixtures recorded before the optimization
-//! work. Any timing-visible regression fails `cargo test -q`.
+//! work, plus the vednn baseline on four of those layers (rows with `alg`
+//! `vednn`). Any timing-visible regression fails `cargo test -q`.
 //!
 //! Regenerate the fixture (only when a *modelling* change intentionally
 //! shifts cycle counts) with:
@@ -15,8 +16,9 @@
 //! LSV_GOLDEN_BLESS=1 cargo test --release --test golden_cycles
 //! ```
 
-use lsv_conv::{bench_layer, Algorithm, Direction, ExecutionMode};
+use lsv_conv::{bench_layer, Algorithm, Direction, ExecutionMode, LayerPerf};
 use lsv_models::resnet_layer;
+use lsv_vednn::bench_layer_vednn;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -31,6 +33,11 @@ const MINIBATCH: usize = 16;
 
 const ALGORITHMS: [Algorithm; 3] = [Algorithm::Dc, Algorithm::Bdc, Algorithm::Mbdc];
 
+/// Layers whose vednn rows are snapshotted: between them both kernel
+/// families (spatial and GEMM) in fwd/bwd-data, GEMM in bwd-weights, on
+/// unit-stride and strided shapes.
+const VEDNN_LAYERS: [usize; 4] = [2, 4, 6, 8];
+
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
@@ -39,21 +46,10 @@ fn fixture_path() -> PathBuf {
 }
 
 /// One snapshot line: every simulated quantity that must stay bit-identical.
-fn snapshot_line(layer: usize, alg: Algorithm, dir: Direction) -> String {
-    let arch = lsv_arch::presets::sx_aurora();
-    let p = resnet_layer(layer, MINIBATCH);
-    let perf = bench_layer(&arch, &p, dir, alg, ExecutionMode::TimingOnly);
+fn snapshot_line(layer: usize, alg: &str, dir: Direction, perf: &LayerPerf) -> String {
     let c = &perf.report.cache;
     let mut s = String::new();
-    write!(
-        s,
-        "{},{},{},{}",
-        layer,
-        alg.short_name(),
-        dir.short_name(),
-        perf.cycles
-    )
-    .unwrap();
+    write!(s, "{},{},{},{}", layer, alg, dir.short_name(), perf.cycles).unwrap();
     for l in [&c.l1, &c.l2, &c.llc] {
         write!(
             s,
@@ -84,12 +80,24 @@ fn render_snapshot() -> String {
          llc_hits,llc_misses,llc_conflicts,llc_writebacks,\
          mem_fetches,insts,stall_scalar,stall_dep,stall_port,bank_serial_cycles\n",
     );
+    let arch = lsv_arch::presets::sx_aurora();
+    let mode = ExecutionMode::TimingOnly;
     for &layer in &LAYERS {
+        let p = resnet_layer(layer, MINIBATCH);
         for &alg in &ALGORITHMS {
             for dir in Direction::ALL {
-                out.push_str(&snapshot_line(layer, alg, dir));
+                let perf = bench_layer(&arch, &p, dir, alg, mode);
+                out.push_str(&snapshot_line(layer, alg.short_name(), dir, &perf));
                 out.push('\n');
             }
+        }
+    }
+    for &layer in &VEDNN_LAYERS {
+        let p = resnet_layer(layer, MINIBATCH);
+        for dir in Direction::ALL {
+            let perf = bench_layer_vednn(&arch, &p, dir, mode);
+            out.push_str(&snapshot_line(layer, "vednn", dir, &perf));
+            out.push('\n');
         }
     }
     out
@@ -102,7 +110,7 @@ fn golden_cycles_match_fixture() {
     if std::env::var("LSV_GOLDEN_BLESS").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &got).unwrap();
-        eprintln!("golden_cycles: blessed {} entries", LAYERS.len() * 9);
+        eprintln!("golden_cycles: blessed {} entries", got.lines().count() - 1);
         return;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {

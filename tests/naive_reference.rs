@@ -9,11 +9,11 @@
 
 use lsvconv::conv::{
     naive, verify, Algorithm, ConvPrimitive, ConvProblem, ConvTensors, Direction, ExecBackend,
-    ExecReport, MulticoreReport, NativeBackend,
+    MulticoreReport, NativeBackend,
 };
 use lsvconv::models::resnet_layer;
 use lsvconv::prelude::sx_aurora;
-use lsvconv::vengine::Arena;
+use lsvconv::vengine::{Arena, CoreStats};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -265,7 +265,7 @@ impl ExecBackend for NanPoisoned {
         t: &ConvTensors,
         n_range: Range<usize>,
         small_blocks: Range<usize>,
-    ) -> ExecReport {
+    ) -> CoreStats {
         let r = NativeBackend.execute_slice(prim, arena, t, n_range, small_blocks);
         let mut out = t.dst.load_nchw(arena);
         out[0] = f32::NAN;

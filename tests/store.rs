@@ -6,14 +6,15 @@
 //!    here over the full 855-point kernel family (19 Table 3 layers x 3
 //!    directions x 3 algorithms x 5 vector lengths);
 //!  * a persisted entry with a stale schema stamp is a *silent* miss (and the
-//!    next put replaces it), while a truncated entry is a *loud* error;
+//!    next put replaces it), while an unreadable, truncated or malformed
+//!    entry is a *counted* miss that the next put rewrites;
 //!  * a warm store replays byte-identical results versus the cold run.
 
 use lsv_arch::presets::{aurora_with_vlen_bits, sx_aurora};
 use lsv_bench::{run_suite, Engine};
-use lsv_conv::store::{self, LayerStore, Record, StoreConfig};
+use lsv_conv::store::{self, LayerStore, Record, StoreConfig, Stored};
 use lsv_conv::tuning::kernel_config;
-use lsv_conv::{Algorithm, Direction, ExecutionMode};
+use lsv_conv::{Algorithm, Direction, ExecutionMode, ValidationReport};
 use lsv_models::resnet_layers;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -181,22 +182,58 @@ fn disk_round_trip_and_stale_schema_is_silent_miss() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A damaged entry costs one recomputation, never a run: it reads as a miss
+/// counted in `corrupt`, the recomputed record overwrites it, and a fresh
+/// store then serves it from disk.
 #[test]
-#[should_panic(expected = "truncated entry")]
-fn truncated_entry_is_loud_error() {
-    let dir = scratch("truncated");
+fn corrupt_entry_is_counted_miss_and_rewritten() {
+    let dir = scratch("corrupt");
     let arch = sx_aurora();
     let p = resnet_layers(8)[3];
-    let key = store::validation_key(&arch, &p, Direction::BwdData, "direct");
-    let entry = dir.join(format!("{}.entry", key.file_stem()));
-    // Schema line and key line survive, the record line was lost mid-write
-    // (cannot happen with the atomic tmp+rename protocol, so it is loud).
-    std::fs::write(
-        &entry,
-        format!("{}\nkey {}", lsv_conv::store::SCHEMA, key.canonical()),
-    )
-    .unwrap();
-    disk_store(&dir).get(&key);
+    let fresh = ValidationReport {
+        max_abs_err: 0.5,
+        rel_err: 0.25,
+        passed: true,
+    };
+    for damage in ["truncated", "flipped-byte", "garbage", "unreadable"] {
+        let key = store::validation_key(&arch, &p, Direction::BwdData, damage);
+        let entry = dir.join(format!("{}.entry", key.file_stem()));
+        disk_store(&dir).put(&key, fresh.to_record());
+        let good = std::fs::read(&entry).unwrap();
+        let damaged = match damage {
+            // Schema and key lines survive, the record line is lost.
+            "truncated" => format!("{}\nkey {}", store::SCHEMA, key.canonical()).into_bytes(),
+            // The record's last byte, the `passed` flag, turns from `1` to `q`.
+            "flipped-byte" => {
+                let mut b = good.clone();
+                let at = b.len() - 2;
+                b[at] ^= 0x40;
+                b
+            }
+            "garbage" => {
+                format!("{}\nkey {}\nslice 1 two\n", store::SCHEMA, key.canonical()).into_bytes()
+            }
+            _ => vec![0xff; 16], // not UTF-8
+        };
+        assert_ne!(damaged, good);
+        std::fs::write(&entry, damaged).unwrap();
+
+        let st = disk_store(&dir);
+        let got = st.memo(&key, || fresh);
+        assert_eq!(got.rel_err.to_bits(), fresh.rel_err.to_bits(), "{damage}");
+        let s = st.stats();
+        assert_eq!(
+            (s.disk_hits, s.misses, s.corrupt, s.inserts),
+            (0, 1, 1, 1),
+            "{damage}: a counted miss, recomputed and inserted"
+        );
+        assert_eq!(std::fs::read(&entry).unwrap(), good, "{damage}: rewritten");
+
+        let st2 = disk_store(&dir);
+        assert_eq!(st2.get(&key), Some(fresh.to_record()), "{damage}");
+        assert_eq!((st2.stats().disk_hits, st2.stats().corrupt), (1, 0));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
