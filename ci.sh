@@ -122,6 +122,22 @@ cmp "$SERVE_TRACE_COLD/serving_trace.perfetto.json" "$SERVE_TRACE_WARM/serving_t
 cmp "$SERVE_TRACE_COLD/serving_timeseries.csv" "$SERVE_TRACE_WARM/serving_timeseries.csv"
 rm -rf "$SERVE_TRACE_COLD" "$SERVE_TRACE_WARM"
 
+echo "== tuned-engine serving (cold store, then warm: identical stdout, 0 warm misses)"
+# The only CI step that runs the empirical tuner end to end: a cold run
+# searches and stores every decision, the warm run must replay them
+# without a single store miss and print the same report.
+TUNED_STORE_DIR=results/.ci-tuned-store
+rm -rf "$TUNED_STORE_DIR"
+for pass in cold warm; do
+    ./target/release/lsvconv-cli serve --smoke --engine tuned --metrics \
+        --store-dir "$TUNED_STORE_DIR" \
+        >"$STORE_SMOKE_OUT/ci-tuned-$pass.txt" 2>/dev/null
+    grep -v 'store\.' "$STORE_SMOKE_OUT/ci-tuned-$pass.txt" >"$STORE_SMOKE_OUT/ci-tuned-$pass.cmp"
+done
+cmp "$STORE_SMOKE_OUT/ci-tuned-cold.cmp" "$STORE_SMOKE_OUT/ci-tuned-warm.cmp"
+grep -Eq 'store\.misses += 0$' "$STORE_SMOKE_OUT/ci-tuned-warm.txt"
+rm -rf "$TUNED_STORE_DIR"
+
 echo "== bench-serving (smoke; BENCH_serving.json schema validation is a hard error)"
 ./target/release/lsvconv-cli run bench-serving --smoke --store-dir "$SERVE_STORE_DIR" \
     --out "$STORE_SMOKE_OUT/ci-serving" >/dev/null 2>&1

@@ -458,7 +458,7 @@ fn main() {
                     match lsv_conv::tune_empirical(&arch, &p, dir, alg, ExecutionMode::TimingOnly) {
                         Ok(t) => {
                             println!();
-                            println!("empirical register-block sweep (store-backed):");
+                            println!("empirical register-block search (store-backed):");
                             println!(
                                 "  candidates    = {} generated, {} unique after dedupe \
                                  ({} redundant evaluations avoided)",
@@ -467,8 +467,9 @@ fn main() {
                                 (t.generated + 1).saturating_sub(t.unique)
                             );
                             println!(
-                                "  evaluations   = {} store hits + {} simulated",
-                                t.store_hits, t.simulated
+                                "  evaluations   = {} store hits + {} simulated, \
+                                 {} settled by instruction bound",
+                                t.store_hits, t.simulated, t.bounded
                             );
                             println!("  analytic pick = {} chip cycles", t.analytic_cycles);
                             println!(

@@ -27,6 +27,11 @@
 //! [`bench_layer`] and its profiled variants measure the configuration
 //! [`ConvDesc::create`] generates. Every slice is served through the layer
 //! store's one memo ([`store::LayerStore::memo`]).
+//!
+//! One `ChipFormula` turns the kept run into chip cycles, and
+//! [`chip_cycles_lower_bound`] pushes an instruction count of that same run
+//! through it: the tuner's proof that a candidate cannot win without
+//! simulating it.
 
 use crate::backend::{ExecBackend, NativeBackend, SimBackend};
 use crate::primitive::{ConvDesc, ConvPrimitive, ConvTensors};
@@ -34,7 +39,7 @@ use crate::problem::{Algorithm, ConvProblem, Direction};
 use crate::store::{self, Record, Stored};
 use crate::tuning::KernelConfig;
 use lsv_arch::ArchParams;
-use lsv_vengine::{Arena, CoreStats, ExecutionMode, RegionProfile, VCore};
+use lsv_vengine::{Arena, CoreStats, ExecutionMode, InstCounters, RegionProfile, VCore};
 use std::ops::Range;
 
 /// Performance of one (layer, direction, algorithm) under the multi-core
@@ -204,24 +209,15 @@ fn measure(
     mode: ExecutionMode,
     pmode: ProfileMode,
 ) -> (LayerPerf, Option<RegionProfile>) {
-    let prim = |images: usize| {
-        ConvDesc::new(problem.with_minibatch(images), cfg.direction, cfg.algorithm)
-            .create_with_config(arch, *cfg, arch.cores.max(1))
-    };
+    let kernel = kept_primitive(arch, problem, cfg);
     if cfg.direction != Direction::BwdWeights {
-        let kernel = prim(slice_problem(arch, problem).n);
         return measure_images(arch, problem, &kernel, mode, pmode);
     }
     // Marginal-image cost from a 1-image and a 2-image reduction over the
-    // core's block share. Only the second (reported) run is profiled.
-    let c1 = reduction(arch, &prim(1), mode, ProfileMode::Off).cold;
-    let s = reduction(arch, &prim(2.min(problem.n)), mode, pmode);
-    let marginal = s.cold.saturating_sub(c1).max(1);
-    let chip_cycles = if problem.n <= 2 {
-        s.cold
-    } else {
-        s.cold + marginal * (problem.n as u64 - 2)
-    };
+    // core's block share. Only the second (kept) run is profiled.
+    let c1 = one_image_reduction(arch, problem, cfg, mode);
+    let s = reduction(arch, &kernel, mode, pmode);
+    let chip_cycles = ChipFormula::of(arch, problem, cfg.direction).chip(s.cold, c1);
     let perf = LayerPerf::new(
         arch,
         problem,
@@ -230,6 +226,147 @@ fn measure(
         cfg.conflicts_predicted,
     );
     (perf, s.profile)
+}
+
+/// A lower bound on the chip cycles [`bench_config`] reports for `cfg`,
+/// from *counting* the run it keeps instead of simulating it.
+///
+/// The counting core ([`VCore::new_counting`]) executes exactly the kept
+/// run of [`bench_config`] — same primitive, images and bwd-weights block
+/// share, over a data-free arena with no fill and no LLC warm-up — and its
+/// instruction count bounds that run's cycles through the issue-slot
+/// invariant ([`lsv_vengine::InstCounters::issue_cycles_lower_bound`]). The
+/// bound then goes through the same `ChipFormula`:
+///
+/// * fwd/bwd-data with at most 2 images per core: chip cycles are the kept
+///   run's own (one cold image, or the cold + steady pair);
+/// * fwd/bwd-data with 3 or more: `cold + steady·(ipc−1)` subtracts the
+///   cold image, which no count bounds — `None`;
+/// * bwd-weights: non-decreasing in the kept run's cycles, so for `N > 2`
+///   the 1-image reduction is simulated (through the store, as
+///   [`bench_config`] does) and the count's bound is pushed through it.
+pub fn chip_cycles_lower_bound(
+    arch: &ArchParams,
+    problem: &ConvProblem,
+    cfg: &KernelConfig,
+    mode: ExecutionMode,
+) -> Option<u64> {
+    let formula = ChipFormula::of(arch, problem, cfg.direction);
+    if let ChipFormula::Images { ipc } = formula {
+        if ipc > 2 {
+            return None;
+        }
+    }
+    let run = count_insts(arch, problem, cfg).issue_cycles_lower_bound(arch.scalar_issue_width);
+    let first = match formula {
+        ChipFormula::Reduction { n } if n > 2 => one_image_reduction(arch, problem, cfg, mode),
+        // The formula reads only the kept run: it is the core's one image,
+        // or the cold image cancels.
+        _ => run,
+    };
+    Some(formula.chip(run, first))
+}
+
+/// The instructions of the run [`bench_config`] keeps for `cfg` (its
+/// `report.insts`), counted on a counting core without simulating.
+pub fn count_insts(arch: &ArchParams, problem: &ConvProblem, cfg: &KernelConfig) -> InstCounters {
+    let kernel = kept_primitive(arch, problem, cfg);
+    let s = match cfg.direction {
+        Direction::BwdWeights => reduction_run(arch, &kernel, Core::Count),
+        _ => image_pair(arch, &kernel, Core::Count),
+    };
+    s.report.insts
+}
+
+/// `cfg`'s primitive for `images` images of `problem`, on all of the chip's
+/// cores.
+fn primitive(
+    arch: &ArchParams,
+    problem: &ConvProblem,
+    cfg: &KernelConfig,
+    images: usize,
+) -> ConvPrimitive {
+    ConvDesc::new(problem.with_minibatch(images), cfg.direction, cfg.algorithm).create_with_config(
+        arch,
+        *cfg,
+        arch.cores.max(1),
+    )
+}
+
+/// Cycles of `cfg`'s 1-image bwd-weights reduction, through the store: the
+/// base of the marginal image.
+fn one_image_reduction(
+    arch: &ArchParams,
+    problem: &ConvProblem,
+    cfg: &KernelConfig,
+    mode: ExecutionMode,
+) -> u64 {
+    let prim = primitive(arch, problem, cfg, 1);
+    reduction(arch, &prim, mode, ProfileMode::Off).cold
+}
+
+/// The primitive whose run [`measure`] keeps (its report, and the cycles
+/// [`ChipFormula`] scales): built for the representative core's slice
+/// images (fwd/bwd-data) or for the `min(N, 2)`-image reduction
+/// (bwd-weights).
+fn kept_primitive(arch: &ArchParams, problem: &ConvProblem, cfg: &KernelConfig) -> ConvPrimitive {
+    let images = match cfg.direction {
+        Direction::BwdWeights => problem.n.min(2),
+        _ => slice_problem(arch, problem).n,
+    };
+    primitive(arch, problem, cfg, images)
+}
+
+/// How the representative core's kept run becomes chip cycles for the whole
+/// minibatch: the one chip formula behind [`bench_config`],
+/// [`bench_images`] and [`chip_cycles_lower_bound`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ChipFormula {
+    /// A minibatch-parallel layer, `ipc` images per core: the kept run is
+    /// the cold image and, for `ipc >= 2`, the steady one after it; the
+    /// remaining images are charged at the steady cost.
+    Images {
+        /// Images each core owns.
+        ipc: u64,
+    },
+    /// Direct backward-weights over `n` images: the kept run is the
+    /// `min(n, 2)`-image reduction; beyond 2 images each further image
+    /// costs its marginal over the 1-image reduction.
+    Reduction {
+        /// The minibatch.
+        n: u64,
+    },
+}
+
+impl ChipFormula {
+    /// The formula of the direct primitive for `problem` in `direction`.
+    pub(crate) fn of(arch: &ArchParams, problem: &ConvProblem, direction: Direction) -> Self {
+        match direction {
+            Direction::BwdWeights => ChipFormula::Reduction {
+                n: problem.n as u64,
+            },
+            _ => Self::images(arch, problem),
+        }
+    }
+
+    /// The formula of a minibatch-parallel kernel (every vednn kernel
+    /// splits the minibatch, bwd-weights included).
+    fn images(arch: &ArchParams, problem: &ConvProblem) -> Self {
+        ChipFormula::Images {
+            ipc: images_per_core(arch, problem) as u64,
+        }
+    }
+
+    /// Chip cycles from the kept run's cycles `run` and `first`: that run's
+    /// cold image (minibatch-parallel) or the 1-image reduction's cycles
+    /// (bwd-weights). Non-decreasing in `run` for a fixed `first`.
+    pub(crate) fn chip(self, run: u64, first: u64) -> u64 {
+        match self {
+            ChipFormula::Images { ipc } => first + (run - first) * (ipc - 1),
+            ChipFormula::Reduction { n } if n <= 2 => run,
+            ChipFormula::Reduction { n } => run + run.saturating_sub(first).max(1) * (n - 2),
+        }
+    }
 }
 
 /// A kernel the representative core runs: the direct primitive and every
@@ -324,9 +461,9 @@ fn measure_images<K: SliceKernel>(
         "the kernel must be built for the representative core's images"
     );
     let s = via_store(arch, kernel, mode, pmode, |profiled| {
-        image_pair(arch, kernel, mode, profiled)
+        image_pair(arch, kernel, Core::Sim { mode, profiled })
     });
-    let chip_cycles = s.cold + s.steady * (images_per_core(arch, problem) as u64 - 1);
+    let chip_cycles = ChipFormula::images(arch, problem).chip(s.report.cycles, s.cold);
     let conflicts_predicted = kernel.identity().1.is_some_and(|c| c.conflicts_predicted);
     let perf = LayerPerf::new(arch, problem, chip_cycles, s.report, conflicts_predicted);
     (perf, s.profile)
@@ -398,15 +535,29 @@ fn via_store<K: SliceKernel>(
     st.memo(&key, || sim(pmode == ProfileMode::IfSimulated))
 }
 
+/// The core a run executes on.
+#[derive(Debug, Clone, Copy)]
+enum Core {
+    /// A simulated core in `mode`, its region profiler on when `profiled`.
+    Sim { mode: ExecutionMode, profiled: bool },
+    /// A counting core ([`VCore::new_counting`]): no timing, no data.
+    Count,
+}
+
 /// The representative core ready to run `kernel`: operands allocated (and
 /// filled, in functional mode), the profiler on when asked, and the LLC
-/// warmed with the pass's input activations.
+/// warmed with the pass's input activations. A counting core gets a
+/// data-free arena and no warm-up: neither changes an instruction.
 fn prepare<K: SliceKernel>(
     arch: &ArchParams,
     kernel: &K,
-    mode: ExecutionMode,
-    profiled: bool,
+    core: Core,
 ) -> (VCore, Arena, K::Tensors) {
+    let Core::Sim { mode, profiled } = core else {
+        let mut arena = Arena::for_mode(ExecutionMode::TimingOnly);
+        let t = kernel.alloc(&mut arena);
+        return (VCore::new_counting(arch), arena, t);
+    };
     let mut arena = Arena::for_mode(mode);
     let t = kernel.alloc(&mut arena);
     if mode.is_functional() {
@@ -449,13 +600,8 @@ fn warm_inputs(core: &mut VCore, t: &ConvTensors, direction: Direction) {
 }
 
 /// The cold/steady image pair on the representative core.
-fn image_pair<K: SliceKernel>(
-    arch: &ArchParams,
-    kernel: &K,
-    mode: ExecutionMode,
-    profiled: bool,
-) -> Slice {
-    let (mut core, mut arena, t) = prepare(arch, kernel, mode, profiled);
+fn image_pair<K: SliceKernel>(arch: &ArchParams, kernel: &K, core: Core) -> Slice {
+    let (mut core, mut arena, t) = prepare(arch, kernel, core);
     // Image 0: warm LLC (benchdnn-style repeated iterations), cold L1/L2.
     kernel.run_images(&mut core, &mut arena, &t, 0..1);
     let cold = core.drain().cycles;
@@ -475,7 +621,8 @@ fn image_pair<K: SliceKernel>(
 }
 
 /// One backward-weights reduction over all of `prim`'s images and the
-/// representative core's share of the small-dimension blocks.
+/// representative core's share of the small-dimension blocks, served
+/// through the store.
 fn reduction(
     arch: &ArchParams,
     prim: &ConvPrimitive,
@@ -483,23 +630,28 @@ fn reduction(
     pmode: ProfileMode,
 ) -> Slice {
     via_store(arch, prim, mode, pmode, |profiled| {
-        let blocks = prim.bwdw_small_blocks().div_ceil(arch.cores.max(1)).max(1);
-        let (mut core, mut arena, t) = prepare(arch, prim, mode, profiled);
-        prim.execute_core(
-            &mut core,
-            &mut arena,
-            &t,
-            0..prim.desc().problem.n,
-            0..blocks,
-        );
-        let report = core.drain();
-        Slice {
-            cold: report.cycles,
-            steady: 0,
-            report,
-            profile: core.take_profile(),
-        }
+        reduction_run(arch, prim, Core::Sim { mode, profiled })
     })
+}
+
+/// The reduction run itself on a fresh `core`.
+fn reduction_run(arch: &ArchParams, prim: &ConvPrimitive, core: Core) -> Slice {
+    let blocks = prim.bwdw_small_blocks().div_ceil(arch.cores.max(1)).max(1);
+    let (mut core, mut arena, t) = prepare(arch, prim, core);
+    prim.execute_core(
+        &mut core,
+        &mut arena,
+        &t,
+        0..prim.desc().problem.n,
+        0..blocks,
+    );
+    let report = core.drain();
+    Slice {
+        cold: report.cycles,
+        steady: 0,
+        report,
+        profile: core.take_profile(),
+    }
 }
 
 /// Host-side performance of the native backend on one layer: what the

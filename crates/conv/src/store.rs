@@ -42,7 +42,10 @@
 //! [`StoreStats::corrupt`], prints one warning naming the file and the
 //! reason, and the recomputed record overwrites it, so one damaged file
 //! costs one re-simulation, never a run. A key-string mismatch under a
-//! matching hash (a 2⁻¹²⁸ event) is treated as a miss.
+//! matching hash (a 2⁻¹²⁸ event) is treated as a miss. A failed write or
+//! rename is counted in [`StoreStats::write_errors`] with one warning naming
+//! the path; its `.tmp` is removed and the disk tier stays off for the rest
+//! of the process, while the memory tier keeps serving.
 //!
 //! Every user goes through one lookup protocol, [`LayerStore::memo`]: get,
 //! else compute and insert, for any [`Stored`] value (a slice, a
@@ -64,7 +67,7 @@ use lsv_vengine::{CoreStats, ExecutionMode, InstCounters};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Version stamp of the key layout, record layout *and* simulator timing
@@ -235,7 +238,7 @@ fn push_cfg(s: &mut String, cfg: &KernelConfig) {
     .unwrap();
 }
 
-fn mode_tag(mode: ExecutionMode) -> &'static str {
+pub(crate) fn mode_tag(mode: ExecutionMode) -> &'static str {
     if mode.is_functional() {
         "func"
     } else {
@@ -581,6 +584,8 @@ pub struct StoreStats {
     pub paranoid_rechecks: u64,
     /// Disk entries that could not be read or parsed (each also a miss).
     pub corrupt: u64,
+    /// Disk writes that failed; the first one turns the disk tier off.
+    pub write_errors: u64,
 }
 
 impl StoreStats {
@@ -603,6 +608,7 @@ impl StoreStats {
                 .paranoid_rechecks
                 .saturating_sub(since.paranoid_rechecks),
             corrupt: self.corrupt.saturating_sub(since.corrupt),
+            write_errors: self.write_errors.saturating_sub(since.write_errors),
         }
     }
 
@@ -616,6 +622,7 @@ impl StoreStats {
         reg.counter_add("store.inserts", self.inserts);
         reg.counter_add("store.paranoid_rechecks", self.paranoid_rechecks);
         reg.counter_add("store.corrupt", self.corrupt);
+        reg.counter_add("store.write_errors", self.write_errors);
     }
 }
 
@@ -627,6 +634,7 @@ struct Counters {
     inserts: AtomicU64,
     paranoid_rechecks: AtomicU64,
     corrupt: AtomicU64,
+    write_errors: AtomicU64,
 }
 
 /// The content-addressed result store (see module docs).
@@ -634,6 +642,9 @@ pub struct LayerStore {
     disabled: bool,
     dir: Option<PathBuf>,
     paranoid_pct: u8,
+    /// Set by the first failed disk write: the disk tier stays off for the
+    /// rest of the process while the memory tier keeps serving.
+    disk_off: AtomicBool,
     mem: Mutex<HashMap<u128, (Box<str>, Record)>>,
     naive: Mutex<HashMap<String, Arc<Vec<f32>>>>,
     counters: Counters,
@@ -663,6 +674,7 @@ impl LayerStore {
             disabled: cfg.disabled,
             dir: if cfg.disabled { None } else { cfg.dir },
             paranoid_pct: cfg.paranoid_pct,
+            disk_off: AtomicBool::new(false),
             mem: Mutex::new(HashMap::new()),
             naive: Mutex::new(HashMap::new()),
             counters: Counters::default(),
@@ -701,7 +713,7 @@ impl LayerStore {
                 }
             }
         }
-        if let Some(dir) = &self.dir {
+        if let Some(dir) = self.disk() {
             let path = entry_path(dir, key);
             match read_entry(&path, key) {
                 Ok(Some(rec)) => {
@@ -727,14 +739,30 @@ impl LayerStore {
         None
     }
 
-    /// Insert a record into both tiers (atomic `.tmp` + rename on disk).
+    /// The persistent tier's directory, unless there is none or a write
+    /// failed.
+    fn disk(&self) -> Option<&Path> {
+        self.dir
+            .as_deref()
+            .filter(|_| !self.disk_off.load(Ordering::Relaxed))
+    }
+
+    /// Insert a record into both tiers (atomic `.tmp` + rename on disk). A
+    /// failed disk write is counted in [`StoreStats::write_errors`] and
+    /// turns the disk tier off, with one warning naming the path and the
+    /// error; the record still lands in the memory tier.
     pub fn put(&self, key: &Key, rec: Record) {
         if self.disabled {
             return;
         }
         self.counters.inserts.fetch_add(1, Ordering::Relaxed);
-        if let Some(dir) = &self.dir {
-            write_entry(dir, key, &rec);
+        if let Some(dir) = self.disk() {
+            if let Err(why) = write_entry(dir, key, &rec) {
+                self.counters.write_errors.fetch_add(1, Ordering::Relaxed);
+                if !self.disk_off.swap(true, Ordering::Relaxed) {
+                    eprintln!("layer store: {why}; disk tier off, memory tier only");
+                }
+            }
         }
         self.mem
             .lock()
@@ -793,6 +821,7 @@ impl LayerStore {
             inserts: self.counters.inserts.load(Ordering::Relaxed),
             paranoid_rechecks: self.counters.paranoid_rechecks.load(Ordering::Relaxed),
             corrupt: self.counters.corrupt.load(Ordering::Relaxed),
+            write_errors: self.counters.write_errors.load(Ordering::Relaxed),
         }
     }
 
@@ -815,12 +844,14 @@ fn entry_path(dir: &Path, key: &Key) -> PathBuf {
     dir.join(format!("{}.entry", key.file_stem()))
 }
 
-fn write_entry(dir: &Path, key: &Key, rec: &Record) {
+/// Persist one entry: write `<hash>.tmp.<pid>`, then rename it over the
+/// entry. On failure the `.tmp` is removed and the error names the path.
+fn write_entry(dir: &Path, key: &Key, rec: &Record) -> Result<(), String> {
     let path = entry_path(dir, key);
     // Entries are deterministic, so a resident copy that parses is as good
     // as ours; a stale or damaged one is overwritten.
     if std::fs::read_to_string(&path).is_ok_and(|text| matches!(parse_entry(&text), Ok(Some(_)))) {
-        return;
+        return Ok(());
     }
     let text = format!(
         "{SCHEMA}\nkey {}\n{}\n",
@@ -829,9 +860,15 @@ fn write_entry(dir: &Path, key: &Key, rec: &Record) {
     );
     let tmp = dir.join(format!("{}.tmp.{}", key.file_stem(), std::process::id()));
     std::fs::write(&tmp, text)
-        .unwrap_or_else(|e| panic!("layer store: cannot write {}: {e}", tmp.display()));
-    std::fs::rename(&tmp, &path)
-        .unwrap_or_else(|e| panic!("layer store: cannot publish {}: {e}", path.display()));
+        .map_err(|e| format!("cannot write {}: {e}", tmp.display()))
+        .and_then(|()| {
+            std::fs::rename(&tmp, &path)
+                .map_err(|e| format!("cannot publish {}: {e}", path.display()))
+        })
+        .inspect_err(|_| {
+            // Only a file of ours can sit there; anything else stays.
+            let _ = std::fs::remove_file(&tmp);
+        })
 }
 
 /// Read one persisted entry for `key`. A missing file, a stale schema stamp

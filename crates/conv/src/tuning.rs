@@ -5,10 +5,12 @@
 //! summarized by Table 2).
 
 use crate::problem::{Algorithm, ConvProblem, Direction};
+use crate::store;
 use lsv_arch::{
     bdc_register_block_range, formula2_rb_min, formula3_predicts_conflicts, ArchParams,
 };
 use lsv_tensor::{ActivationLayout, WeightLayout};
+use std::cell::Cell;
 use std::collections::HashSet;
 
 /// Spatial register blocking factors (`RB_w`, `RB_h` of Section 4.1).
@@ -366,14 +368,16 @@ pub fn kernel_config(
     }
 }
 
-/// Outcome of the empirical register-block sweep (`lsvconv tune`).
+/// Outcome of the empirical register-block search (`lsvconv tune`).
 ///
 /// `generated` raw candidate targets normalize (clamping to the output
 /// shape, the register file, and the weight-buffer depth rule) down to
 /// `unique` distinct effective configurations — the dedupe that keeps the
-/// tuner from simulating the same kernel twice. Each unique configuration is
-/// evaluated through the layer store, so `store_hits + simulated` equals the
-/// number of slice evaluations issued.
+/// tuner from simulating the same kernel twice. The search simulates only
+/// the candidates whose instruction-count bound could still beat the best
+/// so far (`bounded` counts the rest), and the decision itself is stored,
+/// so `store_hits + simulated` counts the slice evaluations a call issued,
+/// not one per unique candidate.
 #[derive(Debug, Clone)]
 pub struct TuneReport {
     /// Raw candidate targets enumerated.
@@ -384,16 +388,21 @@ pub struct TuneReport {
     pub store_hits: u64,
     /// Slice evaluations actually simulated.
     pub simulated: u64,
+    /// Candidates this call's search settled by their instruction-count
+    /// bound, without simulating them (0 when a stored decision is used
+    /// without a paranoid re-check).
+    pub bounded: usize,
     /// Chip cycles of the analytic (Formula-driven) configuration.
     pub analytic_cycles: u64,
-    /// Best configuration found by the sweep (ties keep the analytic pick).
+    /// Best configuration found (ties keep the earlier candidate, so the
+    /// analytic pick wins a tie).
     pub best_cfg: KernelConfig,
     /// Chip cycles of the best configuration.
     pub best_cycles: u64,
 }
 
 impl TuneReport {
-    /// Publish this sweep's counters into a metrics registry under the
+    /// Publish this search's counters into a metrics registry under the
     /// `tuner.` namespace.
     pub fn publish_metrics(&self, reg: &lsv_obs::MetricsRegistry) {
         reg.counter_add("tuner.sweeps", 1);
@@ -401,14 +410,23 @@ impl TuneReport {
         reg.counter_add("tuner.unique", self.unique as u64);
         reg.counter_add("tuner.store_hits", self.store_hits);
         reg.counter_add("tuner.simulated", self.simulated);
+        reg.counter_add("tuner.bounded", self.bounded as u64);
     }
 }
 
-/// Empirically sweep the register-block target for one (problem, direction,
-/// algorithm): enumerate every combined target the register file admits,
+/// Names the candidate enumeration in the stored decision's key: a decision
+/// is an index into the unique list, so a change to candidate generation,
+/// order or dedupe must change this tag.
+const CANDIDATES: &str = "rb-sweep-1";
+
+/// Pick the register block of one (problem, direction, algorithm)
+/// empirically: enumerate every combined target the register file admits,
 /// normalize each to its effective [`KernelConfig`], dedupe candidates whose
-/// canonical store key coincides, and simulate only the unique survivors
-/// (each through the layer store, so a warm store pays for nothing twice).
+/// canonical store key coincides, and find the fastest survivor with an
+/// exact best-first search. The winner's index is stored
+/// under a [`store::choice_key`] covering everything the chip formula reads
+/// (shape, images per core or minibatch, algorithm, mode), so warm replays
+/// and other minibatches with the same formula skip the search.
 pub fn tune_empirical(
     arch: &ArchParams,
     problem: &ConvProblem,
@@ -416,6 +434,58 @@ pub fn tune_empirical(
     algorithm: Algorithm,
     mode: lsv_vengine::ExecutionMode,
 ) -> Result<TuneReport, crate::primitive::UnsupportedReason> {
+    let (generated, cands) = candidates(arch, problem, direction, algorithm, mode)?;
+    let evals = Evals {
+        arch,
+        problem,
+        mode,
+        issued: Cell::new(0),
+        hits: Cell::new(0),
+    };
+    let bounded = Cell::new(0);
+    let search = || {
+        let (winner, settled) = best_first(&evals, &cands);
+        bounded.set(settled);
+        Decision(winner)
+    };
+    let key = decision_key(arch, problem, direction, algorithm, mode);
+    let Decision(winner) = store::store().memo(&key, search);
+    // An index past the list can only come from a damaged entry.
+    let winner = if winner < cands.len() {
+        winner
+    } else {
+        search().0
+    };
+    let analytic_cycles = evals.cycles(&cands[0]);
+    let best_cycles = if winner == 0 {
+        analytic_cycles
+    } else {
+        evals.cycles(&cands[winner])
+    };
+    Ok(TuneReport {
+        generated,
+        unique: cands.len(),
+        store_hits: evals.hits.get(),
+        simulated: evals.issued.get().saturating_sub(evals.hits.get()),
+        bounded: bounded.get(),
+        analytic_cycles,
+        best_cfg: cands[winner],
+        best_cycles,
+    })
+}
+
+/// The register-block candidates of one (problem, direction, algorithm):
+/// every combined target the register file could admit, normalized exactly
+/// like `create` would, deduped on the key their evaluation is cached
+/// under. Returns the number generated and the unique list, analytic
+/// configuration first.
+fn candidates(
+    arch: &ArchParams,
+    problem: &ConvProblem,
+    direction: Direction,
+    algorithm: Algorithm,
+    mode: lsv_vengine::ExecutionMode,
+) -> Result<(usize, Vec<KernelConfig>), crate::primitive::UnsupportedReason> {
     use crate::primitive::ConvDesc;
 
     let cores = arch.cores.max(1);
@@ -424,8 +494,6 @@ pub fn tune_empirical(
         .cfg();
     let budget = arch.n_vregs;
 
-    // Candidate generation: every combined register-block target the
-    // register file could admit, normalized exactly like `create` would.
     let mut generated = 0usize;
     let mut seen = HashSet::new();
     let mut unique_cfgs: Vec<KernelConfig> = Vec::new();
@@ -436,14 +504,13 @@ pub fn tune_empirical(
         _ => crate::perf::slice_problem(arch, problem),
     };
     let mut admit = |cfg: KernelConfig, unique_cfgs: &mut Vec<KernelConfig>| {
-        let key =
-            crate::store::slice_key(arch, &p_key, direction, "direct", cores, mode, Some(&cfg));
+        let key = store::slice_key(arch, &p_key, direction, "direct", cores, mode, Some(&cfg));
         if seen.insert(key.canonical().to_string()) {
             unique_cfgs.push(cfg);
         }
     };
-    // The analytic configuration is always a candidate (and is evaluated
-    // first, so ties keep it).
+    // The analytic configuration is always a candidate (and comes first,
+    // so ties keep it).
     admit(base, &mut unique_cfgs);
     match direction {
         Direction::Fwd | Direction::BwdData => {
@@ -516,38 +583,121 @@ pub fn tune_empirical(
         }
     }
 
-    // Evaluate every unique survivor through the store.
-    let st = crate::store::store();
-    let before = st.stats();
-    let mut calls = 0u64;
-    let mut analytic_cycles = 0u64;
-    let mut best: Option<(u64, KernelConfig)> = None;
-    for (i, cfg) in unique_cfgs.iter().enumerate() {
-        // A bwd-weights evaluation is two reduction slices.
-        calls += if direction == Direction::BwdWeights {
+    Ok((generated, unique_cfgs))
+}
+
+/// One tuner call's slice evaluations through the layer meter: how many it
+/// issued and how many the store served.
+struct Evals<'a> {
+    arch: &'a ArchParams,
+    problem: &'a ConvProblem,
+    mode: lsv_vengine::ExecutionMode,
+    issued: Cell<u64>,
+    hits: Cell<u64>,
+}
+
+impl Evals<'_> {
+    /// Run `f`, which evaluates `slices` slices through the store.
+    fn track<R>(&self, slices: u64, f: impl FnOnce() -> R) -> R {
+        let st = store::store();
+        let before = st.stats();
+        let r = f();
+        self.issued.set(self.issued.get() + slices);
+        self.hits
+            .set(self.hits.get() + st.stats().delta(&before).hits());
+        r
+    }
+
+    /// `cfg`'s chip cycles ([`crate::perf::bench_config`]: one slice, or a
+    /// bwd-weights pair of reductions).
+    fn cycles(&self, cfg: &KernelConfig) -> u64 {
+        let slices = if cfg.direction == Direction::BwdWeights {
             2
         } else {
             1
         };
-        let cycles = crate::perf::bench_config(arch, problem, cfg, mode).cycles;
-        if i == 0 {
-            analytic_cycles = cycles;
+        self.track(slices, || {
+            crate::perf::bench_config(self.arch, self.problem, cfg, self.mode).cycles
+        })
+    }
+
+    /// `cfg`'s chip-cycle lower bound ([`crate::perf::chip_cycles_lower_bound`]:
+    /// counted, plus the simulated 1-image reduction of bwd-weights beyond
+    /// 2 images).
+    fn bound(&self, cfg: &KernelConfig) -> Option<u64> {
+        let slices = (cfg.direction == Direction::BwdWeights && self.problem.n > 2) as u64;
+        self.track(slices, || {
+            crate::perf::chip_cycles_lower_bound(self.arch, self.problem, cfg, self.mode)
+        })
+    }
+}
+
+/// Exact best-first search over `cands`, analytic first: the index of the
+/// fewest chip cycles, ties to the lower index — the winner of simulating
+/// every candidate in order and keeping each strictly smaller one — plus
+/// how many candidates the bound settled without a simulation.
+///
+/// The analytic candidate is simulated first. The others are visited in
+/// (lower bound, index) order; once the next one's pair exceeds the best's
+/// (cycles, index), its cycles could at best tie with a later index, and so
+/// could every candidate after it. A candidate without a bound sorts first
+/// and is always simulated.
+fn best_first(evals: &Evals, cands: &[KernelConfig]) -> (usize, usize) {
+    let mut best = (evals.cycles(&cands[0]), 0);
+    let mut order: Vec<(u64, usize)> = cands
+        .iter()
+        .enumerate()
+        .skip(1)
+        .map(|(i, cfg)| (evals.bound(cfg).unwrap_or(0), i))
+        .collect();
+    order.sort_unstable();
+    for (k, &(bound, i)) in order.iter().enumerate() {
+        if (bound, i) > best {
+            return (best.1, order.len() - k);
         }
-        if best.map(|(c, _)| cycles < c).unwrap_or(true) {
-            best = Some((cycles, *cfg));
+        best = best.min((evals.cycles(&cands[i]), i));
+    }
+    (best.1, 0)
+}
+
+/// The tuner's decision as the layer store records it: the winner's index
+/// in the deterministic unique candidate list.
+struct Decision(usize);
+
+impl store::Stored for Decision {
+    fn to_record(&self) -> store::Record {
+        store::Record::Choice(u8::try_from(self.0).expect("fewer than 256 candidates"))
+    }
+
+    fn from_record(rec: store::Record) -> Option<Self> {
+        match rec {
+            store::Record::Choice(i) => Some(Decision(i as usize)),
+            _ => None,
         }
     }
-    let store_hits = st.stats().delta(&before).hits();
-    let (best_cycles, best_cfg) = best.expect("at least the analytic candidate");
-    Ok(TuneReport {
-        generated,
-        unique: unique_cfgs.len(),
-        store_hits,
-        simulated: calls.saturating_sub(store_hits),
-        analytic_cycles,
-        best_cfg,
-        best_cycles,
-    })
+}
+
+/// Key of the tuner's decision: everything the chip formula reads — the
+/// shape, the images per core (fwd/bwd-data) or the minibatch
+/// (bwd-weights), the algorithm and the mode — plus the candidate
+/// enumeration's tag.
+fn decision_key(
+    arch: &ArchParams,
+    problem: &ConvProblem,
+    direction: Direction,
+    algorithm: Algorithm,
+    mode: lsv_vengine::ExecutionMode,
+) -> store::Key {
+    let multiplier = match crate::perf::ChipFormula::of(arch, problem, direction) {
+        crate::perf::ChipFormula::Images { ipc } => format!("ipc{ipc}"),
+        crate::perf::ChipFormula::Reduction { n } => format!("n{n}"),
+    };
+    let what = format!(
+        "tuned-{}-{}-{multiplier}-{CANDIDATES}",
+        algorithm.short_name(),
+        store::mode_tag(mode)
+    );
+    store::choice_key(arch, &problem.with_minibatch(1), direction, &what)
 }
 
 #[cfg(test)]
@@ -765,28 +915,120 @@ mod tests {
         assert!(small <= 8 && large >= 2);
     }
 
-    /// The tuner prices candidates with the layer meter: its analytic
-    /// candidate is `bench_layer`'s kernel, and its winner re-measures to
-    /// the cycles it reported.
+    /// The exhaustive reference the best-first search must agree with:
+    /// simulate every unique candidate in enumeration order and keep each
+    /// strictly faster one. Returns (best config, best cycles, analytic
+    /// cycles, generated, unique).
+    pub(crate) fn exhaustive(
+        arch: &ArchParams,
+        p: &ConvProblem,
+        dir: Direction,
+        alg: Algorithm,
+        mode: lsv_vengine::ExecutionMode,
+    ) -> (KernelConfig, u64, u64, usize, usize) {
+        let (generated, cands) = candidates(arch, p, dir, alg, mode).expect("creatable");
+        let cycles = |cfg: &KernelConfig| crate::perf::bench_config(arch, p, cfg, mode).cycles;
+        let analytic = cycles(&cands[0]);
+        let mut best = (analytic, cands[0]);
+        for cfg in &cands[1..] {
+            let c = cycles(cfg);
+            if c < best.0 {
+                best = (c, *cfg);
+            }
+        }
+        (best.1, best.0, analytic, generated, cands.len())
+    }
+
+    /// The tuner picks exactly the exhaustive sweep's winner, prices it with
+    /// the layer meter (its analytic candidate is `bench_layer`'s kernel and
+    /// its winner re-measures to the cycles it reported), and a warm call
+    /// replays the same decision. The minibatches span 1, 2 and 3+ images
+    /// per core and bwd-weights at N <= 2 and N > 2.
     #[test]
     fn tuner_cycles_agree_with_the_layer_meter() {
         use crate::perf::{bench_config, bench_layer};
         let arch = sx_aurora();
         let mode = lsv_vengine::ExecutionMode::TimingOnly;
-        for p in [
-            ConvProblem::new(8, 32, 32, 10, 10, 3, 3, 1, 1),
-            ConvProblem::new(8, 64, 16, 8, 8, 1, 1, 2, 0),
+        for (p, minibatches) in [
+            (
+                ConvProblem::new(8, 32, 32, 10, 10, 3, 3, 1, 1),
+                &[1, 2, 8, 9, 16, 17, 32][..],
+            ),
+            (ConvProblem::new(8, 64, 16, 8, 8, 1, 1, 2, 0), &[8, 17][..]),
         ] {
-            for dir in Direction::ALL {
-                for alg in Algorithm::ALL {
-                    let r = tune_empirical(&arch, &p, dir, alg, mode).expect("creatable");
-                    let analytic = bench_layer(&arch, &p, dir, alg, mode).cycles;
-                    assert_eq!(r.analytic_cycles, analytic, "{p} {dir} {alg}: analytic");
-                    let best = bench_config(&arch, &p, &r.best_cfg, mode).cycles;
-                    assert_eq!(r.best_cycles, best, "{p} {dir} {alg}: best");
+            for &n in minibatches {
+                let p = p.with_minibatch(n);
+                for dir in Direction::ALL {
+                    for alg in Algorithm::ALL {
+                        let r = tune_empirical(&arch, &p, dir, alg, mode).expect("creatable");
+                        let got = (
+                            r.best_cfg,
+                            r.best_cycles,
+                            r.analytic_cycles,
+                            r.generated,
+                            r.unique,
+                        );
+                        assert_eq!(
+                            got,
+                            exhaustive(&arch, &p, dir, alg, mode),
+                            "{p} {dir} {alg}"
+                        );
+                        let analytic = bench_layer(&arch, &p, dir, alg, mode).cycles;
+                        assert_eq!(r.analytic_cycles, analytic, "{p} {dir} {alg}: analytic");
+                        let best = bench_config(&arch, &p, &r.best_cfg, mode).cycles;
+                        assert_eq!(r.best_cycles, best, "{p} {dir} {alg}: best");
+                        let warm = tune_empirical(&arch, &p, dir, alg, mode).expect("creatable");
+                        let again = (
+                            warm.best_cfg,
+                            warm.best_cycles,
+                            warm.analytic_cycles,
+                            warm.generated,
+                            warm.unique,
+                        );
+                        assert_eq!(again, got, "{p} {dir} {alg}: warm replay");
+                    }
                 }
             }
         }
+    }
+
+    /// Top-1 agreement with the exhaustive sweep on all 19 Table 3 layers x
+    /// 3 directions x 3 algorithms, at N=8 (1 image per core: every
+    /// direction bounded) and at N=256 (fwd/bwd-data exhaustive, bwd-weights
+    /// bounded after its 1-image reduction). Minutes of simulation, so it
+    /// runs on demand:
+    /// `cargo test --release -p lsv-conv --lib -- --ignored table3`.
+    #[test]
+    #[ignore = "minutes of simulation; run on demand"]
+    fn tuner_matches_the_exhaustive_oracle_on_table3() {
+        let arch = sx_aurora();
+        let mode = lsv_vengine::ExecutionMode::TimingOnly;
+        let mut items = Vec::new();
+        for n in [8, 256] {
+            for (layer, p) in table3().into_iter().enumerate() {
+                for dir in Direction::ALL {
+                    for alg in Algorithm::ALL {
+                        items.push((layer, p.with_minibatch(n), dir, alg));
+                    }
+                }
+            }
+        }
+        let disagreements: Vec<String> = crate::par::par_map(items, |(layer, p, dir, alg)| {
+            let r = tune_empirical(&arch, &p, dir, alg, mode).expect("creatable");
+            let got = (
+                r.best_cfg,
+                r.best_cycles,
+                r.analytic_cycles,
+                r.generated,
+                r.unique,
+            );
+            let want = exhaustive(&arch, &p, dir, alg, mode);
+            (got != want).then(|| format!("layer {layer} N={} {dir} {alg}", p.n))
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        assert!(disagreements.is_empty(), "{disagreements:#?}");
     }
 
     /// The Table 3 layer suite at minibatch 256 (duplicated in `lsv-models`;

@@ -1,15 +1,59 @@
 //! Property tests for the Section 6.1 auto-tuner (Algorithm 3) and the
 //! register-blocking policies: postconditions that must hold for *any*
-//! problem geometry.
+//! problem geometry, plus the empirical tuner's instruction-count bound
+//! over the fuzz seed corpus.
 
 use lsv_arch::formula3_predicts_conflicts;
 use lsv_arch::presets::{aurora_with_vlen_bits, sx_aurora};
+use lsv_conv::perf::{bench_config, chip_cycles_lower_bound, count_insts};
 use lsv_conv::tuning::{
     autotune_microkernel, kernel_config, split_register_block, split_register_block_capped,
     RegisterBlocking,
 };
-use lsv_conv::{Algorithm, ConvProblem, Direction};
+use lsv_conv::{fuzz, Algorithm, ConvDesc, ConvProblem, Direction, ExecutionMode};
 use proptest::prelude::*;
+
+/// The tuner may skip a candidate only on a bound that cannot exceed its
+/// measured chip cycles. Over every seed-corpus case (geometries x
+/// directions x algorithms x swept vector lengths), at its own minibatch and
+/// at 9 and 17 (2 and 3 images per core; bwd-weights beyond 2 images), the
+/// counting core sees exactly the kept run's instructions and the bound
+/// stays at or below `bench_config`'s cycles.
+#[test]
+fn instruction_bound_never_exceeds_the_layer_meter_on_the_seed_corpus() {
+    let mode = ExecutionMode::TimingOnly;
+    let mut bounded = 0;
+    for case in fuzz::seed_corpus() {
+        let arch = aurora_with_vlen_bits(case.vlen_bits);
+        for n in [case.problem.n, 9, 17] {
+            let p = case.problem.with_minibatch(n);
+            let Ok(prim) =
+                ConvDesc::new(p, case.direction, case.algorithm).create(&arch, arch.cores)
+            else {
+                continue;
+            };
+            let cfg = prim.cfg();
+            let perf = bench_config(&arch, &p, cfg, mode);
+            assert_eq!(
+                count_insts(&arch, &p, cfg),
+                perf.report.insts,
+                "{case} n={n}"
+            );
+            if let Some(bound) = chip_cycles_lower_bound(&arch, &p, cfg, mode) {
+                assert!(
+                    bound <= perf.cycles,
+                    "{case} n={n}: {bound} > {}",
+                    perf.cycles
+                );
+                bounded += 1;
+            }
+        }
+    }
+    assert!(
+        bounded > 100,
+        "the bound applies to most cases, got {bounded}"
+    );
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -112,7 +156,7 @@ proptest! {
         let pad = if k > 1 { 1 } else { 0 };
         prop_assume!(hw + 2 * pad >= k);
         let p = ConvProblem::new(4, ic, oc, hw, hw, k, k, s, pad);
-        let prim = lsv_conv::ConvDesc::new(p, Direction::ALL[dir_idx], Algorithm::ALL[alg_idx])
+        let prim = ConvDesc::new(p, Direction::ALL[dir_idx], Algorithm::ALL[alg_idx])
             .create(&arch, 8);
         let prim = prim.expect("creation should always succeed on this machine");
         let cfg = prim.cfg();

@@ -77,6 +77,23 @@ mod tests {
         assert!(perf.efficiency > 0.0 && perf.efficiency <= 1.0);
     }
 
+    /// vednn splits the minibatch in every direction, bwd-weights included,
+    /// so each image past the core's first costs the same steady amount:
+    /// chip cycles at 1, 2 and 3 images per core are evenly spaced.
+    #[test]
+    fn vednn_charges_steady_images_in_every_direction() {
+        let arch = sx_aurora();
+        let p = ConvProblem::new(8, 16, 16, 8, 8, 3, 3, 1, 1);
+        for dir in Direction::ALL {
+            let chip = |ipc: usize| {
+                let p = p.with_minibatch(ipc * arch.cores);
+                bench_layer_vednn(&arch, &p, dir, ExecutionMode::TimingOnly).cycles
+            };
+            let (one, two, three) = (chip(1), chip(2), chip(3));
+            assert_eq!(three - two, two - one, "{dir}");
+        }
+    }
+
     #[test]
     fn vednn_prefers_large_spatial_unit_stride() {
         // The library's qualitative profile: better efficiency on a large

@@ -98,6 +98,15 @@ impl InstCounters {
             + self.scatters
     }
 
+    /// The fewest cycles a core of frontend width `scalar_issue_width` can
+    /// report after issuing these instructions: `ceil(total / width) - 1`
+    /// (the issue-slot invariant on [`VCore`]).
+    pub fn issue_cycles_lower_bound(&self, scalar_issue_width: usize) -> u64 {
+        self.total()
+            .div_ceil(scalar_issue_width.max(1) as u64)
+            .saturating_sub(1)
+    }
+
     /// Accumulate counters from another core.
     pub fn merge(&mut self, o: &InstCounters) {
         self.scalar_loads += o.scalar_loads;
@@ -271,6 +280,19 @@ impl CoreStats {
 
 /// The simulated core. One `VCore` models one hardware core; multi-core runs
 /// instantiate several over the same [`Arena`].
+///
+/// # Issue-slot invariant
+///
+/// Every instruction counted in [`InstCounters::total`] claims exactly one
+/// frontend issue slot, `scalar_issue_width` of them per cycle. A blocked
+/// frontend (a `vfma_bcast` waiting on its scalar operand) gives up the rest
+/// of its cycle's slots but moves the frontier forward by at least one
+/// cycle, so `width * frontier + slots_used` never falls behind the number
+/// of instructions issued. Hence, for any instruction stream,
+/// `drain().cycles >= ceil(insts.total() / scalar_issue_width) - 1`
+/// ([`InstCounters::issue_cycles_lower_bound`]). A counting core
+/// ([`VCore::new_counting`]) produces the same counters without timing the
+/// stream, which makes that bound cheap to get.
 #[derive(Debug)]
 pub struct VCore {
     arch: ArchParams,
@@ -294,9 +316,10 @@ pub struct VCore {
     /// (grown once, then recycled via `mem::take` on every call).
     line_scratch: Vec<u64>,
     // --- accounting ---
-    /// Introspection mode: record the instruction stream (operands, footprints,
-    /// regions) but skip all cache-hierarchy and scoreboard work. Used by the
-    /// `lsv-analyze` symbolic lift, which needs the stream, not the timing.
+    /// Introspection mode: count (and, with a trace, record) the instruction
+    /// stream but skip all cache-hierarchy and scoreboard work. Used by the
+    /// `lsv-analyze` symbolic lift, which needs the stream, not the timing,
+    /// and by the tuner's instruction-count bound.
     introspect: bool,
     trace: Option<Vec<TraceEvent>>,
     profiler: Option<Box<Profiler>>,
@@ -362,6 +385,20 @@ impl VCore {
     /// indices or vector lengths are recorded (so the analyzer can *deny*
     /// them) instead of asserting.
     pub fn new_introspect(arch: &ArchParams) -> Self {
+        let mut core = Self::new_counting(arch);
+        core.trace = Some(Vec::new());
+        core
+    }
+
+    /// Build a core that only *counts* the instruction stream: an
+    /// introspection core that keeps no trace. Every instruction method
+    /// bumps [`InstCounters`] before the introspection early return, so the
+    /// counters equal those of a timing core fed the same stream, while the
+    /// cache hierarchy, scoreboard and register file are never touched and
+    /// [`VCore::scalar_ops`] adds its count in O(1). `drain().cycles` stays 0;
+    /// the counters bound a timing core's cycles through the issue-slot
+    /// invariant.
+    pub fn new_counting(arch: &ArchParams) -> Self {
         // The hierarchy is never accessed: one line per level stands in for
         // caches that would cost megabytes to build.
         let mut stub = arch.clone();
@@ -371,11 +408,11 @@ impl VCore {
         let mut core =
             Self::with_hierarchy(arch, ExecutionMode::TimingOnly, Hierarchy::for_core(&stub));
         core.introspect = true;
-        core.trace = Some(Vec::new());
         core
     }
 
-    /// Whether this core was built with [`VCore::new_introspect`].
+    /// Whether this core was built with [`VCore::new_introspect`] or
+    /// [`VCore::new_counting`].
     pub fn is_introspect(&self) -> bool {
         self.introspect
     }
@@ -535,6 +572,11 @@ impl VCore {
             return;
         }
         if self.trace.is_some() || self.introspect {
+            if self.trace.is_none() {
+                // A counting core: nothing to record, nothing to time.
+                self.counters.scalar_ops += n as u64;
+                return;
+            }
             for _ in 0..n {
                 self.scalar_op();
             }
@@ -1828,5 +1870,33 @@ mod tests {
         c.vstore(&mut a, 1, x, 512);
         let s = c.drain();
         assert_eq!(s.insts.total(), 5);
+    }
+
+    /// A pure scalar stream issues back to back, so the issue-slot bound
+    /// is met with equality at any width; a counting core adds batched
+    /// `scalar_ops` without a loop and reports the same count.
+    #[test]
+    fn issue_bound_is_tight_on_scalar_streams() {
+        for width in [1, 3, 4] {
+            let arch = ArchParams {
+                scalar_issue_width: width,
+                ..sx_aurora()
+            };
+            for (singles, batch) in [(1, 0), (0, 1), (2, 5), (7, 1000)] {
+                let mut timed = VCore::new(&arch, ExecutionMode::TimingOnly);
+                let mut counting = VCore::new_counting(&arch);
+                for c in [&mut timed, &mut counting] {
+                    for _ in 0..singles {
+                        c.scalar_op();
+                    }
+                    c.scalar_ops(batch);
+                }
+                let (t, n) = (timed.drain(), counting.drain());
+                assert_eq!(n.insts, t.insts);
+                assert_eq!(t.insts.total(), (singles + batch) as u64);
+                assert_eq!(t.cycles, t.insts.issue_cycles_lower_bound(width));
+                assert_eq!(n.cycles, 0, "a counting core keeps no time");
+            }
+        }
     }
 }

@@ -1,10 +1,48 @@
 //! Property tests for the vector engine's functional semantics: memory ops
 //! round-trip for arbitrary geometries, FMA arithmetic matches scalar math,
-//! and timing invariants (cycles monotone in work).
+//! and timing invariants (cycles monotone in work, the issue-slot bound).
 
-use lsv_arch::presets::sx_aurora;
+use lsv_arch::presets::{skylake_avx512, sx_aurora};
+use lsv_arch::ArchParams;
 use lsv_vengine::{Arena, ExecutionMode, ScalarValue, VCore};
 use proptest::prelude::*;
+
+/// Feed `core` one instruction per `(op, a, b)`, with operands folded into
+/// `arch`'s register file and vector length. Scalar loads hand their value
+/// to the next broadcast FMA, which blocks the frontend until it is ready.
+fn run_stream(core: &mut VCore, arena: &mut Arena, arch: &ArchParams, ops: &[(u8, usize, usize)]) {
+    let (n_vregs, n_vlen) = (arch.n_vregs, arch.n_vlen());
+    let base = arena.alloc(64 * 1024);
+    let mut pending = ScalarValue::constant(1.0);
+    for &(op, a, b) in ops {
+        let vr = a % n_vregs;
+        let other = (vr + 1 + b % (n_vregs - 1)) % n_vregs;
+        let vl = 1 + b % n_vlen;
+        let addr = base + ((a * 977 + b * 131) % (60 * 1024)) as u64 * 4;
+        match op {
+            0 => core.scalar_op(),
+            1 => core.scalar_ops(b % 40),
+            2 => pending = core.scalar_load(arena, addr),
+            3 => core.vfma_bcast(vr, other, pending, vl),
+            4 => core.vload(arena, vr, addr, vl),
+            5 => core.vstore(arena, vr, addr, vl),
+            6 | 7 => {
+                let block = 1 + a % 8.min(n_vlen);
+                let blocks: Vec<u64> = (0..(n_vlen / block).clamp(1, 4) as u64)
+                    .map(|i| addr + i * (b % 64 + 1) as u64 * 128)
+                    .collect();
+                if op == 6 {
+                    core.vgather_blocks(arena, vr, &blocks, block);
+                } else {
+                    core.vscatter_blocks(arena, vr, &blocks, block);
+                }
+            }
+            8 => core.vbroadcast_zero(vr, vl),
+            9 => core.vfma_vv(vr, other, other, vl),
+            _ => pending = core.vreduce_sum(vr, vl),
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -125,5 +163,29 @@ proptest! {
             core.drain().cycles
         };
         prop_assert!(run(n1 + extra) >= run(n1));
+    }
+
+    // The issue-slot invariant: a drained core's cycles are at least
+    // ceil(insts / scalar_issue_width) - 1 on any stream, and a counting
+    // core fed the same stream reports the identical counters.
+    #[test]
+    fn cycles_are_bounded_by_issue_slots_and_counting_agrees(
+        wide in 0usize..2,
+        ops in proptest::collection::vec((0u8..11, 0usize..4096, 0usize..4096), 1..300),
+    ) {
+        let arch = if wide == 1 { skylake_avx512() } else { sx_aurora() };
+        let mut timed = VCore::new(&arch, ExecutionMode::TimingOnly);
+        let mut arena = Arena::for_mode(ExecutionMode::TimingOnly);
+        run_stream(&mut timed, &mut arena, &arch, &ops);
+        let s = timed.drain();
+        let width = arch.scalar_issue_width as u64;
+        prop_assert!(s.cycles + 1 >= s.insts.total().div_ceil(width));
+        prop_assert!(s.cycles >= s.insts.issue_cycles_lower_bound(arch.scalar_issue_width));
+        let mut counting = VCore::new_counting(&arch);
+        let mut arena = Arena::for_mode(ExecutionMode::TimingOnly);
+        run_stream(&mut counting, &mut arena, &arch, &ops);
+        let c = counting.drain();
+        prop_assert_eq!(c.insts, s.insts);
+        prop_assert_eq!(c.cycles, 0);
     }
 }

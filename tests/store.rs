@@ -236,6 +236,42 @@ fn corrupt_entry_is_counted_miss_and_rewritten() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A disk write that fails is counted, not a panic: one `write_errors`, the
+/// disk tier off for the rest of the store's life, the memory tier still
+/// serving. A directory at the entry's exact `.tmp.<pid>` path makes the
+/// write fail even for root, which ignores permission bits.
+#[test]
+fn failed_write_is_counted_and_turns_the_disk_tier_off() {
+    let dir = scratch("write-error");
+    let arch = sx_aurora();
+    let p = resnet_layers(8)[3];
+    let key = store::validation_key(&arch, &p, Direction::Fwd, "write-error");
+    let other = store::validation_key(&arch, &p, Direction::BwdData, "write-error");
+    let tmp = dir.join(format!("{}.tmp.{}", key.file_stem(), std::process::id()));
+    std::fs::create_dir(&tmp).unwrap();
+    let fresh = ValidationReport {
+        max_abs_err: 0.5,
+        rel_err: 0.25,
+        passed: true,
+    };
+
+    let st = disk_store(&dir);
+    let got = st.memo(&key, || fresh);
+    assert_eq!(got.rel_err.to_bits(), fresh.rel_err.to_bits());
+    assert_eq!(st.stats().write_errors, 1);
+    assert!(tmp.is_dir(), "a directory that is not ours stays");
+    // The memory tier keeps serving; the disk tier writes nothing more.
+    assert_eq!(st.get(&key), Some(fresh.to_record()));
+    st.put(&other, fresh.to_record());
+    assert_eq!(st.get(&other), Some(fresh.to_record()));
+    let s = st.stats();
+    assert_eq!((s.mem_hits, s.inserts, s.write_errors), (2, 2, 1));
+    assert_eq!(st.disk_bytes(), 0, "no entry reached the disk");
+    let doc = store::stats_metrics_json(&s, 0);
+    assert!(doc.contains("\"name\": \"store.write_errors\", \"value\": 1"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn hash_collision_on_disk_is_silent_miss() {
     let dir = scratch("collision");
