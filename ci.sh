@@ -21,12 +21,16 @@ echo "== lsvbench golden ledger (smoke: a few items of every workload)"
 echo "== cargo test"
 cargo test --workspace -q
 
-echo "== lint-kernels (full arch family, static-only; deny findings are errors)"
+echo "== lint-kernels (full arch family, static-only; deny findings are errors; lint.json must equal results/lint.json)"
 # The experiment sweeps every 512..16384-bit family member and fails on any
 # deny finding. The analyzer never simulates; `cargo test` above already ran
 # lsv-analyze's agreement tests, which hold its verdicts against a traced
-# replay over the seed corpus and the smoke's 50 randomized cases.
-./target/release/lsvconv-cli run lint-kernels
+# replay over the seed corpus and the smoke's 50 randomized cases. The
+# report's `instruction #N` messages pin every kernel's recorded instruction
+# stream, so the committed file is compared, never rewritten.
+mkdir -p results/logs
+./target/release/lsvconv-cli run lint-kernels --out results/logs/ci-lint
+cmp results/logs/ci-lint/lint.json results/lint.json
 
 echo "== differential fuzz (smoke: seed corpus + bounded randomized sweep)"
 cargo run --release -p lsv-bench --bin lsvconv-cli -- fuzz --smoke

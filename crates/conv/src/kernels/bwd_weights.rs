@@ -8,10 +8,13 @@
 //! vectorized activation tensor (a coarse-grain gather under the MBDC
 //! layout — this is why Section 8 observes that "the vector gather/scatter
 //! operations are more frequent" in this pass) followed by `RB_c` scalar
-//! loads + FMAs on the other tensor.
+//! loads + FMAs on the other tensor. Their addresses are formed per tap,
+//! not per instruction: the `RB_c` channel offsets once per tap, one base
+//! address per point, and the triples go out as one
+//! [`VCore::fma_bcast_group`].
 
 use super::walk::{WeightTap, WeightWalk};
-use super::{act_vec_lanes, load_act_vec};
+use super::{act_vec_lanes, load_act_vec, next_slot};
 use crate::primitive::ConvTensors;
 use crate::problem::ConvProblem;
 use crate::tuning::KernelConfig;
@@ -46,10 +49,15 @@ pub fn run(
     let vbuf0 = rb_c; // rotating activation-vector registers
     let vbuf = cfg.wbuf.max(2);
 
+    // One tap's `(accumulator, channel byte offset)` pairs of the scalar
+    // tensor: accumulator `j` reduces the block's channel `cs0 + j`.
+    let mut group: Vec<(usize, u64)> = Vec::with_capacity(core.arch().n_vregs);
     for tap in walk.taps() {
         core.scalar_ops(tap.outer_ops);
         core.region_enter("khkw_tile");
         core.scalar_ops(tap.inner_ops);
+        group.clear();
+        group.extend((0..tap.rb_cur).map(|j| (j, sca_t.channel_offset(tap.cs0 + j))));
         // Accumulators for this (kh, kw) tap, zeroed once and reduced over
         // the whole (n, oh, ow) domain.
         core.region_enter("acc_init");
@@ -67,7 +75,7 @@ pub fn run(
                 arena,
                 (vec_t, sca_t),
                 n,
-                &tap,
+                (&tap, &group),
                 (vbuf0, vbuf),
             );
         }
@@ -89,49 +97,38 @@ pub fn run(
 /// The spatial reduction sweep for one tap of one image: per valid output
 /// point of the tap's rectangle, row-major, one vector load of the
 /// vectorized activations (software-pipelined one point ahead; the JIT
-/// peels padding rows) and `rb_cur` scalar-load + FMA pairs.
+/// peels padding rows) and the tap's `rb_cur` scalar-load + FMA triples,
+/// whose addresses are the point's one base plus the tap's channel offsets.
 fn sweep_spatial(
     vec_over_ic: bool,
     core: &mut VCore,
     arena: &mut Arena,
     (vec_t, sca_t): (&ActTensor, &ActTensor),
     n: usize,
-    tap: &WeightTap,
+    (tap, group): (&WeightTap, &[(usize, u64)]),
     (vbuf0, vbuf): (usize, usize),
 ) {
     let (rows, cols) = (tap.rows, tap.cols);
     let points = rows.count * cols.count;
-    // Point `j` as `(oy, ox, ih, iw)`.
-    let point = |j: usize| {
-        let (r, c) = (j / cols.count, j % cols.count);
-        (
-            rows.first + r,
-            cols.first + c,
-            rows.coord + r * rows.coord_step,
-            cols.coord + c * cols.coord_step,
-        )
+    // Every point as `(oy, ox, ih, iw)`, row-major.
+    let grid = || {
+        (0..rows.count).flat_map(move |r| {
+            (0..cols.count).map(move |c| {
+                (
+                    rows.first + r,
+                    cols.first + c,
+                    rows.coord + r * rows.coord_step,
+                    cols.coord + c * cols.coord_step,
+                )
+            })
+        })
     };
-    // S is vectorized: index by (ih, iw); else D_diff, by (oy, ox).
-    let vec_coord = |(oy, ox, ih, iw)| if vec_over_ic { (ih, iw) } else { (oy, ox) };
-    let lookahead = (vbuf - 1).min(points);
-    for j in 0..lookahead {
-        let (y, x) = vec_coord(point(j));
-        core.scalar_op();
-        load_act_vec(
-            core,
-            arena,
-            vec_t,
-            n,
-            tap.c0,
-            y,
-            x,
-            tap.vl,
-            vbuf0 + j % vbuf,
-        );
-    }
-    for j in 0..points {
-        if j + lookahead < points {
-            let (y, x) = vec_coord(point(j + lookahead));
+    // The vector loads run `lookahead` points ahead of the FMAs. S is
+    // vectorized: index by (ih, iw); else D_diff, by (oy, ox).
+    let mut ahead = grid().map(|(oy, ox, ih, iw)| if vec_over_ic { (ih, iw) } else { (oy, ox) });
+    let mut ahead_slot = 0;
+    let mut prefetch = |core: &mut VCore| {
+        if let Some((y, x)) = ahead.next() {
             core.scalar_op();
             load_act_vec(
                 core,
@@ -142,17 +139,23 @@ fn sweep_spatial(
                 y,
                 x,
                 tap.vl,
-                vbuf0 + (j + lookahead) % vbuf,
+                vbuf0 + ahead_slot,
             );
+            ahead_slot = next_slot(ahead_slot, vbuf);
         }
-        let vreg = vbuf0 + j % vbuf;
-        let (oy, ox, ih, iw) = point(j);
+    };
+    for _ in 0..(vbuf - 1).min(points) {
+        prefetch(core);
+    }
+    let image = sca_t.block_at(n, 0, 0, 0);
+    let mut slot = 0;
+    for (oy, ox, ih, iw) in grid() {
+        prefetch(core);
         // Scalar coordinates on the non-vectorized tensor.
         let (sy, sx) = if vec_over_ic { (oy, ox) } else { (ih, iw) };
-        for c in 0..tap.rb_cur {
-            core.scalar_op(); // scalar pointer bump
-            let sv = core.scalar_load(arena, sca_t.at(n, tap.cs0 + c, sy, sx));
-            core.vfma_bcast(c, vreg, sv, tap.vl);
-        }
+        let point = image + sca_t.point_offset(sy, sx);
+        // Per accumulator: scalar pointer bump, scalar load, FMA.
+        core.fma_bcast_group(arena, vbuf0 + slot, tap.vl, point, group);
+        slot = next_slot(slot, vbuf);
     }
 }

@@ -13,9 +13,17 @@
 //! only in blocking parameters and in whether the accumulated tensor moves
 //! via unit-stride vector ops or coarse-grain gather/scatter, which the
 //! shared activation-vector access helpers dispatch on.
+//!
+//! Like the JIT'd kernel, whose `B_seq` fillers are pointer bumps, the
+//! interpreter forms addresses once per kernel tap, not per instruction:
+//! every channel's offset in the scalar-stream tensor and in the weights
+//! once per pass, each tap's weight base once per invocation, and each
+//! tap's reached `(accumulator, spatial offset)` list once per tap. A
+//! channel then has one scalar base address and issues its triples as one
+//! [`VCore::fma_bcast_group`]; no division is left on that path.
 
 use super::walk::{Tile, TileWalk};
-use super::{act_vec_lanes, load_act_vec, store_act_vec};
+use super::{act_vec_lanes, load_act_vec, next_slot, store_act_vec};
 use crate::primitive::ConvTensors;
 use crate::problem::{ConvProblem, Direction};
 use crate::tuning::KernelConfig;
@@ -41,7 +49,8 @@ pub fn run(
     debug_assert_eq!(cfg.wei_swapped, !fwd);
     let walk = TileWalk::new(cfg, p, images);
     let (acc, sca) = walk.roles(t);
-    let k = MicroKernel {
+    let c_sum = if fwd { p.ic } else { p.oc };
+    let mut k = MicroKernel {
         walk: &walk,
         acc,
         sca,
@@ -49,6 +58,10 @@ pub fn run(
         // The weight double-buffer registers follow the accumulators.
         wslot0: walk.block_regs(),
         wbuf: cfg.wbuf,
+        sca_chan: (0..c_sum).map(|c| sca.channel_offset(c)).collect(),
+        wei_chan: (0..c_sum).map(|c| t.wei.ic_offset(c)).collect(),
+        wtaps: Vec::with_capacity(cfg.tile.kh_i * cfg.tile.kw_i),
+        group: Vec::with_capacity(core.arch().n_vregs),
     };
     core.region_enter(if fwd { "fwd" } else { "bwd_data" });
     for tile in walk.tiles() {
@@ -71,7 +84,9 @@ pub fn run(
     core.region_exit();
 }
 
-/// What every micro-kernel invocation of one pass shares.
+/// What every micro-kernel invocation of one pass shares: the operands, the
+/// per-channel address offsets (computed once per pass) and the per-tap
+/// buffers (sized once, reused by every invocation).
 struct MicroKernel<'a> {
     walk: &'a TileWalk,
     acc: &'a ActTensor,
@@ -79,13 +94,23 @@ struct MicroKernel<'a> {
     wei: &'a WeiTensor,
     wslot0: usize,
     wbuf: usize,
+    /// Byte offset of each scalar-summed channel in the scalar-stream
+    /// tensor ([`ActTensor::channel_offset`]).
+    sca_chan: Vec<u64>,
+    /// Byte offset of each scalar-summed channel's weight vector
+    /// ([`WeiTensor::ic_offset`]).
+    wei_chan: Vec<u64>,
+    /// The invocation's weight-vector base per kernel tap, in tap order.
+    wtaps: Vec<u64>,
+    /// One tap's reached `(accumulator, spatial byte offset)` pairs.
+    group: Vec<(usize, u64)>,
 }
 
 impl MicroKernel<'_> {
     /// One invocation: `rbh * rbw` accumulator registers, the
     /// `(kh, kw, c_i)` inner loop with software-pipelined weight loads, and
     /// the closing accumulator stores (Algorithm 2 lines 11-19).
-    fn run(&self, core: &mut VCore, arena: &mut Arena, t: &Tile) {
+    fn run(&mut self, core: &mut VCore, arena: &mut Arena, t: &Tile) {
         let (acc, sca, wei) = (self.acc, self.sca, self.wei);
         let (wslot0, wbuf) = (self.wslot0, self.wbuf);
 
@@ -106,40 +131,60 @@ impl MicroKernel<'_> {
         core.region_exit();
 
         // --- inner loop over (kh, kw, c_i), flattened for weight prefetch.
+        //     Addresses are formed once per tap, not per instruction: a
+        //     weight vector sits at its tap's base plus its channel's
+        //     offset, a scalar at its channel's base plus the reached
+        //     point's offset.
         core.region_enter("inner_loop");
-        let total = t.kh_cnt * t.kw_cnt * t.r_cnt;
-        let lookahead = (wbuf - 1).min(total);
-        let w_addr = |j: usize| -> u64 {
-            let i = j % t.r_cnt;
-            let r = j / t.r_cnt;
-            wei.oc_vector_at(t.vb, t.r0 + i, t.kh0 + r / t.kw_cnt, t.kw0 + r % t.kw_cnt)
-        };
-        for j in 0..lookahead {
-            core.scalar_op();
-            core.vload(arena, wslot0 + j % wbuf, w_addr(j), t.vl);
-        }
-        for j in 0..total {
-            if j + lookahead < total {
-                core.scalar_op(); // weight pointer bump
-                core.vload(
-                    arena,
-                    wslot0 + (j + lookahead) % wbuf,
-                    w_addr(j + lookahead),
-                    t.vl,
-                );
+        let kh_taps = t.kh0..t.kh0 + t.kh_cnt;
+        let kw_taps = t.kw0..t.kw0 + t.kw_cnt;
+        self.wtaps.clear();
+        for kh in kh_taps.clone() {
+            for kw in kw_taps.clone() {
+                self.wtaps.push(wei.oc_tap_at(t.vb, kh, kw));
             }
-            let wreg = wslot0 + j % wbuf;
-            let c = t.r0 + j % t.r_cnt;
-            let r = j / t.r_cnt;
-            let rows = self.walk.rows.reach(t.y0, t.rbh, t.kh0 + r / t.kw_cnt);
-            let cols = self.walk.cols.reach(t.x0, t.rbw, t.kw0 + r % t.kw_cnt);
-            // Taps the map does not reach read zero padding (forward) or
-            // no output (backward): the JIT emits no code for them.
-            for (h, y) in rows.iter() {
-                for (w, x) in cols.iter() {
-                    core.scalar_op(); // scalar pointer update (B_seq filler #1)
-                    let sv = core.scalar_load(arena, sca.at(t.n, c, y, x)); // B_seq filler #2
-                    core.vfma_bcast(h * t.rbw + w, wreg, sv, t.vl);
+        }
+        let wei_chan = &self.wei_chan[t.r0..t.r0 + t.r_cnt];
+        let sca_chan = &self.sca_chan[t.r0..t.r0 + t.r_cnt];
+        let total = self.wtaps.len() * t.r_cnt;
+        let lookahead = (wbuf - 1).min(total);
+        // The weight loads run `lookahead` vectors ahead of the FMAs, in
+        // the same flattened (tap, channel) order.
+        let mut ahead = self
+            .wtaps
+            .iter()
+            .flat_map(|&tap| wei_chan.iter().map(move |&off| tap + off));
+        let mut ahead_slot = 0;
+        let mut prefetch = |core: &mut VCore| {
+            if let Some(addr) = ahead.next() {
+                core.scalar_op(); // weight pointer bump
+                core.vload(arena, wslot0 + ahead_slot, addr, t.vl);
+                ahead_slot = next_slot(ahead_slot, wbuf);
+            }
+        };
+        for _ in 0..lookahead {
+            prefetch(core);
+        }
+        let image = sca.block_at(t.n, 0, 0, 0);
+        let mut slot = 0;
+        for kh in kh_taps {
+            let rows = self.walk.rows.reach(t.y0, t.rbh, kh);
+            for kw in kw_taps.clone() {
+                let cols = self.walk.cols.reach(t.x0, t.rbw, kw);
+                // Taps the map does not reach read zero padding (forward)
+                // or no output (backward): the JIT emits no code for them.
+                self.group.clear();
+                for (h, y) in rows.iter() {
+                    for (w, x) in cols.iter() {
+                        self.group.push((h * t.rbw + w, sca.point_offset(y, x)));
+                    }
+                }
+                for &chan in sca_chan {
+                    prefetch(core);
+                    // B_seq fillers #1 and #2 (pointer update, scalar load)
+                    // and the FMA, per reached point.
+                    core.fma_bcast_group(arena, wslot0 + slot, t.vl, image + chan, &self.group);
+                    slot = next_slot(slot, wbuf);
                 }
             }
         }

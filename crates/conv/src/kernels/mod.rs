@@ -12,6 +12,14 @@
 //! [`data`] the one micro-kernel of the forward- and backward-data passes,
 //! and [`bwd_weights`] the backward-weights micro-kernel. The native host
 //! lowering interprets the same walks.
+//!
+//! Emission follows the JIT's shape too: both micro-kernels form addresses
+//! once per kernel tap (offsets per channel, a base per channel or point),
+//! never per instruction, and issue each group of `B_seq` triples — scalar
+//! pointer update, scalar load, broadcast FMA — through one
+//! [`lsv_vengine::VCore::fma_bcast_group`] call. A simulated core runs the
+//! group instruction by instruction; a counting core adds it up in O(1),
+//! which makes the tuner's instruction-count bound cheap.
 
 pub mod bwd_weights;
 pub mod data;
@@ -26,6 +34,17 @@ use lsv_vengine::{Arena, VCore};
 /// once per micro-kernel vector access, so the former per-call `Vec` was one
 /// of the hottest allocation sites in the simulator.
 const MAX_BLOCKS_INLINE: usize = 64;
+
+/// The slot after `slot` in a rotating buffer of `n` registers (without the
+/// division of `(slot + 1) % n`).
+#[inline]
+pub(crate) fn next_slot(slot: usize, n: usize) -> usize {
+    if slot + 1 == n {
+        0
+    } else {
+        slot + 1
+    }
+}
 
 /// Number of stored lanes a vector access of `vl` logical channels starting
 /// at channel `c0` touches in tensor `t`: `vl` itself for a `C_b >= vl`

@@ -17,6 +17,8 @@
 //!   parallel loop. The core executes its block share over a 1-image and a
 //!   2-image reduction; the marginal cost of the second image is the
 //!   steady-state per-image sweep, charged for the remaining `N - 1` images.
+//!   Up to 2 images the core's own reduction is the whole cost, and the
+//!   1-image reduction is not run.
 //!
 //! Chip wall-time is the representative core's total (cores are symmetric;
 //! idle cores when `N < cores` show up as reduced GFLOP/s exactly as on the
@@ -214,10 +216,14 @@ fn measure(
         return measure_images(arch, problem, &kernel, mode, pmode);
     }
     // Marginal-image cost from a 1-image and a 2-image reduction over the
-    // core's block share. Only the second (kept) run is profiled.
-    let c1 = one_image_reduction(arch, problem, cfg, mode);
+    // core's block share. Only the second (kept) run is profiled, and the
+    // first is run only where the formula reads it.
+    let formula = ChipFormula::of(arch, problem, cfg.direction);
+    let c1 = formula
+        .reads_first_reduction()
+        .then(|| one_image_reduction(arch, problem, cfg, mode));
     let s = reduction(arch, &kernel, mode, pmode);
-    let chip_cycles = ChipFormula::of(arch, problem, cfg.direction).chip(s.cold, c1);
+    let chip_cycles = formula.chip(s.cold, c1.unwrap_or(s.cold));
     let perf = LayerPerf::new(
         arch,
         problem,
@@ -258,11 +264,12 @@ pub fn chip_cycles_lower_bound(
         }
     }
     let run = count_insts(arch, problem, cfg).issue_cycles_lower_bound(arch.scalar_issue_width);
-    let first = match formula {
-        ChipFormula::Reduction { n } if n > 2 => one_image_reduction(arch, problem, cfg, mode),
-        // The formula reads only the kept run: it is the core's one image,
-        // or the cold image cancels.
-        _ => run,
+    // Otherwise the formula reads only the kept run: it is the core's one
+    // image, or the cold image cancels.
+    let first = if formula.reads_first_reduction() {
+        one_image_reduction(arch, problem, cfg, mode)
+    } else {
+        run
     };
     Some(formula.chip(run, first))
 }
@@ -355,6 +362,13 @@ impl ChipFormula {
         ChipFormula::Images {
             ipc: images_per_core(arch, problem) as u64,
         }
+    }
+
+    /// Whether [`ChipFormula::chip`] reads a separate 1-image bwd-weights
+    /// reduction: only beyond 2 images, where each further image costs its
+    /// marginal over it.
+    pub(crate) fn reads_first_reduction(self) -> bool {
+        matches!(self, ChipFormula::Reduction { n } if n > 2)
     }
 
     /// Chip cycles from the kept run's cycles `run` and `first`: that run's

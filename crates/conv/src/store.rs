@@ -49,7 +49,9 @@
 //!
 //! Every user goes through one lookup protocol, [`LayerStore::memo`]: get,
 //! else compute and insert, for any [`Stored`] value (a slice, a
-//! validation, a choice).
+//! validation, a choice). [`LayerStore::memo_checked`] adds a caller's
+//! check on the stored value: one that fails (a tuner decision indexing past
+//! its candidate list) is a counted corrupt miss, like an unreadable entry.
 //!
 //! # Paranoid mode
 //!
@@ -701,38 +703,58 @@ impl LayerStore {
 
     /// Look up a record, promoting disk hits into the in-process map.
     pub fn get(&self, key: &Key) -> Option<Record> {
+        self.get_if(key, |_| Ok(()))
+    }
+
+    /// [`LayerStore::get`], where a record that `accept` rejects, like one
+    /// that cannot be read, is a miss counted in [`StoreStats::corrupt`] with
+    /// one warning naming the entry and the reason.
+    fn get_if(&self, key: &Key, accept: impl Fn(&Record) -> Result<(), String>) -> Option<Record> {
         if self.disabled {
             return None;
         }
-        {
+        let resident = {
             let mem = self.mem.lock().unwrap();
-            if let Some((canon, rec)) = mem.get(&key.hash128()) {
-                if canon.as_ref() == key.canonical() {
-                    self.counters.mem_hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(rec.clone());
-                }
+            mem.get(&key.hash128())
+                .filter(|(canon, _)| canon.as_ref() == key.canonical())
+                .map(|(_, rec)| rec.clone())
+        };
+        // The record and which tier holds it, or where a damaged one lies.
+        let found = match (resident, self.disk()) {
+            (Some(rec), _) => Ok(Some((rec, false))),
+            (None, Some(dir)) => {
+                let path = entry_path(dir, key);
+                read_entry(&path, key)
+                    .map(|rec| rec.map(|rec| (rec, true)))
+                    .map_err(|why| format!("{} ({why})", path.display()))
             }
-        }
-        if let Some(dir) = self.disk() {
-            let path = entry_path(dir, key);
-            match read_entry(&path, key) {
-                Ok(Some(rec)) => {
-                    self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    self.mem
-                        .lock()
-                        .unwrap()
-                        .insert(key.hash128(), (key.canonical().into(), rec.clone()));
-                    return Some(rec);
-                }
-                Ok(None) => {}
-                Err(why) => {
-                    // The caller recomputes and its put overwrites the file.
-                    self.counters.corrupt.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "layer store: ignoring corrupt entry {} ({why})",
-                        path.display()
-                    );
-                }
+            (None, None) => Ok(None),
+        };
+        let checked = found.and_then(|hit| {
+            hit.map(|(rec, disk)| match accept(&rec) {
+                Ok(()) => Ok((rec, disk)),
+                Err(why) => Err(format!("{} ({why})", key.canonical())),
+            })
+            .transpose()
+        });
+        match checked {
+            Ok(Some((rec, false))) => {
+                self.counters.mem_hits.fetch_add(1, Ordering::Relaxed);
+                return Some(rec);
+            }
+            Ok(Some((rec, true))) => {
+                self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
+                self.mem
+                    .lock()
+                    .unwrap()
+                    .insert(key.hash128(), (key.canonical().into(), rec.clone()));
+                return Some(rec);
+            }
+            Ok(None) => {}
+            Err(what) => {
+                // The caller recomputes and its put overwrites the entry.
+                self.counters.corrupt.fetch_add(1, Ordering::Relaxed);
+                eprintln!("layer store: ignoring corrupt entry {what}");
             }
         }
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
@@ -774,7 +796,29 @@ impl LayerStore {
     /// lookup protocol of every store user. A paranoid-sampled hit re-runs
     /// `fresh` and asserts that it records the same.
     pub fn memo<T: Stored>(&self, key: &Key, fresh: impl Fn() -> T) -> T {
-        let Some(hit) = self.get(key).and_then(T::from_record) else {
+        let hit = self.get(key).and_then(T::from_record);
+        self.serve(key, hit, fresh)
+    }
+
+    /// [`LayerStore::memo`] for a value a hit must also pass `check` to be
+    /// served (a stored decision must index the caller's current list): a
+    /// stored value that fails is a counted corrupt miss, with one warning
+    /// naming the key and `check`'s reason, and `fresh()`'s value
+    /// overwrites it.
+    pub fn memo_checked<T: Stored>(
+        &self,
+        key: &Key,
+        fresh: impl Fn() -> T,
+        check: impl Fn(&T) -> Result<(), String>,
+    ) -> T {
+        let accept = |rec: &Record| T::from_record(rec.clone()).map_or(Ok(()), |v| check(&v));
+        let hit = self.get_if(key, accept).and_then(T::from_record);
+        self.serve(key, hit, fresh)
+    }
+
+    /// A looked-up value, paranoid-checked, or `fresh()`'s, inserted.
+    fn serve<T: Stored>(&self, key: &Key, hit: Option<T>, fresh: impl Fn() -> T) -> T {
+        let Some(hit) = hit else {
             let value = fresh();
             self.put(key, value.to_record());
             return value;
@@ -848,9 +892,12 @@ fn entry_path(dir: &Path, key: &Key) -> PathBuf {
 /// entry. On failure the `.tmp` is removed and the error names the path.
 fn write_entry(dir: &Path, key: &Key, rec: &Record) -> Result<(), String> {
     let path = entry_path(dir, key);
-    // Entries are deterministic, so a resident copy that parses is as good
-    // as ours; a stale or damaged one is overwritten.
-    if std::fs::read_to_string(&path).is_ok_and(|text| matches!(parse_entry(&text), Ok(Some(_)))) {
+    // Entries are deterministic, so a resident copy that parses to ours is
+    // as good as ours; a stale or damaged one is overwritten.
+    let resident = std::fs::read_to_string(&path);
+    if resident.is_ok_and(|text| {
+        parse_entry(&text).is_ok_and(|e| e.is_some_and(|(c, r)| c == key.canonical() && r == *rec))
+    }) {
         return Ok(());
     }
     let text = format!(

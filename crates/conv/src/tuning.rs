@@ -449,13 +449,15 @@ pub fn tune_empirical(
         Decision(winner)
     };
     let key = decision_key(arch, problem, direction, algorithm, mode);
-    let Decision(winner) = store::store().memo(&key, search);
     // An index past the list can only come from a damaged entry.
-    let winner = if winner < cands.len() {
-        winner
-    } else {
-        search().0
+    let in_list = |d: &Decision| {
+        if d.0 < cands.len() {
+            Ok(())
+        } else {
+            Err(format!("choice {} past {} candidates", d.0, cands.len()))
+        }
     };
+    let Decision(winner) = store::store().memo_checked(&key, search, in_list);
     let analytic_cycles = evals.cycles(&cands[0]);
     let best_cycles = if winner == 0 {
         analytic_cycles
@@ -608,14 +610,15 @@ impl Evals<'_> {
         r
     }
 
-    /// `cfg`'s chip cycles ([`crate::perf::bench_config`]: one slice, or a
-    /// bwd-weights pair of reductions).
+    /// Whether evaluating `cfg` needs its 1-image bwd-weights reduction.
+    fn first_reduction(&self, cfg: &KernelConfig) -> bool {
+        crate::perf::ChipFormula::of(self.arch, self.problem, cfg.direction).reads_first_reduction()
+    }
+
+    /// `cfg`'s chip cycles ([`crate::perf::bench_config`]: one slice, plus
+    /// the 1-image reduction of bwd-weights beyond 2 images).
     fn cycles(&self, cfg: &KernelConfig) -> u64 {
-        let slices = if cfg.direction == Direction::BwdWeights {
-            2
-        } else {
-            1
-        };
+        let slices = 1 + self.first_reduction(cfg) as u64;
         self.track(slices, || {
             crate::perf::bench_config(self.arch, self.problem, cfg, self.mode).cycles
         })
@@ -625,7 +628,7 @@ impl Evals<'_> {
     /// counted, plus the simulated 1-image reduction of bwd-weights beyond
     /// 2 images).
     fn bound(&self, cfg: &KernelConfig) -> Option<u64> {
-        let slices = (cfg.direction == Direction::BwdWeights && self.problem.n > 2) as u64;
+        let slices = self.first_reduction(cfg) as u64;
         self.track(slices, || {
             crate::perf::chip_cycles_lower_bound(self.arch, self.problem, cfg, self.mode)
         })
@@ -681,7 +684,7 @@ impl store::Stored for Decision {
 /// shape, the images per core (fwd/bwd-data) or the minibatch
 /// (bwd-weights), the algorithm and the mode — plus the candidate
 /// enumeration's tag.
-fn decision_key(
+pub fn decision_key(
     arch: &ArchParams,
     problem: &ConvProblem,
     direction: Direction,

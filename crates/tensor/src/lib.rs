@@ -144,13 +144,32 @@ impl ActTensor {
         self.n * self.c * self.h * self.w
     }
 
-    /// Byte address of element `(n, c, h, w)`.
+    /// Byte address of element `(n, c, h, w)`: the sum of the image's base
+    /// `block_at(n, 0, 0, 0)`, [`ActTensor::channel_offset`] and
+    /// [`ActTensor::point_offset`], which is how a micro-kernel forms it
+    /// from addresses computed once per channel and once per kernel tap.
     #[inline]
     pub fn at(&self, n: usize, c: usize, h: usize, w: usize) -> u64 {
         debug_assert!(n < self.n && c < self.c && h < self.h && w < self.w);
         let cb = self.layout.cb;
         let idx = (((n * self.c_blocks() + c / cb) * self.h + h) * self.w + w) * cb + c % cb;
         self.base + (idx as u64) * 4
+    }
+
+    /// Byte offset of channel `c` from channel 0 at the same `(n, h, w)`.
+    #[inline]
+    pub fn channel_offset(&self, c: usize) -> u64 {
+        debug_assert!(c < self.c);
+        let cb = self.layout.cb;
+        (((c / cb) * self.h * self.w * cb + c % cb) * 4) as u64
+    }
+
+    /// Byte offset of spatial point `(h, w)` from `(0, 0)` in the same image
+    /// and channel.
+    #[inline]
+    pub fn point_offset(&self, h: usize, w: usize) -> u64 {
+        debug_assert!(h < self.h && w < self.w);
+        ((h * self.w + w) * self.layout.cb * 4) as u64
     }
 
     /// Byte address of the first channel of block `cblk` at `(n, h, w)` —
@@ -293,15 +312,30 @@ impl WeiTensor {
 
     /// Byte address of the OC-block vector at `(oc_blk, ic, kh, kw)` — the
     /// address the micro-kernel's weights vector load starts at
-    /// (Algorithm 2 line 14).
+    /// (Algorithm 2 line 14): the tap's [`WeiTensor::oc_tap_at`] plus
+    /// [`WeiTensor::ic_offset`].
     #[inline]
     pub fn oc_vector_at(&self, oc_blk: usize, ic: usize, kh: usize, kw: usize) -> u64 {
-        debug_assert!(oc_blk < self.oc_blocks() && ic < self.ic && kh < self.kh && kw < self.kw);
+        self.oc_tap_at(oc_blk, kh, kw) + self.ic_offset(ic)
+    }
+
+    /// Byte address of the OC-block vector of input channel 0 at kernel tap
+    /// `(kh, kw)`.
+    #[inline]
+    pub fn oc_tap_at(&self, oc_blk: usize, kh: usize, kw: usize) -> u64 {
+        debug_assert!(oc_blk < self.oc_blocks() && kh < self.kh && kw < self.kw);
         let (icb, ocb) = (self.layout.icb, self.layout.ocb);
-        let idx = ((((oc_blk * self.ic_blocks() + ic / icb) * self.kh + kh) * self.kw + kw) * icb
-            + ic % icb)
-            * ocb;
+        let idx = (((oc_blk * self.ic_blocks() * self.kh + kh) * self.kw + kw) * icb) * ocb;
         self.base + (idx as u64) * 4
+    }
+
+    /// Byte offset of input channel `ic`'s OC-block vector from channel 0's
+    /// at the same kernel tap.
+    #[inline]
+    pub fn ic_offset(&self, ic: usize) -> u64 {
+        debug_assert!(ic < self.ic);
+        let (icb, ocb) = (self.layout.icb, self.layout.ocb);
+        ((((ic / icb) * self.kh * self.kw * icb + ic % icb) * ocb) * 4) as u64
     }
 
     /// Import from a logical OIHW host buffer (length `OC*IC*KH*KW`).
@@ -416,6 +450,39 @@ mod tests {
         assert_eq!(t.at(0, 0, 0, 1), t.at(0, 0, 0, 0) + (2 * 4 * 4) as u64);
         assert_eq!(t.oc_vector_at(0, 1, 0, 0), t.at(0, 1, 0, 0));
         assert_eq!(t.oc_vector_at(1, 0, 2, 2), t.at(4, 0, 2, 2));
+    }
+
+    /// The per-channel and per-tap parts a micro-kernel adds up name the
+    /// same element as the direct address, across tail blocks.
+    #[test]
+    fn address_parts_sum_to_the_element_address() {
+        let mut arena = Arena::new();
+        let a = ActTensor::alloc(&mut arena, 2, 7, 3, 5, ActivationLayout { cb: 4 });
+        for n in 0..a.n {
+            for c in 0..a.c {
+                for h in 0..a.h {
+                    for w in 0..a.w {
+                        let parts =
+                            a.block_at(n, 0, 0, 0) + a.channel_offset(c) + a.point_offset(h, w);
+                        assert_eq!(parts, a.at(n, c, h, w), "({n}, {c}, {h}, {w})");
+                    }
+                }
+            }
+        }
+        let t = WeiTensor::alloc(&mut arena, 8, 7, 3, 2, WeightLayout { icb: 2, ocb: 4 });
+        for ob in 0..t.oc_blocks() {
+            for ic in 0..t.ic {
+                for kh in 0..t.kh {
+                    for kw in 0..t.kw {
+                        assert_eq!(
+                            t.oc_vector_at(ob, ic, kh, kw),
+                            t.at(ob * 4, ic, kh, kw),
+                            "({ob}, {ic}, {kh}, {kw})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

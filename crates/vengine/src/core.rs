@@ -395,7 +395,8 @@ impl VCore {
     /// bumps [`InstCounters`] before the introspection early return, so the
     /// counters equal those of a timing core fed the same stream, while the
     /// cache hierarchy, scoreboard and register file are never touched and
-    /// [`VCore::scalar_ops`] adds its count in O(1). `drain().cycles` stays 0;
+    /// [`VCore::scalar_ops`] and [`VCore::fma_bcast_group`] add their counts
+    /// in O(1). `drain().cycles` stays 0;
     /// the counters bound a timing core's cycles through the issue-slot
     /// invariant.
     pub fn new_counting(arch: &ArchParams) -> Self {
@@ -996,6 +997,39 @@ impl VCore {
             for (a, &b) in a_slice.iter_mut().zip(w_slice.iter()) {
                 *a += b * s;
             }
+        }
+    }
+
+    /// One group of the micro-kernels' `B_seq` triple, all with the
+    /// multiplicand register `w`: for each `(acc, off)` in order, a scalar
+    /// pointer update, a scalar load from `base + off` and a
+    /// [`VCore::vfma_bcast`] of that scalar into `acc`.
+    ///
+    /// Timing, functional and tracing cores issue exactly those
+    /// [`VCore::scalar_op`], [`VCore::scalar_load`] and
+    /// [`VCore::vfma_bcast`] calls, so the group has no timing model of its
+    /// own. A counting core adds the group's counters in O(1), as
+    /// [`VCore::scalar_ops`] does.
+    pub fn fma_bcast_group(
+        &mut self,
+        arena: &Arena,
+        w: usize,
+        vl: usize,
+        base: u64,
+        group: &[(usize, u64)],
+    ) {
+        if self.introspect && self.trace.is_none() {
+            let n = group.len() as u64;
+            self.counters.scalar_ops += n;
+            self.counters.scalar_loads += n;
+            self.counters.vfmas += n;
+            self.counters.fma_elems += n * vl as u64;
+            return;
+        }
+        for &(acc, off) in group {
+            self.scalar_op();
+            let sv = self.scalar_load(arena, base + off);
+            self.vfma_bcast(acc, w, sv, vl);
         }
     }
 

@@ -1,6 +1,8 @@
 //! Property tests for the vector engine's functional semantics: memory ops
 //! round-trip for arbitrary geometries, FMA arithmetic matches scalar math,
-//! and timing invariants (cycles monotone in work, the issue-slot bound).
+//! the grouped broadcast-FMA triple equals its per-instruction sequence on
+//! every core kind, and timing invariants (cycles monotone in work, the
+//! issue-slot bound).
 
 use lsv_arch::presets::{skylake_avx512, sx_aurora};
 use lsv_arch::ArchParams;
@@ -44,8 +46,134 @@ fn run_stream(core: &mut VCore, arena: &mut Arena, arch: &ArchParams, ops: &[(u8
     }
 }
 
+/// One group of broadcast FMAs: multiplicand selector, vector-length
+/// selector, base selector and `(acc, offset kind, k)` entries.
+type Group = (usize, usize, usize, Vec<(usize, u8, usize)>);
+
+/// Every kind of core a micro-kernel runs on, with its arena: timing-only,
+/// functional, functional with a trace, introspection (trace, no timing)
+/// and counting (neither).
+fn cores(arch: &ArchParams) -> Vec<(&'static str, VCore, Arena)> {
+    use ExecutionMode::{Functional, TimingOnly};
+    let mut traced = VCore::new(arch, Functional);
+    traced.enable_trace();
+    vec![
+        (
+            "timing",
+            VCore::new(arch, TimingOnly),
+            Arena::for_mode(TimingOnly),
+        ),
+        (
+            "functional",
+            VCore::new(arch, Functional),
+            Arena::for_mode(Functional),
+        ),
+        ("traced", traced, Arena::for_mode(Functional)),
+        (
+            "introspect",
+            VCore::new_introspect(arch),
+            Arena::for_mode(TimingOnly),
+        ),
+        (
+            "counting",
+            VCore::new_counting(arch),
+            Arena::for_mode(TimingOnly),
+        ),
+    ]
+}
+
+/// Feed `core` the groups, each as one `fma_bcast_group` call (`grouped`)
+/// or as the per-instruction `scalar_op`, `scalar_load`, `vfma_bcast`
+/// sequence it stands for. Offset kind 0 stays in one line (repeated
+/// lines), kind 1 steps by the L1 way size (every offset maps to one set,
+/// so more than `ways` of them conflict), kind 2 is anywhere in two ways.
+fn run_groups(
+    core: &mut VCore,
+    arena: &mut Arena,
+    arch: &ArchParams,
+    groups: &[Group],
+    grouped: bool,
+) {
+    let (n_vregs, n_vlen) = (arch.n_vregs, arch.n_vlen());
+    let way = arch.l1d.size / arch.l1d.ways;
+    let elems = 9 * way / 4 + n_vlen;
+    let base = arena.alloc(elems);
+    if core.mode().is_functional() && !core.is_introspect() {
+        let data: Vec<f32> = (0..elems)
+            .map(|i| (i * 37 % 101) as f32 * 0.01 - 0.5)
+            .collect();
+        arena.store_slice(base, &data);
+    }
+    // The two multiplicand registers sit at the top of the file.
+    for w in [n_vregs - 1, n_vregs - 2] {
+        core.vload(arena, w, base + (w * 4) as u64, n_vlen);
+    }
+    let vls = [1, n_vlen.min(3), n_vlen / 2 + 1, n_vlen];
+    for (w_sel, vl_sel, base_sel, entries) in groups {
+        let w = n_vregs - 1 - w_sel % 2;
+        let vl = vls[vl_sel % vls.len()];
+        let gbase = base + (base_sel % 64 * 4) as u64;
+        let group: Vec<(usize, u64)> = entries
+            .iter()
+            .map(|&(acc, kind, k)| {
+                let off = match kind {
+                    0 => k % 8 * 4,
+                    1 => k % 8 * way,
+                    _ => k % (2 * way / 4) * 4,
+                };
+                (acc % (n_vregs - 2), off as u64)
+            })
+            .collect();
+        if grouped {
+            core.fma_bcast_group(arena, w, vl, gbase, &group);
+        } else {
+            for &(acc, off) in &group {
+                core.scalar_op();
+                let sv = core.scalar_load(arena, gbase + off);
+                core.vfma_bcast(acc, w, sv, vl);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // The grouped B_seq triple is the per-instruction sequence on every core
+    // kind: equal stats (cycles, stalls, cache), registers, trace events and
+    // counters, on a width-1 and a width-4 frontend.
+    #[test]
+    fn fma_bcast_group_is_the_per_instruction_sequence(
+        groups in proptest::collection::vec(
+            (
+                0usize..2,
+                0usize..4,
+                0usize..64,
+                proptest::collection::vec((0usize..64, 0u8..3, 0usize..4096), 0..12),
+            ),
+            1..6,
+        ),
+    ) {
+        for arch in [sx_aurora(), skylake_avx512()] {
+            let mut counts = Vec::new();
+            for ((kind, mut grouped, mut a1), (_, mut single, mut a2)) in
+                cores(&arch).into_iter().zip(cores(&arch))
+            {
+                run_groups(&mut grouped, &mut a1, &arch, &groups, true);
+                run_groups(&mut single, &mut a2, &arch, &groups, false);
+                prop_assert_eq!(grouped.trace(), single.trace(), "{} trace", kind);
+                if kind == "functional" || kind == "traced" {
+                    for vr in 0..arch.n_vregs {
+                        prop_assert_eq!(grouped.vreg(vr), single.vreg(vr), "{} v{}", kind, vr);
+                    }
+                }
+                let (g, s) = (grouped.drain(), single.drain());
+                prop_assert_eq!(g, s, "{} stats", kind);
+                counts.push(g.insts);
+            }
+            prop_assert!(counts.windows(2).all(|w| w[0] == w[1]), "counters differ by core kind");
+        }
+    }
 
     #[test]
     fn vload_vstore_roundtrip(vl in 1usize..513, offset_lines in 0u64..8) {

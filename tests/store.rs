@@ -7,7 +7,8 @@
 //!    directions x 3 algorithms x 5 vector lengths);
 //!  * a persisted entry with a stale schema stamp is a *silent* miss (and the
 //!    next put replaces it), while an unreadable, truncated or malformed
-//!    entry is a *counted* miss that the next put rewrites;
+//!    entry, or one the caller's check rejects, is a *counted* miss that
+//!    the next put rewrites;
 //!  * a warm store replays byte-identical results versus the cold run.
 
 use lsv_arch::presets::{aurora_with_vlen_bits, sx_aurora};
@@ -233,6 +234,52 @@ fn corrupt_entry_is_counted_miss_and_rewritten() {
         assert_eq!(st2.get(&key), Some(fresh.to_record()), "{damage}");
         assert_eq!((st2.stats().disk_hits, st2.stats().corrupt), (1, 0));
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An entry that parses but that the caller's check rejects (a tuner
+/// decision past its candidate list) is a counted corrupt miss like a
+/// damaged one: the fresh value is served and overwrites the entry on disk,
+/// which a later put of the same record keeps.
+#[test]
+fn rejected_entry_is_counted_miss_and_rewritten() {
+    let dir = scratch("rejected");
+    let arch = sx_aurora();
+    let p = resnet_layers(8)[3];
+    let key = store::validation_key(&arch, &p, Direction::Fwd, "rejected");
+    let entry = dir.join(format!("{}.entry", key.file_stem()));
+    let fresh = ValidationReport {
+        max_abs_err: 0.5,
+        rel_err: 0.25,
+        passed: true,
+    };
+    let stale = ValidationReport {
+        passed: false,
+        ..fresh
+    };
+    disk_store(&dir).put(&key, stale.to_record());
+    let passed = |v: &ValidationReport| {
+        if v.passed {
+            Ok(())
+        } else {
+            Err("did not pass".to_string())
+        }
+    };
+
+    let st = disk_store(&dir);
+    let got = st.memo_checked(&key, || fresh, passed);
+    assert!(got.passed);
+    let s = st.stats();
+    assert_eq!(
+        (s.disk_hits, s.misses, s.corrupt, s.inserts),
+        (0, 1, 1, 1),
+        "a counted miss, recomputed and inserted"
+    );
+    let st2 = disk_store(&dir);
+    assert_eq!(st2.get(&key), Some(fresh.to_record()), "rewritten on disk");
+    let good = std::fs::read(&entry).unwrap();
+    st2.put(&key, fresh.to_record());
+    assert_eq!(std::fs::read(&entry).unwrap(), good);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
