@@ -75,12 +75,13 @@ rm -rf "$VALIDATE_STORE_DIR"
 cmp "$STORE_SMOKE_OUT/ci-validate/validate.csv" results/validate.csv
 rm -rf "$VALIDATE_STORE_DIR"
 
-echo "== layer meter gate (cold store; figure4.csv and ablation.csv must equal results/)"
+echo "== layer meter gate (cold store; figure4.csv, ablation.csv and crossisa.csv must equal results/)"
 # Direct kernels, the vednn baseline and the ablation's overridden configs
 # are all measured by one representative-core slice through one store memo:
-# the committed per-layer artifacts pin that meter.
+# the committed per-layer artifacts pin that meter, crossisa on the
+# non-Aurora presets too.
 METER_STORE_DIR=results/.ci-meter-store
-for name in figure4 ablation; do
+for name in figure4 ablation crossisa; do
     rm -rf "$METER_STORE_DIR"
     ./target/release/lsvconv-cli run "$name" --store-dir "$METER_STORE_DIR" \
         --out "$STORE_SMOKE_OUT/ci-$name" >/dev/null 2>&1

@@ -13,25 +13,6 @@ use lsv_conv::{scalar_stream_profile, Algorithm, ConvProblem, Direction, KernelC
 use lsv_tensor::{ActTensor, ActivationLayout};
 use lsv_vengine::{Arena, ExecutionMode, VCore};
 
-/// The combined register-block size of the accumulator set the inner loop
-/// rotates through (`RB_w * RB_h` spatially, `RB_c` on the backward-weights
-/// pass — the quantity Formulas 2-4 constrain).
-fn combined_rb(cfg: &KernelConfig) -> usize {
-    match cfg.direction {
-        Direction::BwdWeights => cfg.rb_c,
-        _ => cfg.rb.combined(),
-    }
-}
-
-/// Vector registers the generated micro-kernel needs: accumulators plus the
-/// weight double-buffer (mirrors `ConvDesc::create`'s feasibility check).
-fn registers_needed(cfg: &KernelConfig) -> usize {
-    match cfg.direction {
-        Direction::BwdWeights => cfg.rb_c + cfg.wbuf.max(2),
-        _ => cfg.rb.combined() + cfg.wbuf,
-    }
-}
-
 /// Formula 3 conflict-miss lint, generalized to all three directions via the
 /// scalar-stream profile, with a set-pressure explanation of *which* L1 sets
 /// thrash.
@@ -45,11 +26,11 @@ fn registers_needed(cfg: &KernelConfig) -> usize {
 /// construction, so a conflicting configuration broke its contract and is
 /// denied.
 fn check_l1_conflicts(arch: &ArchParams, p: &ConvProblem, cfg: &KernelConfig, report: &mut Report) {
-    let prof = scalar_stream_profile(arch, cfg, p.stride_w);
+    let prof = scalar_stream_profile(arch, cfg, p);
     if !prof.thrashes {
         return;
     }
-    let hist = set_pressure_histogram(arch, cfg, p.stride_w);
+    let hist = set_pressure_histogram(arch, cfg, p);
     let ways = arch.l1d.ways;
     let overloaded: Vec<usize> = hist
         .iter()
@@ -89,7 +70,7 @@ fn check_l1_conflicts(arch: &ArchParams, p: &ConvProblem, cfg: &KernelConfig, re
 /// (`Warn`): a small block under-subscribes the FMA pipelines, a large one
 /// re-enters the conflict regime that [`check_l1_conflicts`] measures.
 fn check_bseq_range(arch: &ArchParams, p: &ConvProblem, cfg: &KernelConfig, report: &mut Report) {
-    let rb = combined_rb(cfg);
+    let rb = cfg.block();
     let lower = formula2_rb_min(arch).div_ceil(arch.b_seq.max(1));
     if rb < lower {
         report.push(
@@ -104,9 +85,9 @@ fn check_bseq_range(arch: &ArchParams, p: &ConvProblem, cfg: &KernelConfig, repo
             ),
         );
     }
-    // The conflict-free upper bound, via the same per-direction scalar-stream
-    // parameters the profile uses: stride_bytes = A_b * C_str_eff * 4.
-    let prof = scalar_stream_profile(arch, cfg, p.stride_w);
+    // The conflict-free upper bound, via the same scalar-stream parameters
+    // the profile uses: stride_bytes = A_b * C_str_eff * 4.
+    let prof = scalar_stream_profile(arch, cfg, p);
     if let Some(upper) = (arch.l1d.size as u64).checked_div(prof.stride_bytes) {
         let upper = upper as usize;
         if rb > upper {
@@ -128,7 +109,7 @@ fn check_bseq_range(arch: &ArchParams, p: &ConvProblem, cfg: &KernelConfig, repo
 /// architected vector register file. A violating kernel would index past the
 /// register file — denied.
 fn check_register_pressure(arch: &ArchParams, cfg: &KernelConfig, report: &mut Report) {
-    let needed = registers_needed(cfg);
+    let needed = cfg.registers();
     if needed > arch.n_vregs {
         report.push(
             RuleId::RegPressure,
@@ -136,8 +117,8 @@ fn check_register_pressure(arch: &ArchParams, cfg: &KernelConfig, report: &mut R
             format!(
                 "configuration needs {needed} vector registers ({} accumulators + \
                  {} weight buffers) but the architecture has {}",
-                combined_rb(cfg),
-                needed - combined_rb(cfg),
+                cfg.block(),
+                cfg.buffers(),
                 arch.n_vregs,
             ),
         );

@@ -311,26 +311,21 @@ pub fn lift_kernel(arch: &ArchParams, p: &ConvProblem, cfg: &KernelConfig) -> (K
     let t = prim.alloc_tensors(&mut arena);
     let (regions, findings) = region_models(&arena, &t, p.n);
 
-    let (streams, partition) = match cfg.direction {
-        Direction::Fwd | Direction::BwdData => {
-            let mut core = VCore::new_introspect(arch);
-            prim.execute_core(&mut core, &mut arena, &t, 0..1, 0..0);
-            let stream = core.take_trace().expect("introspect cores always trace");
-            (
-                vec![stream],
-                PartitionModel::Minibatch(partition_ranges(p.n, cores)),
-            )
-        }
-        Direction::BwdWeights => {
-            let ranges = partition_ranges(prim.bwdw_small_blocks(), cores);
-            let mut core = VCore::new_introspect(arch);
-            let mut streams = Vec::with_capacity(ranges.len());
-            for r in &ranges {
-                prim.execute_core(&mut core, &mut arena, &t, 0..1, r.clone());
-                streams.push(core.take_trace().expect("introspect cores always trace"));
-            }
-            (streams, PartitionModel::SmallBlocks(ranges))
-        }
+    // At N = 1 the one image is the data passes' one core range; the
+    // bwd-weights ranges are the cores' RB_c block slices.
+    let ranges = partition_ranges(prim.work_items(), cores);
+    let mut core = VCore::new_introspect(arch);
+    let streams = ranges
+        .iter()
+        .map(|r| {
+            prim.execute_core(&mut core, &mut arena, &t, r.clone());
+            core.take_trace().expect("introspect cores always trace")
+        })
+        .collect();
+    let partition = if cfg.direction == Direction::BwdWeights {
+        PartitionModel::SmallBlocks(ranges)
+    } else {
+        PartitionModel::Minibatch(partition_ranges(p.n, cores))
     };
     (
         KernelLift {

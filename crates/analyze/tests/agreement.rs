@@ -62,9 +62,9 @@ fn recorded_streams_are_shift_equivalent_across_images() {
             let dst_stride = (t.dst.elems_padded() / t.dst.n) as u64 * 4;
 
             let mut core = VCore::new_introspect(&arch);
-            prim.execute_core(&mut core, &mut arena, &t, 0..1, 0..0);
+            prim.execute_core(&mut core, &mut arena, &t, 0..1);
             let s0 = core.take_trace().unwrap();
-            prim.execute_core(&mut core, &mut arena, &t, 1..2, 0..0);
+            prim.execute_core(&mut core, &mut arena, &t, 1..2);
             let s1 = core.take_trace().unwrap();
 
             assert_eq!(s0.len(), s1.len(), "{alg}/{dir:?}: stream lengths differ");

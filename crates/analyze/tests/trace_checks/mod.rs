@@ -218,7 +218,7 @@ pub fn analyze_kernel_replay(arch: &ArchParams, p: &ConvProblem, cfg: &KernelCon
     let t = prim.alloc_tensors(&mut arena);
     let mut core = VCore::new(arch, ExecutionMode::TimingOnly);
     core.enable_trace();
-    prim.execute_core(&mut core, &mut arena, &t, 0..1, 0..prim.bwdw_small_blocks());
+    prim.execute_core(&mut core, &mut arena, &t, 0..prim.work_items());
     let trace = core.trace().expect("trace was enabled");
     report.merge(analyze_trace(&arena, trace, arch.n_vregs));
     report

@@ -260,7 +260,7 @@ fn print_kernel_config(cfg: &KernelConfig) {
         "  wei layout    = (icb {}, ocb {}){}",
         cfg.wei_layout.icb,
         cfg.wei_layout.ocb,
-        if cfg.wei_swapped {
+        if cfg.vec_over_ic {
             " [role-swapped]"
         } else {
             ""

@@ -95,8 +95,8 @@ pub fn figure3(_: &Ctx) -> Outcome {
     )?;
     for alg in Algorithm::ALL {
         let cfg = kernel_config(&arch, &p, Direction::Fwd, alg, arch.cores);
-        let prof = scalar_stream_profile(&arch, &cfg, p.stride_w);
-        let hist = set_pressure_histogram(&arch, &cfg, p.stride_w);
+        let prof = scalar_stream_profile(&arch, &cfg, &p);
+        let hist = set_pressure_histogram(&arch, &cfg, &p);
         writeln!(
             out,
             "{:5}: stride {:>5} B, sweep {:>2} points -> {:>3} lines over {:>3} sets (capacity {} lines){}",

@@ -76,7 +76,7 @@ fn layer_speedup(layer: usize, minibatch: usize) -> Result<(String, f64, f64), S
         let t = prim.alloc_tensors(&mut arena);
         prim.import_operands(&mut arena, &t, &src, &wei, &[]);
         let t0 = Instant::now();
-        backend.execute_slice(&prim, &mut arena, &t, 0..p.n, 0..prim.bwdw_small_blocks());
+        backend.execute_slice(&prim, &mut arena, &t, 0..prim.work_items());
         t0.elapsed().as_secs_f64()
     };
     let native_s = time_exec(&NativeBackend);

@@ -155,7 +155,7 @@ pub fn ablation(_: &Ctx) -> Outcome {
     for target in [2usize, 4, 8, 12, 16, 24, 32, 48] {
         let mut cfg = kernel_config(&arch, &p, Direction::Fwd, Algorithm::Bdc, arch.cores);
         cfg.rb = split_register_block(target, p.ow(), p.oh());
-        if cfg.rb.combined() + cfg.wbuf > arch.n_vregs {
+        if cfg.registers() > arch.n_vregs {
             continue;
         }
         jobs.push(Job::Rb { target, cfg });
@@ -176,7 +176,7 @@ pub fn ablation(_: &Ctx) -> Outcome {
     for wbuf in [2usize, 3, 4, 6, 8, 12] {
         let mut cfg = kernel_config(&arch, &p4, Direction::Fwd, Algorithm::Bdc, arch.cores);
         cfg.wbuf = wbuf;
-        if cfg.rb.combined() + wbuf > arch.n_vregs {
+        if cfg.registers() > arch.n_vregs {
             continue;
         }
         jobs.push(Job::Wbuf { wbuf, cfg });

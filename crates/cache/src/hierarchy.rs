@@ -136,11 +136,6 @@ impl Hierarchy {
         }
     }
 
-    /// Insert a line into the LLC only, silently (benchmark warm-up).
-    pub fn warm_llc_line(&mut self, addr: u64) {
-        self.llc.borrow_mut().insert_silent(addr);
-    }
-
     /// Fill the next `prefetch_degree` lines into every level, silently.
     fn issue_prefetches(&mut self, addr: u64) {
         for d in 1..=self.prefetch_degree {
@@ -322,13 +317,6 @@ impl Hierarchy {
         }
     }
 
-    /// Reset statistics, keeping contents (steady-state measurement).
-    pub fn reset_stats(&mut self) {
-        self.l1.reset_stats();
-        self.l2.reset_stats();
-        self.llc.borrow_mut().reset_stats();
-    }
-
     /// Drop contents and statistics (cold start).
     pub fn flush(&mut self) {
         self.l1.flush();
@@ -450,15 +438,5 @@ mod tests {
             assert_eq!((worst, mem_lines), (want_worst, want_mem));
         }
         assert_eq!(bulk.stats(), step.stats());
-    }
-
-    #[test]
-    fn reset_stats_keeps_contents() {
-        let arch = sx_aurora();
-        let mut h = Hierarchy::for_core(&arch);
-        h.access_line(0, false);
-        h.reset_stats();
-        assert_eq!(h.stats().l1.accesses(), 0);
-        assert_eq!(h.access_line(0, false).level, Level::L1);
     }
 }

@@ -328,12 +328,6 @@ impl SetAssocCache {
         self.stats
     }
 
-    /// Reset counters without flushing contents (used to discard cold-start
-    /// effects before measuring a steady-state iteration).
-    pub fn reset_stats(&mut self) {
-        self.stats = LevelStats::default();
-    }
-
     /// Drop all contents and counters.
     pub fn flush(&mut self) {
         // Emptying every set invalidates its ways; their stale bits are never

@@ -2,8 +2,12 @@
 //! machinery behind the paper's Figure 3 and Formula 3 reasoning, exposed
 //! as a library API so users can inspect *why* a configuration will (or
 //! won't) thrash the L1 before running the simulator.
+//!
+//! The stream's tensor, channel block and effective stride are the pass's
+//! ([`crate::PassRoles`]), the ones Formula 3 is evaluated on, so the two
+//! agree in every direction.
 
-use crate::problem::Direction;
+use crate::problem::ConvProblem;
 use crate::tuning::KernelConfig;
 use lsv_arch::ArchParams;
 
@@ -27,35 +31,24 @@ pub struct ScalarStreamProfile {
     pub thrashes: bool,
 }
 
-/// Profile the scalar stream of a configuration on an architecture.
+/// Profile the scalar stream of a configuration for problem `p` on an
+/// architecture.
 ///
-/// The stream strides by the scalar-accessed tensor's channel block
-/// (`A_b`), scaled by the convolution stride on the forward pass; each of
-/// the `RB_h * RB_w` register-block points (or `RB_c` channels on the
-/// backward-weights pass) contributes one access per inner-loop iteration,
-/// and the *same lines* are revisited on the next channel iteration — so
-/// the sweep must fit the sets it maps to (Section 5.2).
+/// The stream walks the pass's scalar-stream tensor ([`crate::PassRoles`]):
+/// it strides by that tensor's channel block (`A_b`, the configuration's
+/// [`KernelConfig::stream_block`]) times the stream's effective stride (the
+/// convolution stride where it walks `S`, 1 where it walks `D`). Each of the
+/// combined register block's points — `RB_h * RB_w` spatially, `RB_c`
+/// channels on backward weights — contributes one access per inner-loop
+/// iteration, and the *same lines* are revisited on the next channel
+/// iteration, so the sweep must fit the sets it maps to (Section 5.2).
 pub fn scalar_stream_profile(
     arch: &ArchParams,
     cfg: &KernelConfig,
-    conv_stride: usize,
+    p: &ConvProblem,
 ) -> ScalarStreamProfile {
-    let (ab, eff_stride, sweep_len) = match cfg.direction {
-        Direction::Fwd => (cfg.src_layout.cb, conv_stride, cfg.rb.combined()),
-        Direction::BwdData => (cfg.dst_layout.cb, 1, cfg.rb.combined()),
-        Direction::BwdWeights => {
-            // Scalar stream walks the non-vectorized activation tensor at
-            // unit channel steps per point; the spatial walk strides by the
-            // channel block.
-            let cb = if cfg.vec_over_ic {
-                cfg.dst_layout.cb
-            } else {
-                cfg.src_layout.cb
-            };
-            (cb, conv_stride, cfg.rb_c)
-        }
-    };
-    let stride_bytes = (ab * eff_stride * arch.elem_bytes()) as u64;
+    let sweep_len = cfg.block();
+    let stride_bytes = (cfg.stream_block() * cfg.roles(p).stream_stride * arch.elem_bytes()) as u64;
     let line = arch.l1d.line as u64;
     let sets = arch.l1d.sets();
     let mut visited: Vec<usize> = (0..sweep_len as u64)
@@ -85,12 +78,8 @@ pub fn scalar_stream_profile(
 /// Per-set access counts of one register-block sweep of the scalar stream —
 /// the data behind a Figure 3-style visualization. Index = L1 set, value =
 /// lines of the sweep mapping there.
-pub fn set_pressure_histogram(
-    arch: &ArchParams,
-    cfg: &KernelConfig,
-    conv_stride: usize,
-) -> Vec<u32> {
-    let prof = scalar_stream_profile(arch, cfg, conv_stride);
+pub fn set_pressure_histogram(arch: &ArchParams, cfg: &KernelConfig, p: &ConvProblem) -> Vec<u32> {
+    let prof = scalar_stream_profile(arch, cfg, p);
     let mut hist = vec![0u32; arch.l1d.sets()];
     let line = arch.l1d.line as u64;
     let mut last_line = u64::MAX;
@@ -108,7 +97,7 @@ pub fn set_pressure_histogram(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{Algorithm, ConvProblem};
+    use crate::problem::{Algorithm, Direction};
     use crate::tuning::kernel_config;
     use lsv_arch::presets::sx_aurora;
 
@@ -118,8 +107,8 @@ mod tests {
         let p = ConvProblem::new(8, 512, 512, 28, 28, 1, 1, 1, 0);
         let dc = kernel_config(&arch, &p, Direction::Fwd, Algorithm::Dc, 8);
         let mbdc = kernel_config(&arch, &p, Direction::Fwd, Algorithm::Mbdc, 8);
-        let h_dc = set_pressure_histogram(&arch, &dc, 1);
-        let h_mb = set_pressure_histogram(&arch, &mbdc, 1);
+        let h_dc = set_pressure_histogram(&arch, &dc, &p);
+        let h_mb = set_pressure_histogram(&arch, &mbdc, &p);
         let nonzero = |h: &[u32]| h.iter().filter(|&&c| c > 0).count();
         assert!(nonzero(&h_dc) < nonzero(&h_mb), "DC stresses fewer sets");
         let max_dc = *h_dc.iter().max().unwrap();
@@ -135,8 +124,8 @@ mod tests {
         let arch = sx_aurora();
         let p = ConvProblem::new(8, 256, 256, 14, 14, 1, 1, 1, 0);
         let cfg = kernel_config(&arch, &p, Direction::Fwd, Algorithm::Dc, 8);
-        let prof = scalar_stream_profile(&arch, &cfg, 1);
-        let h = set_pressure_histogram(&arch, &cfg, 1);
+        let prof = scalar_stream_profile(&arch, &cfg, &p);
+        let h = set_pressure_histogram(&arch, &cfg, &p);
         assert_eq!(h.iter().sum::<u32>() as usize, prof.footprint_lines);
     }
 
@@ -147,7 +136,7 @@ mod tests {
         let arch = sx_aurora();
         let p = ConvProblem::new(8, 512, 128, 28, 28, 1, 1, 1, 0);
         let cfg = kernel_config(&arch, &p, Direction::Fwd, Algorithm::Dc, 8);
-        let prof = scalar_stream_profile(&arch, &cfg, p.stride_w);
+        let prof = scalar_stream_profile(&arch, &cfg, &p);
         assert_eq!(prof.stride_bytes, 2048);
         assert_eq!(prof.sweep_len, 24);
         assert_eq!(prof.distinct_sets, 8);
@@ -160,7 +149,7 @@ mod tests {
         let arch = sx_aurora();
         let p = ConvProblem::new(8, 512, 128, 28, 28, 1, 1, 1, 0);
         let cfg = kernel_config(&arch, &p, Direction::Fwd, Algorithm::Bdc, 8);
-        let prof = scalar_stream_profile(&arch, &cfg, p.stride_w);
+        let prof = scalar_stream_profile(&arch, &cfg, &p);
         assert!(!prof.thrashes, "{prof:?}");
         assert!(prof.footprint_lines <= prof.capacity_lines);
     }
@@ -170,7 +159,7 @@ mod tests {
         let arch = sx_aurora();
         let p = ConvProblem::new(8, 512, 512, 28, 28, 1, 1, 1, 0);
         let cfg = kernel_config(&arch, &p, Direction::Fwd, Algorithm::Mbdc, 8);
-        let prof = scalar_stream_profile(&arch, &cfg, p.stride_w);
+        let prof = scalar_stream_profile(&arch, &cfg, &p);
         assert_eq!(prof.stride_bytes, 128, "one line per point");
         assert!(!prof.thrashes);
         assert_eq!(prof.distinct_sets, prof.sweep_len.min(arch.l1d.sets()));
@@ -179,20 +168,30 @@ mod tests {
     #[test]
     fn profile_agrees_with_formula3_on_table3() {
         // The static profile and Formula 3 must tell the same story across
-        // the whole layer suite (they are two formalizations of one claim).
-        let arch = sx_aurora();
-        for &(ic, oc, ihw, _, k, s, pad) in &lsv_models_table3() {
-            let p = ConvProblem::new(8, ic, oc, ihw, ihw, k, k, s, pad);
-            for dir in [Direction::Fwd, Direction::BwdData] {
-                let cfg = kernel_config(&arch, &p, dir, Algorithm::Dc, 8);
-                let prof = scalar_stream_profile(&arch, &cfg, p.stride_w);
-                assert_eq!(
-                    prof.thrashes, cfg.conflicts_predicted,
-                    "{p} {dir}: profile {prof:?} vs formula {}",
-                    cfg.conflicts_predicted
-                );
+        // the whole layer suite, in every direction, for every algorithm and
+        // at every vector width of the fuzz sweep (they are two
+        // formalizations of one claim).
+        let mut disagree = Vec::new();
+        for bits in crate::fuzz::VLEN_SWEEP_BITS {
+            let arch = lsv_arch::presets::aurora_with_vlen_bits(bits);
+            for (layer, &(ic, oc, ihw, _, k, s, pad)) in lsv_models_table3().iter().enumerate() {
+                let p = ConvProblem::new(8, ic, oc, ihw, ihw, k, k, s, pad);
+                for dir in Direction::ALL {
+                    for alg in Algorithm::ALL {
+                        let cfg = kernel_config(&arch, &p, dir, alg, 8);
+                        let prof = scalar_stream_profile(&arch, &cfg, &p);
+                        if prof.thrashes != cfg.conflicts_predicted {
+                            disagree.push(format!(
+                                "{bits} bits layer {layer} {dir} {alg}: profile {prof:?} vs \
+                                 formula {}",
+                                cfg.conflicts_predicted
+                            ));
+                        }
+                    }
+                }
             }
         }
+        assert!(disagree.is_empty(), "{disagree:#?}");
     }
 
     /// Local copy of the Table 3 rows (lsv-models depends on this crate).

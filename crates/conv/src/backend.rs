@@ -3,7 +3,10 @@
 //! A created [`ConvPrimitive`] freezes the kernel plan — the
 //! `(KernelConfig, ConvProblem, Direction)` triple plus the arena/tensor
 //! layouts. [`ExecBackend`] is the seam that separates that plan from the
-//! machine executing it:
+//! machine executing it. Every backend runs a range of the pass's Section
+//! 4.3 parallel loop ([`ConvPrimitive::work_items`]: images, or `RB_c`
+//! blocks on backward weights), the same range
+//! [`ConvPrimitive::execute_core`] takes:
 //!
 //! * [`SimBackend`] replays the generated instruction stream on the
 //!   cycle-level [`VCore`] (Functional / TimingOnly / introspection modes
@@ -31,7 +34,7 @@ use std::str::FromStr;
 /// Object-safe so callers (CLI, fuzz harness, benches) can select a backend
 /// at runtime; all methods take the primitive plus already-allocated arena
 /// tensors, so operand import/readback stays backend-independent (see
-/// [`ConvPrimitive::import_operands`] / [`ConvPrimitive::read_output`]).
+/// [`ConvTensors::import_operands`] / [`ConvTensors::read_output`]).
 pub trait ExecBackend {
     /// Short identifier (`"sim"` / `"native"`), used in reports and errors.
     fn name(&self) -> &'static str;
@@ -43,16 +46,16 @@ pub trait ExecBackend {
 
     /// Execute a slice of the work on one core's worth of state.
     ///
-    /// Range semantics match [`ConvPrimitive::execute_core`]: `n_range`
-    /// selects minibatch images (fwd / bwd-data), `small_blocks` selects the
-    /// `RB_c` blocks of the smaller feature-map dimension (bwd-weights).
+    /// `work` indexes the Section 4.3 parallel loop, as in
+    /// [`ConvPrimitive::execute_core`]: images on the data passes, `RB_c`
+    /// blocks on backward weights; `0..prim.work_items()` is the whole
+    /// problem.
     fn execute_slice(
         &self,
         prim: &ConvPrimitive,
         arena: &mut Arena,
         t: &ConvTensors,
-        n_range: Range<usize>,
-        small_blocks: Range<usize>,
+        work: Range<usize>,
     ) -> CoreStats;
 
     /// Execute the whole problem with the Section 4.3 work partitioning
@@ -81,13 +84,6 @@ impl SimBackend {
         }
     }
 
-    /// A simulator backend that models time without touching data.
-    pub fn timing_only() -> Self {
-        Self {
-            mode: ExecutionMode::TimingOnly,
-        }
-    }
-
     /// Construct the single-core [`VCore`] this backend executes on — the
     /// one place (outside the shared-LLC multicore path) where the conv
     /// crate instantiates a simulated core.
@@ -110,11 +106,10 @@ impl ExecBackend for SimBackend {
         prim: &ConvPrimitive,
         arena: &mut Arena,
         t: &ConvTensors,
-        n_range: Range<usize>,
-        small_blocks: Range<usize>,
+        work: Range<usize>,
     ) -> CoreStats {
         let mut core = self.make_core(prim.arch());
-        prim.execute_core(&mut core, arena, t, n_range, small_blocks);
+        prim.execute_core(&mut core, arena, t, work);
         core.drain()
     }
 
@@ -139,21 +134,20 @@ impl NativeBackend {
         prim: &ConvPrimitive,
         arena: &mut Arena,
         t: &ConvTensors,
-        n_range: Range<usize>,
-        small_blocks: Range<usize>,
-    ) -> InstCounters {
+        work: Range<usize>,
+    ) -> CoreStats {
         let cfg = prim.cfg();
         let p = &prim.desc().problem;
-        let mut counters = InstCounters::default();
-        match prim.desc().direction {
-            Direction::Fwd | Direction::BwdData => {
-                native::run_data(cfg, p, arena, t, n_range, &mut counters)
-            }
-            Direction::BwdWeights => {
-                native::run_bwd_weights(cfg, p, arena, t, small_blocks, n_range, &mut counters)
-            }
+        let mut insts = InstCounters::default();
+        if prim.desc().direction == Direction::BwdWeights {
+            native::run_bwd_weights(cfg, p, arena, t, work, &mut insts)
+        } else {
+            native::run_data(cfg, p, arena, t, work, &mut insts)
         }
-        counters
+        CoreStats {
+            insts,
+            ..CoreStats::default()
+        }
     }
 }
 
@@ -171,14 +165,9 @@ impl ExecBackend for NativeBackend {
         prim: &ConvPrimitive,
         arena: &mut Arena,
         t: &ConvTensors,
-        n_range: Range<usize>,
-        small_blocks: Range<usize>,
+        work: Range<usize>,
     ) -> CoreStats {
-        let insts = self.run(prim, arena, t, n_range, small_blocks);
-        CoreStats {
-            insts,
-            ..CoreStats::default()
-        }
+        self.run(prim, arena, t, work)
     }
 
     fn execute_multicore(
@@ -190,29 +179,10 @@ impl ExecBackend for NativeBackend {
         // Same Section 4.3 partitioning as the simulator; cores run
         // sequentially on the host, so the result is deterministic and
         // identical to a single-core run (the slices write disjoint output).
-        let cores = prim.arch().cores.max(1);
-        let n = prim.desc().problem.n;
-        let mut per_core = Vec::new();
-        match prim.desc().direction {
-            Direction::Fwd | Direction::BwdData => {
-                for r in partition_ranges(n, cores) {
-                    let insts = self.run(prim, arena, t, r, 0..0);
-                    per_core.push(CoreStats {
-                        insts,
-                        ..CoreStats::default()
-                    });
-                }
-            }
-            Direction::BwdWeights => {
-                for r in partition_ranges(prim.bwdw_small_blocks(), cores) {
-                    let insts = self.run(prim, arena, t, 0..n, r);
-                    per_core.push(CoreStats {
-                        insts,
-                        ..CoreStats::default()
-                    });
-                }
-            }
-        }
+        let per_core = partition_ranges(prim.work_items(), prim.arch().cores)
+            .into_iter()
+            .map(|r| self.run(prim, arena, t, r))
+            .collect();
         MulticoreReport {
             wall_cycles: 0,
             per_core,

@@ -234,8 +234,7 @@ fn check_case(
     let t = prim.alloc_tensors(&mut arena);
     prim.import_operands(&mut arena, &t, &src, &wei, &dst);
     let t0 = Instant::now();
-    let func_report =
-        backend_impl.execute_slice(&prim, &mut arena, &t, 0..p.n, 0..prim.bwdw_small_blocks());
+    let func_report = backend_impl.execute_slice(&prim, &mut arena, &t, 0..prim.work_items());
     *exec_secs += t0.elapsed().as_secs_f64();
     let got = prim.read_output(&arena, &t);
     let (reference, reduction_len) = naive::reference(&p, case.direction, &src, &wei, &dst);
@@ -284,13 +283,7 @@ fn check_case(
     let mut arena = Arena::for_mode(ExecutionMode::TimingOnly);
     let t = prim.alloc_tensors(&mut arena);
     let mut core = VCore::new(&arch, ExecutionMode::TimingOnly);
-    prim.execute_core(
-        &mut core,
-        &mut arena,
-        &t,
-        0..p.n,
-        0..prim.bwdw_small_blocks(),
-    );
+    prim.execute_core(&mut core, &mut arena, &t, 0..prim.work_items());
     let timing_cycles = core.drain().cycles;
     if timing_cycles != func_report.cycles {
         return Err(format!(

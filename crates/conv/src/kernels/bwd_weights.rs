@@ -28,10 +28,8 @@ use std::ops::Range;
 ///   `cfg.vec_over_ic`.
 /// * `small_blocks` — the range of `RB_c`-sized blocks of the *smaller*
 ///   feature-map dimension this core owns (the paper parallelizes this loop
-///   across cores, Section 4.3).
-/// * `images` — minibatch slice to reduce over (each core reduces over the
-///   full minibatch in the real scheme; the scheduler passes a slice and
-///   scales, see `perf`).
+///   across cores, Section 4.3); each block reduces over the whole
+///   minibatch of `p` (`perf` simulates a reduced minibatch and scales).
 pub fn run(
     cfg: &KernelConfig,
     p: &ConvProblem,
@@ -39,15 +37,14 @@ pub fn run(
     arena: &mut Arena,
     t: &ConvTensors,
     small_blocks: Range<usize>,
-    images: Range<usize>,
 ) {
     core.region_enter("bwd_weights");
     let walk = WeightWalk::new(cfg, p, small_blocks);
     // The vectorized activation tensor (vector loads) and the scalar one.
-    let (vec_t, sca_t) = walk.roles(t);
+    let (vec_t, sca_t) = walk.roles.activations(t);
     let rb_c = cfg.rb_c;
     let vbuf0 = rb_c; // rotating activation-vector registers
-    let vbuf = cfg.wbuf.max(2);
+    let vbuf = cfg.buffers();
 
     // One tap's `(accumulator, channel byte offset)` pairs of the scalar
     // tensor: accumulator `j` reduces the block's channel `cs0 + j`.
@@ -67,7 +64,7 @@ pub fn run(
         }
         core.region_exit();
         core.region_enter("inner_loop");
-        for n in images.clone() {
+        for n in 0..p.n {
             core.scalar_ops(2);
             sweep_spatial(
                 cfg.vec_over_ic,

@@ -36,7 +36,7 @@ use std::ops::Range;
 ///
 /// The tensors must use `cfg`'s layouts; on the backward-data pass `t.wei`
 /// is the role-swapped tensor, filled through
-/// [`crate::primitive::ConvPrimitive::store_weights`].
+/// [`crate::primitive::ConvTensors::store_weights`].
 pub fn run(
     cfg: &KernelConfig,
     p: &ConvProblem,
@@ -45,25 +45,27 @@ pub fn run(
     t: &ConvTensors,
     images: Range<usize>,
 ) {
-    let fwd = cfg.direction == Direction::Fwd;
-    debug_assert_eq!(cfg.wei_swapped, !fwd);
     let walk = TileWalk::new(cfg, p, images);
-    let (acc, sca) = walk.roles(t);
-    let c_sum = if fwd { p.ic } else { p.oc };
+    let (acc, sca) = walk.roles.activations(t);
+    let c_sum = walk.roles.c_sum;
     let mut k = MicroKernel {
         walk: &walk,
         acc,
         sca,
         wei: &t.wei,
         // The weight double-buffer registers follow the accumulators.
-        wslot0: walk.block_regs(),
-        wbuf: cfg.wbuf,
+        wslot0: cfg.block(),
+        wbuf: cfg.buffers(),
         sca_chan: (0..c_sum).map(|c| sca.channel_offset(c)).collect(),
         wei_chan: (0..c_sum).map(|c| t.wei.ic_offset(c)).collect(),
         wtaps: Vec::with_capacity(cfg.tile.kh_i * cfg.tile.kw_i),
         group: Vec::with_capacity(core.arch().n_vregs),
     };
-    core.region_enter(if fwd { "fwd" } else { "bwd_data" });
+    core.region_enter(if cfg.direction == Direction::Fwd {
+        "fwd"
+    } else {
+        "bwd_data"
+    });
     for tile in walk.tiles() {
         core.scalar_ops(tile.outer_ops);
         if tile.khkw_open {
@@ -168,9 +170,9 @@ impl MicroKernel<'_> {
         let image = sca.block_at(t.n, 0, 0, 0);
         let mut slot = 0;
         for kh in kh_taps {
-            let rows = self.walk.rows.reach(t.y0, t.rbh, kh);
+            let rows = self.walk.roles.rows.reach(t.y0, t.rbh, kh);
             for kw in kw_taps.clone() {
-                let cols = self.walk.cols.reach(t.x0, t.rbw, kw);
+                let cols = self.walk.roles.cols.reach(t.x0, t.rbw, kw);
                 // Taps the map does not reach read zero padding (forward)
                 // or no output (backward): the JIT emits no code for them.
                 self.group.clear();

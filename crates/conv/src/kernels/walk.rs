@@ -12,10 +12,9 @@
 //! function, [`crate::problem::taps`]; an [`AxisMap`] applies it to a
 //! register block in either direction.
 
-use crate::primitive::ConvTensors;
+use crate::pass::PassRoles;
 use crate::problem::{taps, ConvProblem, Direction};
 use crate::tuning::{KernelConfig, MicroTile};
-use lsv_tensor::ActTensor;
 use std::ops::Range;
 
 /// How the register-blocked axis of a data pass meets the same axis of the
@@ -56,25 +55,15 @@ impl AxisTaps {
 }
 
 impl AxisMap {
-    /// Forward map: the block runs over outputs, the stream over an input
-    /// axis of extent `len`.
-    pub fn forward(stride: usize, pad: usize, len: usize) -> Self {
+    /// The map of one axis: the block runs over outputs and the stream over
+    /// an input axis of extent `len`, or, `inverse`, the block over inputs
+    /// and the stream over an output axis of extent `len`.
+    pub fn new(stride: usize, pad: usize, len: usize, inverse: bool) -> Self {
         AxisMap {
             stride,
             pad,
             len,
-            inverse: false,
-        }
-    }
-
-    /// Inverse map: the block runs over inputs, the stream over an output
-    /// axis of extent `len`.
-    pub fn inverse(stride: usize, pad: usize, len: usize) -> Self {
-        AxisMap {
-            stride,
-            pad,
-            len,
-            inverse: true,
+            inverse,
         }
     }
 
@@ -155,26 +144,20 @@ impl<const L: usize> Iterator for Nest<L> {
 /// channels, `kh_i x kw_i` kernel blocks, then `RB_h x RB_w` register blocks
 /// over the accumulated plane, outermost first (Algorithm 2).
 ///
-/// Forward data accumulates `D` over the output plane, vectorized over `OC`,
-/// from a scalar stream over `S`. Backward data accumulates `S_diff` over
-/// the input plane, vectorized over `IC`, from a scalar stream over
-/// `D_diff`; its tap map is the inverse one.
+/// Which tensor is accumulated, which one streams scalars, over which plane
+/// and through which tap map are the pass's [`PassRoles`]: forward data
+/// accumulates `D` over the output plane from a scalar stream over `S`,
+/// backward data `S_diff` over the input plane from one over `D_diff`.
 #[derive(Debug, Clone)]
 pub struct TileWalk {
     images: Range<usize>,
     vl_max: usize,
-    c_vec: usize,
-    c_sum: usize,
     tile: MicroTile,
     kh: usize,
     kw: usize,
-    plane: (usize, usize),
     rb: (usize, usize),
-    inverse: bool,
-    /// Tap map of the register-block rows.
-    pub rows: AxisMap,
-    /// Tap map of the register-block columns.
-    pub cols: AxisMap,
+    /// The pass's roles.
+    pub roles: PassRoles,
 }
 
 /// One micro-kernel invocation of a [`TileWalk`], with the loop-head scalar
@@ -229,56 +212,19 @@ pub struct Tile {
 impl TileWalk {
     /// The walk of `cfg`'s data pass over `images`.
     pub fn new(cfg: &KernelConfig, p: &ConvProblem, images: Range<usize>) -> Self {
-        let inverse = match cfg.direction {
-            Direction::Fwd => false,
-            Direction::BwdData => true,
-            Direction::BwdWeights => panic!("the backward-weights pass walks a WeightWalk"),
-        };
-        let (oh, ow) = (p.oh(), p.ow());
-        let (c_vec, c_sum, plane, rows, cols) = if inverse {
-            (
-                p.ic,
-                p.oc,
-                (p.ih, p.iw),
-                AxisMap::inverse(p.stride_h, p.pad_h, oh),
-                AxisMap::inverse(p.stride_w, p.pad_w, ow),
-            )
-        } else {
-            (
-                p.oc,
-                p.ic,
-                (oh, ow),
-                AxisMap::forward(p.stride_h, p.pad_h, p.ih),
-                AxisMap::forward(p.stride_w, p.pad_w, p.iw),
-            )
-        };
+        assert_ne!(
+            cfg.direction,
+            Direction::BwdWeights,
+            "the backward-weights pass walks a WeightWalk"
+        );
         TileWalk {
             images,
             vl_max: cfg.vl,
-            c_vec,
-            c_sum,
             tile: cfg.tile,
             kh: p.kh,
             kw: p.kw,
-            plane,
             rb: (cfg.rb.rb_h, cfg.rb.rb_w),
-            inverse,
-            rows,
-            cols,
-        }
-    }
-
-    /// Accumulator registers of a full register block.
-    pub fn block_regs(&self) -> usize {
-        self.rb.0 * self.rb.1
-    }
-
-    /// The accumulated tensor and the scalar-stream tensor.
-    pub fn roles<'t>(&self, t: &'t ConvTensors) -> (&'t ActTensor, &'t ActTensor) {
-        if self.inverse {
-            (&t.src, &t.dst)
-        } else {
-            (&t.dst, &t.src)
+            roles: cfg.roles(p),
         }
     }
 
@@ -286,28 +232,34 @@ impl TileWalk {
     pub fn tiles(&self) -> impl Iterator<Item = Tile> + '_ {
         let (rb_h, rb_w) = self.rb;
         let t = self.tile;
+        let PassRoles {
+            c_vec,
+            c_sum,
+            plane,
+            ..
+        } = self.roles;
         let counts = [
             self.images.len(),
-            self.c_vec.div_ceil(self.vl_max),
-            self.c_sum.div_ceil(t.c_i),
+            c_vec.div_ceil(self.vl_max),
+            c_sum.div_ceil(t.c_i),
             self.kh.div_ceil(t.kh_i),
             self.kw.div_ceil(t.kw_i),
-            self.plane.0.div_ceil(rb_h),
-            self.plane.1.div_ceil(rb_w),
+            plane.0.div_ceil(rb_h),
+            plane.1.div_ceil(rb_w),
         ];
         Nest::new(counts).map(move |([n, vb, rc, khb, kwb, row, col], lead)| {
             let (c0, r0) = (vb * self.vl_max, rc * t.c_i);
             let (kh0, kw0) = (khb * t.kh_i, kwb * t.kw_i);
             let (y0, x0) = (row * rb_h, col * rb_w);
-            let vl = self.vl_max.min(self.c_vec - c0);
-            let (rbh, rbw) = (rb_h.min(self.plane.0 - y0), rb_w.min(self.plane.1 - x0));
+            let vl = self.vl_max.min(c_vec - c0);
+            let (rbh, rbw) = (rb_h.min(plane.0 - y0), rb_w.min(plane.1 - x0));
             Tile {
                 n: self.images.start + n,
                 vb,
                 c0,
                 vl,
                 r0,
-                r_cnt: t.c_i.min(self.c_sum - r0),
+                r_cnt: t.c_i.min(c_sum - r0),
                 kh0,
                 kh_cnt: t.kh_i.min(self.kh - kh0),
                 kw0,
@@ -336,16 +288,12 @@ impl TileWalk {
 #[derive(Debug, Clone)]
 pub struct WeightWalk {
     vl_max: usize,
-    c_vec: usize,
-    c_small: usize,
     rb_c: usize,
     small_blocks: Range<usize>,
     kh: usize,
     kw: usize,
-    vec_over_ic: bool,
-    rows: AxisMap,
-    cols: AxisMap,
-    plane: (usize, usize),
+    /// The pass's roles.
+    pub roles: PassRoles,
 }
 
 /// One `(kh, kw)` tap of a [`WeightWalk`].
@@ -381,40 +329,30 @@ impl WeightWalk {
     /// `small_blocks` (clamped to the blocks that exist). A core that owns
     /// no block walks no tap and charges no loop-head work.
     pub fn new(cfg: &KernelConfig, p: &ConvProblem, small_blocks: Range<usize>) -> Self {
-        let (c_vec, c_small) = if cfg.vec_over_ic {
-            (p.ic, p.oc)
-        } else {
-            (p.oc, p.ic)
-        };
-        let blocks = c_small.div_ceil(cfg.rb_c);
+        let roles = cfg.roles(p);
+        let blocks = roles.work_items(cfg.rb_c);
         WeightWalk {
             vl_max: cfg.vl,
-            c_vec,
-            c_small,
             rb_c: cfg.rb_c,
             small_blocks: small_blocks.start.min(blocks)..small_blocks.end.min(blocks),
             kh: p.kh,
             kw: p.kw,
-            vec_over_ic: cfg.vec_over_ic,
-            rows: AxisMap::forward(p.stride_h, p.pad_h, p.ih),
-            cols: AxisMap::forward(p.stride_w, p.pad_w, p.iw),
-            plane: (p.oh(), p.ow()),
-        }
-    }
-
-    /// The vector-loaded activation tensor and the scalar-loaded one.
-    pub fn roles<'t>(&self, t: &'t ConvTensors) -> (&'t ActTensor, &'t ActTensor) {
-        if self.vec_over_ic {
-            (&t.src, &t.dst)
-        } else {
-            (&t.dst, &t.src)
+            roles,
         }
     }
 
     /// Every tap, in execution order.
     pub fn taps(&self) -> impl Iterator<Item = WeightTap> + '_ {
+        let PassRoles {
+            c_vec,
+            c_sum,
+            plane,
+            rows,
+            cols,
+            ..
+        } = self.roles;
         let counts = [
-            self.c_vec.div_ceil(self.vl_max),
+            c_vec.div_ceil(self.vl_max),
             self.small_blocks.len(),
             self.kh,
             self.kw,
@@ -425,13 +363,13 @@ impl WeightWalk {
             WeightTap {
                 vb,
                 c0,
-                vl: self.vl_max.min(self.c_vec - c0),
+                vl: self.vl_max.min(c_vec - c0),
                 cs0,
-                rb_cur: self.rb_c.min(self.c_small - cs0),
+                rb_cur: self.rb_c.min(c_sum - cs0),
                 kh,
                 kw,
-                rows: self.rows.reach(0, self.plane.0, kh),
-                cols: self.cols.reach(0, self.plane.1, kw),
+                rows: rows.reach(0, plane.0, kh),
+                cols: cols.reach(0, plane.1, kw),
                 outer_ops: if lead == 0 { 2 } else { 0 },
                 inner_ops: 2,
             }
@@ -474,11 +412,7 @@ mod tests {
                             for b0 in 0..6 {
                                 for cnt in 1..5 {
                                     let axis = (stride, pad, len);
-                                    let map = if inverse {
-                                        AxisMap::inverse(stride, pad, len)
-                                    } else {
-                                        AxisMap::forward(stride, pad, len)
-                                    };
+                                    let map = AxisMap::new(stride, pad, len, inverse);
                                     let got: Vec<_> = map.reach(b0, cnt, k).iter().collect();
                                     assert_eq!(
                                         got,
@@ -497,7 +431,7 @@ mod tests {
     /// The output coordinate the inverse map pairs with input `i` through
     /// tap `k` (`i = o * stride + k - pad`), if any.
     fn producer(i: usize, k: usize, pad: usize, stride: usize, olen: usize) -> Option<usize> {
-        let r = AxisMap::inverse(stride, pad, olen).reach(i, 1, k);
+        let r = AxisMap::new(stride, pad, olen, true).reach(i, 1, k);
         (r.count == 1).then_some(r.coord)
     }
 

@@ -37,6 +37,7 @@ pub mod multicore;
 pub mod naive;
 mod native;
 pub mod par;
+pub mod pass;
 pub mod perf;
 pub mod primitive;
 pub mod problem;
@@ -49,12 +50,13 @@ pub mod verify;
 pub use analysis::{scalar_stream_profile, ScalarStreamProfile};
 pub use backend::{BackendKind, ExecBackend, NativeBackend, SimBackend};
 pub use multicore::{execute_multicore, MulticoreReport};
+pub use pass::PassRoles;
 pub use perf::{
     bench_config, bench_layer, bench_layer_native, bench_layer_profiled, chip_ms, LayerPerf,
     NativePerf,
 };
 pub use primitive::{ConvDesc, ConvPrimitive, ConvTensors, UnsupportedReason};
-pub use problem::{Algorithm, ConvProblem, Direction};
+pub use problem::{Algorithm, ConvProblem, Direction, Operand};
 pub use runner::{CostFn, Kernel, LayerCost, LayerSpec, ModelPlan, ModelRunner, Pass, PlanEntry};
 pub use store::{stats_metrics_json, LayerStore, StoreConfig, StoreStats};
 pub use tuning::{

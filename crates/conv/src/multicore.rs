@@ -12,9 +12,12 @@
 //! therefore approximate — contention is under-, sharing over-estimated —
 //! which is documented in DESIGN.md and quantified by the
 //! `detailed_vs_representative` test.
+//!
+//! The cores split one range, the pass's parallel loop
+//! ([`ConvPrimitive::work_items`]), whatever the direction: images on the
+//! data passes, `RB_c` blocks on backward weights.
 
 use crate::primitive::ConvPrimitive;
-use crate::problem::Direction;
 use lsv_cache::{shared_llc, LevelStats};
 use lsv_vengine::{Arena, CoreStats, ExecutionMode, VCore};
 
@@ -63,8 +66,8 @@ impl MulticoreReport {
 }
 
 /// The contiguous per-core work ranges the multicore executor uses: `total`
-/// work items (minibatch images for fwd/bwd-data, small-dimension blocks for
-/// bwd-weights) split into `ceil(total/cores)`-sized chunks, empty tails
+/// parallel-loop items ([`ConvPrimitive::work_items`]: minibatch images for
+/// fwd/bwd-data, `RB_c` blocks for bwd-weights) split into `ceil(total/cores)`-sized chunks, empty tails
 /// dropped. This is the *single* definition of the Section 4.3 partitioning —
 /// [`execute_multicore`] executes it and the `lsv-analyze` static race
 /// detector reasons about it, so they can never drift apart.
@@ -81,9 +84,10 @@ pub fn partition_ranges(total: usize, cores: usize) -> Vec<std::ops::Range<usize
 /// against a shared LLC. Tensors must already be allocated and filled in
 /// `arena`.
 ///
-/// Work partitioning follows Section 4.3: the minibatch for the forward and
-/// backward-data passes, the smaller feature-map dimension's `RB_c` blocks
-/// for backward-weights (each core then reduces over the whole minibatch).
+/// Work partitioning follows Section 4.3 ([`ConvPrimitive::work_items`]):
+/// the minibatch for the forward and backward-data passes, the smaller
+/// feature-map dimension's `RB_c` blocks for backward-weights (each core
+/// then reduces over the whole minibatch).
 pub fn execute_multicore(
     prim: &ConvPrimitive,
     arena: &mut Arena,
@@ -91,32 +95,15 @@ pub fn execute_multicore(
     mode: ExecutionMode,
 ) -> MulticoreReport {
     let arch = prim.arch().clone();
-    let cores = arch.cores.max(1);
-    let n = prim.desc().problem.n;
     let llc = shared_llc(&arch);
-    let mut per_core = Vec::with_capacity(cores);
+    let mut per_core = Vec::with_capacity(arch.cores.max(1));
     let mut wall = 0u64;
-
-    match prim.desc().direction {
-        Direction::Fwd | Direction::BwdData => {
-            for r in partition_ranges(n, cores) {
-                let mut core = VCore::new_with_shared_llc(&arch, mode, llc.clone());
-                prim.execute_core(&mut core, arena, tensors, r, 0..0);
-                let s = core.drain();
-                wall = wall.max(s.cycles);
-                per_core.push(s);
-            }
-        }
-        Direction::BwdWeights => {
-            let blocks = prim.bwdw_small_blocks();
-            for r in partition_ranges(blocks, cores) {
-                let mut core = VCore::new_with_shared_llc(&arch, mode, llc.clone());
-                prim.execute_core(&mut core, arena, tensors, 0..n, r);
-                let s = core.drain();
-                wall = wall.max(s.cycles);
-                per_core.push(s);
-            }
-        }
+    for r in partition_ranges(prim.work_items(), arch.cores) {
+        let mut core = VCore::new_with_shared_llc(&arch, mode, llc.clone());
+        prim.execute_core(&mut core, arena, tensors, r);
+        let s = core.drain();
+        wall = wall.max(s.cycles);
+        per_core.push(s);
     }
     let llc_stats = llc.borrow().stats();
     MulticoreReport {
@@ -129,7 +116,7 @@ pub fn execute_multicore(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{Algorithm, ConvProblem};
+    use crate::problem::{Algorithm, ConvProblem, Direction};
     use crate::ConvDesc;
     use lsv_arch::presets::sx_aurora;
 
@@ -173,7 +160,7 @@ mod tests {
             .map(|_| rng.gen_range(-1.0..1.0))
             .collect();
         t.src.store_nchw(&mut arena, &src);
-        prim.store_weights(&mut arena, &t, &wei);
+        t.store_weights(&mut arena, &wei);
         let report = execute_multicore(&prim, &mut arena, &t, ExecutionMode::Functional);
         assert_eq!(report.per_core.len(), 8, "all eight cores got an image");
         let got = t.dst.load_nchw(&arena);
@@ -212,7 +199,7 @@ mod tests {
         let prim = ConvDesc::new(p, Direction::BwdWeights, Algorithm::Dc)
             .create(&arch, arch.cores)
             .unwrap();
-        let blocks = prim.bwdw_small_blocks();
+        let blocks = prim.work_items();
         let mut arena = Arena::new();
         let t = prim.alloc_tensors(&mut arena);
         let report = execute_multicore(&prim, &mut arena, &t, ExecutionMode::TimingOnly);

@@ -330,14 +330,14 @@ pub(crate) fn run_data(
     counters: &mut InstCounters,
 ) {
     let walk = TileWalk::new(cfg, p, images);
-    let (acc_t, sca_t) = walk.roles(t);
+    let (acc_t, sca_t) = walk.roles.activations(t);
     // The weights are read-only here: one host copy per call lets the
     // per-(kh, kw) table of weight vectors outlive the arena writes of each
     // tile's writeback, so no tile allocates.
     let wei = &t.wei;
     let wmem = arena.slice(wei.base, wei.elems_padded()).to_vec();
     let mut wvs: Vec<&[f32]> = Vec::with_capacity(cfg.tile.c_i);
-    let mut accs = AccFile::new(walk.block_regs(), cfg.vl);
+    let mut accs = AccFile::new(cfg.block(), cfg.vl);
     let cb = sca_t.layout.cb;
     for tile in walk.tiles() {
         let Tile {
@@ -381,12 +381,12 @@ pub(crate) fn run_data(
         counters.vloads += (kh_cnt * kw_cnt * r_cnt) as u64;
         let mut taps = 0u64;
         for kh in kh0..kh0 + kh_cnt {
-            let rows = walk.rows.reach(y0, rbh, kh);
+            let rows = walk.roles.rows.reach(y0, rbh, kh);
             if rows.count == 0 {
                 continue;
             }
             for kw in kw0..kw0 + kw_cnt {
-                let cols = walk.cols.reach(x0, rbw, kw);
+                let cols = walk.roles.cols.reach(x0, rbw, kw);
                 if cols.count == 0 {
                     continue;
                 }
@@ -443,11 +443,11 @@ pub(crate) fn run_bwd_weights(
     arena: &mut Arena,
     t: &ConvTensors,
     small_blocks: Range<usize>,
-    images: Range<usize>,
     counters: &mut InstCounters,
 ) {
     let walk = WeightWalk::new(cfg, p, small_blocks);
-    let (vec_t, sca_t) = walk.roles(t);
+    let (vec_t, sca_t) = walk.roles.activations(t);
+    let images = 0..p.n;
     let vl_max = cfg.vl;
     let lanes_max = act_vec_lanes(vec_t, vl_max);
     let mut accs = AccFile::new(cfg.rb_c, vl_max);

@@ -37,7 +37,7 @@
 
 use crate::backend::{ExecBackend, NativeBackend, SimBackend};
 use crate::primitive::{ConvDesc, ConvPrimitive, ConvTensors};
-use crate::problem::{Algorithm, ConvProblem, Direction};
+use crate::problem::{Algorithm, ConvProblem, Direction, Operand};
 use crate::store::{self, Record, Stored};
 use crate::tuning::KernelConfig;
 use lsv_arch::ArchParams;
@@ -312,16 +312,29 @@ fn one_image_reduction(
     reduction(arch, &prim, mode, ProfileMode::Off).cold
 }
 
-/// The primitive whose run [`measure`] keeps (its report, and the cycles
-/// [`ChipFormula`] scales): built for the representative core's slice
-/// images (fwd/bwd-data) or for the `min(N, 2)`-image reduction
-/// (bwd-weights).
+/// The problem of the run [`measure`] keeps (its report, and the cycles
+/// [`ChipFormula`] scales), which also keys its store entry: the
+/// representative core's slice images (fwd/bwd-data) or the `min(N, 2)`-image
+/// reduction (bwd-weights).
+pub(crate) fn kept_problem(
+    arch: &ArchParams,
+    problem: &ConvProblem,
+    direction: Direction,
+) -> ConvProblem {
+    match direction {
+        Direction::BwdWeights => problem.with_minibatch(problem.n.min(2)),
+        _ => slice_problem(arch, problem),
+    }
+}
+
+/// The primitive of the kept run.
 fn kept_primitive(arch: &ArchParams, problem: &ConvProblem, cfg: &KernelConfig) -> ConvPrimitive {
-    let images = match cfg.direction {
-        Direction::BwdWeights => problem.n.min(2),
-        _ => slice_problem(arch, problem).n,
-    };
-    primitive(arch, problem, cfg, images)
+    primitive(
+        arch,
+        problem,
+        cfg,
+        kept_problem(arch, problem, cfg.direction).n,
+    )
 }
 
 /// How the representative core's kept run becomes chip cycles for the whole
@@ -434,7 +447,7 @@ impl SliceKernel for ConvPrimitive {
         t: &ConvTensors,
         images: Range<usize>,
     ) {
-        self.execute_core(core, arena, t, images, 0..0);
+        self.execute_core(core, arena, t, images);
     }
 }
 
@@ -600,15 +613,9 @@ fn fill_operands(arena: &mut Arena, t: &ConvTensors) {
 /// layer's weights stream in from memory once per step; that cost amortizes
 /// over the minibatch, which is the scaling mechanism of Figure 6.
 fn warm_inputs(core: &mut VCore, t: &ConvTensors, direction: Direction) {
-    let warm_act = |core: &mut VCore, a: &lsv_tensor::ActTensor| {
-        core.warm_llc(a.base, (a.elems_padded() * 4) as u64);
-    };
-    match direction {
-        Direction::Fwd => warm_act(core, &t.src),
-        Direction::BwdData => warm_act(core, &t.dst),
-        Direction::BwdWeights => {
-            warm_act(core, &t.src);
-            warm_act(core, &t.dst);
+    for (operand, a) in [(Operand::Src, &t.src), (Operand::Dst, &t.dst)] {
+        if operand != direction.output() {
+            core.warm_llc(a.base, (a.elems_padded() * 4) as u64);
         }
     }
 }
@@ -635,8 +642,8 @@ fn image_pair<K: SliceKernel>(arch: &ArchParams, kernel: &K, core: Core) -> Slic
 }
 
 /// One backward-weights reduction over all of `prim`'s images and the
-/// representative core's share of the small-dimension blocks, served
-/// through the store.
+/// representative core's share of the `RB_c` blocks, served through the
+/// store.
 fn reduction(
     arch: &ArchParams,
     prim: &ConvPrimitive,
@@ -650,15 +657,9 @@ fn reduction(
 
 /// The reduction run itself on a fresh `core`.
 fn reduction_run(arch: &ArchParams, prim: &ConvPrimitive, core: Core) -> Slice {
-    let blocks = prim.bwdw_small_blocks().div_ceil(arch.cores.max(1)).max(1);
+    let blocks = prim.work_items().div_ceil(arch.cores.max(1)).max(1);
     let (mut core, mut arena, t) = prepare(arch, prim, core);
-    prim.execute_core(
-        &mut core,
-        &mut arena,
-        &t,
-        0..prim.desc().problem.n,
-        0..blocks,
-    );
+    prim.execute_core(&mut core, &mut arena, &t, 0..blocks);
     let report = core.drain();
     Slice {
         cold: report.cycles,
@@ -699,13 +700,7 @@ pub fn bench_layer_native(
     fill_operands(&mut arena, &t);
     let backend = NativeBackend;
     let start = std::time::Instant::now();
-    let report = backend.execute_slice(
-        &prim,
-        &mut arena,
-        &t,
-        0..problem.n,
-        0..prim.bwdw_small_blocks(),
-    );
+    let report = backend.execute_slice(&prim, &mut arena, &t, 0..prim.work_items());
     let host_secs = start.elapsed().as_secs_f64().max(1e-9);
     NativePerf {
         host_secs,

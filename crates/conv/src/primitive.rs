@@ -8,9 +8,16 @@
 //! 2. **Kernel execution** — the primitive allocates its blocked tensors,
 //!    imports operands, and replays the generated instruction stream on one
 //!    or more simulated cores.
+//!
+//! The pass's [`PassRoles`] decide the tensors' shapes and the weights'
+//! role swap; [`Direction::output`] which operands are imported and which
+//! one is read back; and the Section 4.3 parallel loop
+//! ([`ConvPrimitive::work_items`]) is the one work range every executor
+//! hands to [`ConvPrimitive::execute_core`].
 
 use crate::kernels;
-use crate::problem::{Algorithm, ConvProblem, Direction};
+use crate::pass::PassRoles;
+use crate::problem::{Algorithm, ConvProblem, Direction, Operand};
 use crate::tuning::{kernel_config, KernelConfig};
 use lsv_arch::ArchParams;
 use lsv_tensor::{ActTensor, WeiTensor};
@@ -55,23 +62,102 @@ impl fmt::Display for UnsupportedReason {
 impl std::error::Error for UnsupportedReason {}
 
 /// The operand tensors of one convolution execution, in their blocked
-/// layouts. Which tensor is the *output* depends on the direction:
-/// `dst` for forward, `src` for backward-data, `wei` for backward-weights.
+/// layouts. Which tensor is the *output* depends on the direction
+/// ([`Direction::output`]): `dst` for forward, `src` for backward-data, `wei`
+/// for backward-weights.
 #[derive(Debug, Clone, Copy)]
 pub struct ConvTensors {
     /// Source activations `S` (or `S_diff` on the backward-data pass).
     pub src: ActTensor,
-    /// Weights `W` (or `W_diff` on the backward-weights pass). Role-swapped
-    /// storage when the config vectorizes over `IC`.
+    /// Weights `W` (or `W_diff` on the backward-weights pass).
     pub wei: WeiTensor,
     /// Destination activations `D` (`D_diff` on the backward passes).
     pub dst: ActTensor,
+    /// `wei` is stored role-swapped, `IC`-major (an `IC`-vectorized pass of
+    /// the direct kernels): its logical OIHW view is transposed on import
+    /// and readback.
+    pub wei_swapped: bool,
 }
 
 impl AsRef<ConvTensors> for ConvTensors {
     fn as_ref(&self) -> &ConvTensors {
         self
     }
+}
+
+impl ConvTensors {
+    /// Import `direction`'s *input* operands from logical NCHW/OIHW buffers:
+    /// `src` + `wei` for forward, `dst` + `wei` for backward-data, `src` +
+    /// `dst` for backward-weights. The output operand is left untouched (its
+    /// buffer is not read and may be empty). This is the single definition
+    /// of operand import — every backend, vednn, the fuzz harness and the
+    /// tests go through it.
+    pub fn import_operands(
+        &self,
+        arena: &mut Arena,
+        direction: Direction,
+        src_nchw: &[f32],
+        wei_oihw: &[f32],
+        dst_nchw: &[f32],
+    ) {
+        let output = direction.output();
+        if output != Operand::Src {
+            self.src.store_nchw(arena, src_nchw);
+        }
+        if output != Operand::Wei {
+            self.store_weights(arena, wei_oihw);
+        }
+        if output != Operand::Dst {
+            self.dst.store_nchw(arena, dst_nchw);
+        }
+    }
+
+    /// Read `direction`'s *output* operand back as a logical buffer (NCHW
+    /// for the data passes, OIHW for backward-weights) — the readback
+    /// counterpart of [`ConvTensors::import_operands`].
+    pub fn read_output(&self, arena: &Arena, direction: Direction) -> Vec<f32> {
+        match direction.output() {
+            Operand::Src => self.src.load_nchw(arena),
+            Operand::Wei => self.load_weights(arena),
+            Operand::Dst => self.dst.load_nchw(arena),
+        }
+    }
+
+    /// Import a logical OIHW weights buffer into the (possibly role-swapped)
+    /// weights tensor.
+    pub fn store_weights(&self, arena: &mut Arena, oihw: &[f32]) {
+        if self.wei_swapped {
+            let swapped = swap_roles(oihw, self.wei.ic, self.wei.oc, self.wei.kh * self.wei.kw);
+            self.wei.store_oihw(arena, &swapped);
+        } else {
+            self.wei.store_oihw(arena, oihw);
+        }
+    }
+
+    /// Export the weights tensor to a logical OIHW buffer.
+    pub fn load_weights(&self, arena: &Arena) -> Vec<f32> {
+        let raw = self.wei.load_oihw(arena);
+        if self.wei_swapped {
+            swap_roles(&raw, self.wei.oc, self.wei.ic, self.wei.kh * self.wei.kw)
+        } else {
+            raw
+        }
+    }
+}
+
+/// Transpose the two channel dimensions of a `(rows, cols, taps)` buffer
+/// into `(cols, rows, taps)`.
+fn swap_roles(buf: &[f32], rows: usize, cols: usize, taps: usize) -> Vec<f32> {
+    assert_eq!(buf.len(), rows * cols * taps);
+    let mut out = vec![0.0f32; buf.len()];
+    for r in 0..rows {
+        for c in 0..cols {
+            for k in 0..taps {
+                out[(c * rows + r) * taps + k] = buf[(r * cols + c) * taps + k];
+            }
+        }
+    }
+    out
 }
 
 /// A convolution problem declaration (step 1 of the two-step API).
@@ -118,33 +204,13 @@ impl ConvDesc {
     ) -> Result<ConvPrimitive, UnsupportedReason> {
         let mut cfg = kernel_config(arch, &self.problem, self.direction, self.algorithm, threads);
         // Register-pressure fallback: shrink the register block until the
-        // accumulators plus the weight buffers fit the register file.
-        let budget = arch.n_vregs;
-        let acc = |c: &KernelConfig| match self.direction {
-            Direction::BwdWeights => c.rb_c + c.wbuf.max(2),
-            _ => c.rb.combined() + c.wbuf,
-        };
-        while acc(&cfg) > budget {
-            match self.direction {
-                Direction::BwdWeights if cfg.rb_c > 1 => cfg.rb_c -= 1,
-                Direction::BwdWeights => {
-                    return Err(UnsupportedReason::RegisterPressure {
-                        needed: acc(&cfg),
-                        available: budget,
-                    })
-                }
-                _ => {
-                    if cfg.rb.rb_h > 1 {
-                        cfg.rb.rb_h -= 1;
-                    } else if cfg.rb.rb_w > 1 {
-                        cfg.rb.rb_w -= 1;
-                    } else {
-                        return Err(UnsupportedReason::RegisterPressure {
-                            needed: acc(&cfg),
-                            available: budget,
-                        });
-                    }
-                }
+        // accumulators plus the operand buffers fit the register file.
+        while cfg.registers() > arch.n_vregs {
+            if !cfg.shrink_block() {
+                return Err(UnsupportedReason::RegisterPressure {
+                    needed: cfg.registers(),
+                    available: arch.n_vregs,
+                });
             }
         }
         Ok(ConvPrimitive {
@@ -188,13 +254,10 @@ impl ConvDesc {
         cfg: KernelConfig,
         threads: usize,
     ) -> ConvPrimitive {
-        let needed = match self.direction {
-            Direction::BwdWeights => cfg.rb_c + cfg.wbuf.max(2),
-            _ => cfg.rb.combined() + cfg.wbuf,
-        };
         assert!(
-            needed <= arch.n_vregs,
-            "override config needs {needed} registers, architecture has {}",
+            cfg.registers() <= arch.n_vregs,
+            "override config needs {} registers, architecture has {}",
+            cfg.registers(),
             arch.n_vregs
         );
         ConvPrimitive {
@@ -237,105 +300,57 @@ impl ConvPrimitive {
         self.threads
     }
 
-    /// Number of `RB_c` blocks of the smaller feature-map dimension
-    /// (the parallel loop of the backward-weights pass).
-    pub fn bwdw_small_blocks(&self) -> usize {
-        let p = &self.desc.problem;
-        let small = if self.cfg.vec_over_ic { p.oc } else { p.ic };
-        small.div_ceil(self.cfg.rb_c.max(1))
+    /// The roles of the primitive's pass.
+    pub(crate) fn roles(&self) -> PassRoles {
+        self.cfg.roles(&self.desc.problem)
     }
 
-    /// Allocate the operand tensors in their blocked layouts.
+    /// Items of the Section 4.3 parallel loop ([`PassRoles::work_items`]):
+    /// the images of a data pass, the `RB_c` blocks of backward weights.
+    /// [`ConvPrimitive::execute_core`]'s work range indexes them.
+    pub fn work_items(&self) -> usize {
+        self.roles().work_items(self.cfg.rb_c)
+    }
+
+    /// Allocate the operand tensors in their blocked layouts, the weights
+    /// with the vectorized channels as rows. The arena order — `S`, `D`,
+    /// then `W` — fixes every tensor's address, and so the simulated cache
+    /// behaviour.
     pub fn alloc_tensors(&self, arena: &mut Arena) -> ConvTensors {
         let p = &self.desc.problem;
+        let roles = self.roles();
         let src = ActTensor::alloc(arena, p.n, p.ic, p.ih, p.iw, self.cfg.src_layout);
         let dst = ActTensor::alloc(arena, p.n, p.oc, p.oh(), p.ow(), self.cfg.dst_layout);
-        let wei = if self.cfg.wei_swapped {
-            WeiTensor::alloc(arena, p.ic, p.oc, p.kh, p.kw, self.cfg.wei_layout)
-        } else {
-            WeiTensor::alloc(arena, p.oc, p.ic, p.kh, p.kw, self.cfg.wei_layout)
-        };
-        ConvTensors { src, wei, dst }
-    }
-
-    /// Import a logical OIHW weights buffer into the (possibly role-swapped)
-    /// blocked tensor.
-    pub fn store_weights(&self, arena: &mut Arena, t: &ConvTensors, oihw: &[f32]) {
-        let p = &self.desc.problem;
-        assert_eq!(oihw.len(), p.oc * p.ic * p.kh * p.kw);
-        if self.cfg.wei_swapped {
-            // Stored as (ic-major): transpose the logical view.
-            let mut swapped = vec![0.0f32; oihw.len()];
-            for oc in 0..p.oc {
-                for ic in 0..p.ic {
-                    for kh in 0..p.kh {
-                        for kw in 0..p.kw {
-                            swapped[((ic * p.oc + oc) * p.kh + kh) * p.kw + kw] =
-                                oihw[((oc * p.ic + ic) * p.kh + kh) * p.kw + kw];
-                        }
-                    }
-                }
-            }
-            t.wei.store_oihw(arena, &swapped);
-        } else {
-            t.wei.store_oihw(arena, oihw);
+        let (rows, cols) = (roles.c_vec, roles.c_sum);
+        let wei = WeiTensor::alloc(arena, rows, cols, p.kh, p.kw, self.cfg.wei_layout);
+        ConvTensors {
+            src,
+            wei,
+            dst,
+            wei_swapped: roles.vec_over_ic,
         }
     }
 
-    /// Export the blocked weights tensor to a logical OIHW buffer.
-    pub fn load_weights(&self, arena: &Arena, t: &ConvTensors) -> Vec<f32> {
-        let p = &self.desc.problem;
-        let raw = t.wei.load_oihw(arena);
-        if self.cfg.wei_swapped {
-            let mut out = vec![0.0f32; raw.len()];
-            for ic in 0..p.ic {
-                for oc in 0..p.oc {
-                    for kh in 0..p.kh {
-                        for kw in 0..p.kw {
-                            out[((oc * p.ic + ic) * p.kh + kh) * p.kw + kw] =
-                                raw[((ic * p.oc + oc) * p.kh + kh) * p.kw + kw];
-                        }
-                    }
-                }
-            }
-            out
-        } else {
-            raw
-        }
-    }
-
-    /// Execute the kernel for a slice of the work on one simulated core.
-    ///
-    /// * Forward / backward-data: `n_range` selects the images
-    ///   (the minibatch is the parallel loop, Section 4.3).
-    /// * Backward-weights: `small_blocks` selects the `RB_c` blocks of the
-    ///   smaller feature-map dimension (that loop is parallel); `n_range`
-    ///   selects the reduction slice (full range for exact results).
+    /// Execute the kernel for the parallel-loop items `work` of
+    /// [`ConvPrimitive::work_items`] on one simulated core: images on the
+    /// data passes, `RB_c` blocks of the scalar-stream channels on backward
+    /// weights, each of which reduces over the whole minibatch.
     pub fn execute_core(
         &self,
         core: &mut VCore,
         arena: &mut Arena,
         t: &ConvTensors,
-        n_range: Range<usize>,
-        small_blocks: Range<usize>,
+        work: Range<usize>,
     ) {
         let p = &self.desc.problem;
-        match self.desc.direction {
-            Direction::Fwd | Direction::BwdData => {
-                kernels::data::run(&self.cfg, p, core, arena, t, n_range)
-            }
-            Direction::BwdWeights => {
-                kernels::bwd_weights::run(&self.cfg, p, core, arena, t, small_blocks, n_range)
-            }
+        if self.desc.direction == Direction::BwdWeights {
+            kernels::bwd_weights::run(&self.cfg, p, core, arena, t, work)
+        } else {
+            kernels::data::run(&self.cfg, p, core, arena, t, work)
         }
     }
 
-    /// Import the direction's *input* operands from logical NCHW/OIHW
-    /// buffers into the blocked arena tensors: `src` + `wei` for forward,
-    /// `dst` + `wei` for backward-data, `src` + `dst` for backward-weights.
-    /// The direction's output operand is left untouched. This is the single
-    /// definition of the per-direction operand-import match — every backend,
-    /// the fuzz harness and the tests go through it.
+    /// Import the pass's input operands ([`ConvTensors::import_operands`]).
     pub fn import_operands(
         &self,
         arena: &mut Arena,
@@ -344,31 +359,12 @@ impl ConvPrimitive {
         wei_oihw: &[f32],
         dst_nchw: &[f32],
     ) {
-        match self.desc.direction {
-            Direction::Fwd => {
-                t.src.store_nchw(arena, src_nchw);
-                self.store_weights(arena, t, wei_oihw);
-            }
-            Direction::BwdData => {
-                t.dst.store_nchw(arena, dst_nchw);
-                self.store_weights(arena, t, wei_oihw);
-            }
-            Direction::BwdWeights => {
-                t.src.store_nchw(arena, src_nchw);
-                t.dst.store_nchw(arena, dst_nchw);
-            }
-        }
+        t.import_operands(arena, self.desc.direction, src_nchw, wei_oihw, dst_nchw);
     }
 
-    /// Read the direction's *output* operand back as a logical buffer
-    /// (NCHW for the data passes, OIHW for backward-weights) — the readback
-    /// counterpart of [`ConvPrimitive::import_operands`].
+    /// Read the pass's output operand back ([`ConvTensors::read_output`]).
     pub fn read_output(&self, arena: &Arena, t: &ConvTensors) -> Vec<f32> {
-        match self.desc.direction {
-            Direction::Fwd => t.dst.load_nchw(arena),
-            Direction::BwdData => t.src.load_nchw(arena),
-            Direction::BwdWeights => self.load_weights(arena, t),
-        }
+        t.read_output(arena, self.desc.direction)
     }
 
     /// Single-shot run of the whole problem on an arbitrary backend:
@@ -382,12 +378,10 @@ impl ConvPrimitive {
         wei_oihw: &[f32],
         dst_nchw: &[f32],
     ) -> (Vec<f32>, CoreStats) {
-        let p = &self.desc.problem;
         let mut arena = Arena::new();
         let t = self.alloc_tensors(&mut arena);
         self.import_operands(&mut arena, &t, src_nchw, wei_oihw, dst_nchw);
-        let report =
-            backend.execute_slice(self, &mut arena, &t, 0..p.n, 0..self.bwdw_small_blocks());
+        let report = backend.execute_slice(self, &mut arena, &t, 0..self.work_items());
         (self.read_output(&arena, &t), report)
     }
 
@@ -453,27 +447,30 @@ mod tests {
         let prim = ConvDesc::new(p, Direction::BwdData, Algorithm::Dc)
             .create(&arch, 1)
             .unwrap();
-        assert!(prim.cfg().wei_swapped);
+        assert!(prim.cfg().vec_over_ic);
         let mut arena = lsv_vengine::Arena::new();
         let t = prim.alloc_tensors(&mut arena);
         let oihw: Vec<f32> = (0..p.oc * p.ic * p.kh * p.kw).map(|i| i as f32).collect();
-        prim.store_weights(&mut arena, &t, &oihw);
-        assert_eq!(prim.load_weights(&arena, &t), oihw);
+        t.store_weights(&mut arena, &oihw);
+        assert_eq!(t.load_weights(&arena), oihw);
         // The swapped tensor's dimensions are transposed.
         assert_eq!(t.wei.oc, p.ic);
         assert_eq!(t.wei.ic, p.oc);
     }
 
     #[test]
-    fn bwdw_small_blocks_partition_smaller_dim() {
+    fn bwdw_work_items_partition_smaller_dim() {
         let arch = sx_aurora();
-        // OC(20) < IC? no: IC=12 < OC=20 -> vectorize OC, small dim = IC.
+        // IC=12 < OC=20 -> vectorize OC, the RB_c blocks partition IC.
         let prim = ConvDesc::new(problem(), Direction::BwdWeights, Algorithm::Dc)
             .create(&arch, 1)
             .unwrap();
         assert!(!prim.cfg().vec_over_ic);
-        let blocks = prim.bwdw_small_blocks();
-        assert_eq!(blocks, 12usize.div_ceil(prim.cfg().rb_c));
+        assert_eq!(prim.work_items(), 12usize.div_ceil(prim.cfg().rb_c));
+        let fwd = ConvDesc::new(problem(), Direction::Fwd, Algorithm::Dc)
+            .create(&arch, 1)
+            .unwrap();
+        assert_eq!(fwd.work_items(), problem().n);
     }
 
     #[test]

@@ -26,6 +26,26 @@ impl Direction {
             Direction::BwdWeights => "bwdw",
         }
     }
+
+    /// The operand the pass computes; the other two are its inputs.
+    pub fn output(self) -> Operand {
+        match self {
+            Direction::Fwd => Operand::Dst,
+            Direction::BwdData => Operand::Src,
+            Direction::BwdWeights => Operand::Wei,
+        }
+    }
+}
+
+/// One of a convolution's three operand tensors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Operand {
+    /// Source activations `S` (`S_diff` as backward data's output).
+    Src,
+    /// Weights `W` (`W_diff` as backward weights' output).
+    Wei,
+    /// Destination activations `D` (`D_diff` as a backward input).
+    Dst,
 }
 
 impl fmt::Display for Direction {
@@ -233,17 +253,6 @@ impl ConvProblem {
     pub fn flops(&self) -> u64 {
         2 * self.macs()
     }
-
-    /// Number of independent output elements of a direction (Section 2.1).
-    pub fn independent_outputs(&self, dir: Direction) -> u64 {
-        match dir {
-            Direction::Fwd => self.n as u64 * self.oc as u64 * self.oh() as u64 * self.ow() as u64,
-            Direction::BwdData => self.n as u64 * self.ic as u64 * self.ih as u64 * self.iw as u64,
-            Direction::BwdWeights => {
-                self.oc as u64 * self.ic as u64 * self.kh as u64 * self.kw as u64
-            }
-        }
-    }
 }
 
 /// Output positions `o` in `0..out` whose input coordinate
@@ -319,14 +328,6 @@ mod tests {
     fn flops_formula() {
         let p = ConvProblem::new(2, 3, 4, 8, 8, 3, 3, 1, 1);
         assert_eq!(p.flops(), 2 * 2 * 4 * 8 * 8 * 3 * 3 * 3);
-    }
-
-    #[test]
-    fn independent_outputs_per_direction() {
-        let p = ConvProblem::new(2, 3, 4, 8, 8, 3, 3, 1, 1);
-        assert_eq!(p.independent_outputs(Direction::Fwd), 2 * 4 * 8 * 8);
-        assert_eq!(p.independent_outputs(Direction::BwdData), 2 * 3 * 8 * 8);
-        assert_eq!(p.independent_outputs(Direction::BwdWeights), 4 * 3 * 3 * 3);
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! two-step flow implies them). The conversions in `lsv-tensor`
 //! (`store_nchw` / `load_nchw`) are host-side test helpers; this module
 //! provides the *measured* equivalent: vector-engine kernels that move the
-//! data through the simulated memory system, so reorder cost can be charged
-//! and studied (it is one reason vendor libraries that work on plain NCHW —
-//! like the vednn baseline — win at small problem sizes).
+//! data through the simulated memory system.
 //!
 //! The activation reorder walks the destination layout block by block: for
 //! each `(n, c-block, h)` it performs `W` strided vector loads from the
@@ -16,8 +14,7 @@
 //! and one unit-stride store per point — matching how a tuned pack routine
 //! behaves on a long-vector machine.
 
-use crate::problem::ConvProblem;
-use lsv_tensor::{ActTensor, ActivationLayout, WeiTensor};
+use lsv_tensor::{ActTensor, WeiTensor};
 use lsv_vengine::{Arena, VCore};
 
 /// Reorder a plain-NCHW activation tensor into a channel-blocked one, on
@@ -203,76 +200,11 @@ pub fn reorder_weights(
     core.region_exit(); // pack_wei
 }
 
-/// Simulated cost (cycles and instruction counts) of reordering all three
-/// operand tensors of a problem into an algorithm's layouts — the setup tax
-/// a framework pays per primitive instantiation.
-pub fn reorder_cost(
-    arch: &lsv_arch::ArchParams,
-    p: &ConvProblem,
-    cfg: &crate::tuning::KernelConfig,
-) -> lsv_vengine::CoreStats {
-    reorder_cost_impl(arch, p, cfg, false).0
-}
-
-/// [`reorder_cost`] with the core's region profiler enabled: returns the
-/// stats plus a profile whose `pack_act`/`pack_wei`/`unpack_act` regions
-/// break the setup tax down per tensor.
-pub fn reorder_cost_profiled(
-    arch: &lsv_arch::ArchParams,
-    p: &ConvProblem,
-    cfg: &crate::tuning::KernelConfig,
-) -> (lsv_vengine::CoreStats, lsv_vengine::RegionProfile) {
-    let (stats, profile) = reorder_cost_impl(arch, p, cfg, true);
-    (stats, profile.expect("profiler enabled"))
-}
-
-fn reorder_cost_impl(
-    arch: &lsv_arch::ArchParams,
-    p: &ConvProblem,
-    cfg: &crate::tuning::KernelConfig,
-    profiled: bool,
-) -> (lsv_vengine::CoreStats, Option<lsv_vengine::RegionProfile>) {
-    let mode = lsv_vengine::ExecutionMode::TimingOnly;
-    let mut arena = Arena::for_mode(mode);
-    let mut core = VCore::new(arch, mode);
-    if profiled {
-        core.enable_profiler();
-    }
-    let src_n = ActTensor::alloc(&mut arena, p.n, p.ic, p.ih, p.iw, ActivationLayout::nchw());
-    let src_b = ActTensor::alloc(&mut arena, p.n, p.ic, p.ih, p.iw, cfg.src_layout);
-    reorder_activations(&mut core, &mut arena, &src_n, &src_b);
-    let wei_n = WeiTensor::alloc(
-        &mut arena,
-        p.oc,
-        p.ic,
-        p.kh,
-        p.kw,
-        lsv_tensor::WeightLayout::oihw(),
-    );
-    if !cfg.wei_swapped {
-        let wei_b = WeiTensor::alloc(&mut arena, p.oc, p.ic, p.kh, p.kw, cfg.wei_layout);
-        reorder_weights(&mut core, &mut arena, &wei_n, &wei_b);
-    }
-    let dst_b = ActTensor::alloc(&mut arena, p.n, p.oc, p.oh(), p.ow(), cfg.dst_layout);
-    let dst_n = ActTensor::alloc(
-        &mut arena,
-        p.n,
-        p.oc,
-        p.oh(),
-        p.ow(),
-        ActivationLayout::nchw(),
-    );
-    reorder_activations_back(&mut core, &mut arena, &dst_b, &dst_n);
-    let stats = core.drain();
-    let profile = if profiled { core.take_profile() } else { None };
-    (stats, profile)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lsv_arch::presets::sx_aurora;
-    use lsv_tensor::WeightLayout;
+    use lsv_tensor::{ActivationLayout, WeightLayout};
     use lsv_vengine::ExecutionMode;
 
     #[test]
@@ -330,34 +262,5 @@ mod tests {
         oihw.store_oihw(&mut arena, &data);
         reorder_weights(&mut core, &mut arena, &oihw, &blocked);
         assert_eq!(blocked.load_oihw(&arena), data);
-    }
-
-    #[test]
-    fn reorder_cost_scales_with_tensor_volume() {
-        let arch = sx_aurora();
-        let small = ConvProblem::new(1, 32, 32, 7, 7, 1, 1, 1, 0);
-        let large = ConvProblem::new(1, 32, 32, 28, 28, 1, 1, 1, 0);
-        let cfg_s = crate::tuning::kernel_config(
-            &arch,
-            &small,
-            crate::Direction::Fwd,
-            crate::Algorithm::Bdc,
-            1,
-        );
-        let cfg_l = crate::tuning::kernel_config(
-            &arch,
-            &large,
-            crate::Direction::Fwd,
-            crate::Algorithm::Bdc,
-            1,
-        );
-        let c_small = reorder_cost(&arch, &small, &cfg_s);
-        let c_large = reorder_cost(&arch, &large, &cfg_l);
-        assert!(
-            c_large.cycles > c_small.cycles * 4,
-            "16x the spatial volume must cost much more: {} vs {}",
-            c_large.cycles,
-            c_small.cycles
-        );
     }
 }

@@ -216,13 +216,14 @@ fn push_cfg(s: &mut String, cfg: &KernelConfig) {
         src_layout,
         dst_layout,
         wei_layout,
-        wei_swapped,
         vec_over_ic,
         wbuf,
         conflicts_predicted,
     } = cfg;
     let RegisterBlocking { rb_w, rb_h } = rb;
     let MicroTile { kh_i, kw_i, c_i } = tile;
+    // `sw` (weights role-swapped) and `vi` (IC vectorized) name one flag;
+    // both tokens stay so every key is unchanged.
     write!(
         s,
         "|cfg={},{},vl{vl},rb{rb_w}x{rb_h},rbc{rb_c},t{kh_i}x{kw_i}x{c_i},s{},d{},w{}x{},\
@@ -233,7 +234,7 @@ fn push_cfg(s: &mut String, cfg: &KernelConfig) {
         dst_layout.cb,
         wei_layout.icb,
         wei_layout.ocb,
-        *wei_swapped as u8,
+        *vec_over_ic as u8,
         *vec_over_ic as u8,
         *conflicts_predicted as u8,
     )

@@ -3,7 +3,15 @@
 //! Algorithm 3), and the per-algorithm kernel configuration that the
 //! "code generation" step of the primitive API consumes (Section 6.5,
 //! summarized by Table 2).
+//!
+//! The pass's [`PassRoles`] fix the vector length, the Table 2 layouts and
+//! the scalar stream, so configuration generation chooses only the register
+//! block and the micro-kernel tile. A configuration's register budget is
+//! [`KernelConfig::registers`], the one definition that creation, the
+//! empirical tuner's candidates, overrides and the linter hold against the
+//! register file.
 
+use crate::pass::PassRoles;
 use crate::problem::{Algorithm, ConvProblem, Direction};
 use crate::store;
 use lsv_arch::{
@@ -140,14 +148,12 @@ pub struct KernelConfig {
     pub src_layout: ActivationLayout,
     /// Layout of the `D` tensor.
     pub dst_layout: ActivationLayout,
-    /// Layout of the `W` tensor (for `BwdData` the stored tensor is
-    /// role-swapped so the vector dimension stays innermost; see
-    /// [`KernelConfig::wei_swapped`]).
+    /// Layout of the `W` tensor (stored role-swapped when
+    /// [`KernelConfig::vec_over_ic`], so the vector dimension stays
+    /// innermost).
     pub wei_layout: WeightLayout,
-    /// Weights are stored with OC/IC roles swapped (vectorized over IC).
-    pub wei_swapped: bool,
-    /// For `BwdWeights`: vectorize over IC instead of OC (chosen when
-    /// `IC > OC`, Section 4.1).
+    /// The pass vectorizes `IC` instead of `OC` ([`PassRoles::vec_over_ic`]):
+    /// the weights are stored with the OC/IC roles swapped.
     pub vec_over_ic: bool,
     /// Number of weight-vector double-buffer registers the generated
     /// micro-kernel rotates through to hide the LLC vector-load latency.
@@ -157,21 +163,86 @@ pub struct KernelConfig {
     pub conflicts_predicted: bool,
 }
 
-/// Feature-map blocking factor of an activation tensor under `algorithm`:
-/// `min(C, N_vlen)` for DC/BDC, `min(C, N_cline)` for MBDC (Table 2).
-fn act_cb(arch: &ArchParams, algorithm: Algorithm, c: usize) -> usize {
-    match algorithm {
-        Algorithm::Dc | Algorithm::Bdc => c.min(arch.n_vlen()).max(1),
-        Algorithm::Mbdc => c.min(arch.n_cline()).max(1),
+impl KernelConfig {
+    /// The roles of this configuration's pass on `p`.
+    pub(crate) fn roles(&self, p: &ConvProblem) -> PassRoles {
+        let roles = PassRoles::new(p, self.direction);
+        debug_assert_eq!(
+            roles.vec_over_ic, self.vec_over_ic,
+            "configuration generated for another problem"
+        );
+        roles
     }
-}
 
-/// Scalar-summed channel grain of the weights layout: `IC_b` for DC,
-/// `N_cline` after loop resizing for BDC/MBDC (Table 2's "Schedule grain").
-fn wei_inner_grain(arch: &ArchParams, algorithm: Algorithm, c: usize) -> usize {
-    match algorithm {
-        Algorithm::Dc => c.min(arch.n_vlen()).max(1),
-        Algorithm::Bdc | Algorithm::Mbdc => c.min(arch.n_cline()).max(1),
+    /// The combined register block the inner loop rotates its accumulators
+    /// through — `RB_w * RB_h` on a data pass, `RB_c` on backward weights:
+    /// the quantity Formulas 2-4 constrain.
+    pub fn block(&self) -> usize {
+        match self.direction {
+            Direction::BwdWeights => self.rb_c,
+            _ => self.rb.combined(),
+        }
+    }
+
+    /// Operand-buffer registers the micro-kernel rotates after its
+    /// accumulators: `wbuf` weight vectors on a data pass, at least two
+    /// activation vectors on backward weights.
+    pub fn buffers(&self) -> usize {
+        match self.direction {
+            Direction::BwdWeights => self.wbuf.max(2),
+            _ => self.wbuf,
+        }
+    }
+
+    /// Vector registers the micro-kernel needs: accumulators plus operand
+    /// buffers — the one register budget that creation, the tuner, overrides
+    /// and the linter hold against the architecture.
+    pub fn registers(&self) -> usize {
+        self.block() + self.buffers()
+    }
+
+    /// Channel block `A_b` of the scalar-stream tensor.
+    pub(crate) fn stream_block(&self) -> usize {
+        if self.vec_over_ic {
+            self.dst_layout.cb
+        } else {
+            self.src_layout.cb
+        }
+    }
+
+    /// Formula 3 for this configuration's scalar stream under `roles`.
+    fn predicts_conflicts(&self, arch: &ArchParams, roles: &PassRoles) -> bool {
+        formula3_predicts_conflicts(arch, self.stream_block(), self.block(), roles.stream_stride)
+    }
+
+    /// Shrink the register block by one step (`RB_h` first, then `RB_w`;
+    /// `RB_c`, which the tile's channel grain follows, on backward weights).
+    /// Returns false when the block is already minimal.
+    pub(crate) fn shrink_block(&mut self) -> bool {
+        if self.direction == Direction::BwdWeights {
+            if self.rb_c <= 1 {
+                return false;
+            }
+            self.rb_c -= 1;
+            self.tile.c_i = self.rb_c;
+        } else if self.rb.rb_h > 1 {
+            self.rb.rb_h -= 1;
+        } else if self.rb.rb_w > 1 {
+            self.rb.rb_w -= 1;
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// The weight-buffer depth the generator picks for the current block:
+    /// enough vectors in flight to hide the LLC vector-load latency on a
+    /// data pass, four activation vectors on backward weights.
+    fn pick_wbuf(&mut self, arch: &ArchParams) {
+        self.wbuf = match self.direction {
+            Direction::BwdWeights => 4,
+            _ => wbuf_depth(arch, self.vl, self.rb.combined()),
+        };
     }
 }
 
@@ -203,6 +274,9 @@ fn rb_target(arch: &ArchParams, algorithm: Algorithm, ab_elems: usize, c_str_eff
 
 /// Build the full kernel configuration for (`arch`, `problem`, `direction`,
 /// `algorithm`). `threads` feeds the auto-tuner's shared-cache correction.
+///
+/// The pass's [`PassRoles`] fix the vector length, the Table 2 layouts and
+/// the scalar stream; the two arms only choose the register block.
 pub fn kernel_config(
     arch: &ArchParams,
     p: &ConvProblem,
@@ -210,162 +284,65 @@ pub fn kernel_config(
     algorithm: Algorithm,
     threads: usize,
 ) -> KernelConfig {
-    let n_vlen = arch.n_vlen();
-    match direction {
-        Direction::Fwd => {
-            let vl = p.oc.min(n_vlen);
-            let ab = act_cb(arch, algorithm, p.ic);
-            let target = rb_target(arch, algorithm, ab, p.stride_w);
-            let rb = match algorithm {
-                // Formula 4's value is a conflict *upper* bound, additionally
-                // capped by the register file.
-                Algorithm::Bdc => split_register_block_capped(
-                    target.min(arch.n_vregs.saturating_sub(12)).max(1),
-                    p.ow(),
-                    p.oh(),
-                ),
-                _ => split_register_block(target, p.ow(), p.oh()),
-            };
-            let tile = match algorithm {
-                Algorithm::Dc => MicroTile {
-                    kh_i: p.kh,
-                    kw_i: p.kw,
-                    c_i: p.ic.min(n_vlen),
-                },
-                _ => autotune_microkernel(arch, p.kh, p.kw, p.ic, p.oc, p.ih, p.iw, rb, threads),
-            };
-            KernelConfig {
-                algorithm,
-                direction,
-                vl,
-                rb,
-                rb_c: 0,
-                tile,
-                src_layout: ActivationLayout { cb: ab },
-                dst_layout: ActivationLayout {
-                    cb: act_cb(arch, algorithm, p.oc),
-                },
-                wei_layout: WeightLayout {
-                    icb: wei_inner_grain(arch, algorithm, p.ic),
-                    ocb: p.oc.min(n_vlen).max(1),
-                },
-                wei_swapped: false,
-                vec_over_ic: false,
-                wbuf: wbuf_depth(arch, vl, rb.combined()),
-                conflicts_predicted: formula3_predicts_conflicts(
-                    arch,
-                    ab,
-                    rb.combined(),
-                    p.stride_w,
-                ),
-            }
-        }
-        Direction::BwdData => {
-            // Output is S_diff: vectorize IC, scalar stream over D_diff
-            // (unit spatial steps -> effective stride 1; Section 4.1).
-            let vl = p.ic.min(n_vlen);
-            let ab = act_cb(arch, algorithm, p.oc);
-            let target = rb_target(arch, algorithm, ab, 1);
-            let rb = match algorithm {
-                Algorithm::Bdc => split_register_block_capped(
-                    target.min(arch.n_vregs.saturating_sub(12)).max(1),
-                    p.iw,
-                    p.ih,
-                ),
-                _ => split_register_block(target, p.iw, p.ih),
-            };
-            let tile = match algorithm {
-                Algorithm::Dc => MicroTile {
-                    kh_i: p.kh,
-                    kw_i: p.kw,
-                    c_i: p.oc.min(n_vlen),
-                },
-                _ => {
-                    autotune_microkernel(arch, p.kh, p.kw, p.oc, p.ic, p.oh(), p.ow(), rb, threads)
-                }
-            };
-            KernelConfig {
-                algorithm,
-                direction,
-                vl,
-                rb,
-                rb_c: 0,
-                tile,
-                src_layout: ActivationLayout {
-                    cb: act_cb(arch, algorithm, p.ic),
-                },
-                dst_layout: ActivationLayout { cb: ab },
-                // Swapped storage: (IC/vl, OC/grain, KH, KW, grain, vl).
-                wei_layout: WeightLayout {
-                    icb: wei_inner_grain(arch, algorithm, p.oc),
-                    ocb: p.ic.min(n_vlen).max(1),
-                },
-                wei_swapped: true,
-                vec_over_ic: true,
-                wbuf: wbuf_depth(arch, vl, rb.combined()),
-                conflicts_predicted: formula3_predicts_conflicts(arch, ab, rb.combined(), 1),
-            }
-        }
-        Direction::BwdWeights => {
-            // Vectorize the larger feature-map dimension; register-block the
-            // smaller one with RB_c (Section 4.1).
-            let vec_over_ic = p.ic > p.oc;
-            let (c_vec, c_small) = if vec_over_ic {
-                (p.ic, p.oc)
-            } else {
-                (p.oc, p.ic)
-            };
-            let vl = c_vec.min(n_vlen);
-            // Scalar stream walks the *non*-vectorized activation tensor:
-            // S when vectorizing OC (stride = conv stride), D when
-            // vectorizing IC (unit steps).
-            let (ab, c_str_eff) = if vec_over_ic {
-                (act_cb(arch, algorithm, p.oc), 1)
-            } else {
-                (act_cb(arch, algorithm, p.ic), p.stride_w)
-            };
-            // The Formula 4 range targets the spatial register blocking of
-            // the fwd/bwd-data passes; Section 8 observes that fine-tuning
-            // the register block "is not as effective in this direction",
-            // so every algorithm keeps the Formula 2 target here.
-            let target = formula2_rb_min(arch);
-            let rb_c = c_small.min(target).max(1);
-            KernelConfig {
-                algorithm,
-                direction,
-                vl,
-                rb: RegisterBlocking { rb_w: 1, rb_h: 1 },
-                rb_c,
-                tile: MicroTile {
-                    kh_i: p.kh,
-                    kw_i: p.kw,
-                    c_i: rb_c,
-                },
-                src_layout: ActivationLayout {
-                    cb: act_cb(arch, algorithm, p.ic),
-                },
-                dst_layout: ActivationLayout {
-                    cb: act_cb(arch, algorithm, p.oc),
-                },
-                // W_diff output layout keeps the vector dimension innermost.
-                wei_layout: if vec_over_ic {
-                    WeightLayout {
-                        icb: wei_inner_grain(arch, algorithm, p.oc),
-                        ocb: p.ic.min(n_vlen).max(1),
-                    }
-                } else {
-                    WeightLayout {
-                        icb: wei_inner_grain(arch, algorithm, p.ic),
-                        ocb: p.oc.min(n_vlen).max(1),
-                    }
-                },
-                wei_swapped: vec_over_ic,
-                vec_over_ic,
-                wbuf: 4,
-                conflicts_predicted: formula3_predicts_conflicts(arch, ab, rb_c, c_str_eff),
-            }
+    let roles = PassRoles::new(p, direction);
+    let (src_layout, dst_layout, wei_layout) = roles.layouts(arch, algorithm);
+    let mut cfg = KernelConfig {
+        algorithm,
+        direction,
+        vl: roles.c_vec.min(arch.n_vlen()),
+        rb: RegisterBlocking { rb_w: 1, rb_h: 1 },
+        rb_c: 0,
+        tile: MicroTile {
+            kh_i: p.kh,
+            kw_i: p.kw,
+            c_i: roles.c_sum.min(arch.n_vlen()),
+        },
+        src_layout,
+        dst_layout,
+        wei_layout,
+        vec_over_ic: roles.vec_over_ic,
+        wbuf: 0,
+        conflicts_predicted: false,
+    };
+    if direction == Direction::BwdWeights {
+        // Register-block the scalar-stream channels with RB_c (Section
+        // 4.1). The Formula 4 range targets the spatial register blocking
+        // of the data passes; Section 8 observes that fine-tuning the
+        // register block "is not as effective in this direction", so every
+        // algorithm keeps the Formula 2 target here.
+        cfg.rb_c = roles.c_sum.min(formula2_rb_min(arch)).max(1);
+        cfg.tile.c_i = cfg.rb_c;
+    } else {
+        let target = rb_target(arch, algorithm, cfg.stream_block(), roles.stream_stride);
+        let (h, w) = roles.plane;
+        cfg.rb = match algorithm {
+            // Formula 4's value is a conflict *upper* bound, additionally
+            // capped by the register file.
+            Algorithm::Bdc => split_register_block_capped(
+                target.min(arch.n_vregs.saturating_sub(12)).max(1),
+                w,
+                h,
+            ),
+            _ => split_register_block(target, w, h),
+        };
+        if algorithm != Algorithm::Dc {
+            let (ih, iw) = roles.tapped;
+            cfg.tile = autotune_microkernel(
+                arch,
+                p.kh,
+                p.kw,
+                roles.c_sum,
+                roles.c_vec,
+                ih,
+                iw,
+                cfg.rb,
+                threads,
+            );
         }
     }
+    cfg.pick_wbuf(arch);
+    cfg.conflicts_predicted = cfg.predicts_conflicts(arch, &roles);
+    cfg
 }
 
 /// Outcome of the empirical register-block search (`lsvconv tune`).
@@ -494,17 +471,14 @@ fn candidates(
     let base = *ConvDesc::new(*problem, direction, algorithm)
         .create(arch, cores)?
         .cfg();
-    let budget = arch.n_vregs;
+    let roles = base.roles(problem);
 
     let mut generated = 0usize;
     let mut seen = HashSet::new();
     let mut unique_cfgs: Vec<KernelConfig> = Vec::new();
     // The key a candidate's evaluation will be cached under (the principal
     // simulated slice): dedupe on the same canonical string.
-    let p_key = match direction {
-        Direction::BwdWeights => problem.with_minibatch(2.min(problem.n.max(1))),
-        _ => crate::perf::slice_problem(arch, problem),
-    };
+    let p_key = crate::perf::kept_problem(arch, problem, direction);
     let mut admit = |cfg: KernelConfig, unique_cfgs: &mut Vec<KernelConfig>| {
         let key = store::slice_key(arch, &p_key, direction, "direct", cores, mode, Some(&cfg));
         if seen.insert(key.canonical().to_string()) {
@@ -514,75 +488,28 @@ fn candidates(
     // The analytic configuration is always a candidate (and comes first,
     // so ties keep it).
     admit(base, &mut unique_cfgs);
-    match direction {
-        Direction::Fwd | Direction::BwdData => {
-            let (ow, oh, ab, c_str_eff) = match direction {
-                Direction::Fwd => (
-                    problem.ow(),
-                    problem.oh(),
-                    act_cb(arch, algorithm, problem.ic),
-                    problem.stride_w,
-                ),
-                _ => (
-                    problem.iw,
-                    problem.ih,
-                    act_cb(arch, algorithm, problem.oc),
-                    1,
-                ),
-            };
-            for target in 1..=budget.saturating_sub(2) {
-                generated += 1;
-                let mut cfg = base;
-                cfg.rb = split_register_block_capped(target, ow, oh);
-                cfg.wbuf = wbuf_depth(arch, cfg.vl, cfg.rb.combined());
-                // Register-pressure clamp. Unlike `ConvDesc::create`, which
-                // shrinks the block under the analytic `wbuf`, this re-derives
-                // `wbuf` after every shrink step.
-                while cfg.rb.combined() + cfg.wbuf > budget {
-                    if cfg.rb.rb_h > 1 {
-                        cfg.rb.rb_h -= 1;
-                    } else if cfg.rb.rb_w > 1 {
-                        cfg.rb.rb_w -= 1;
-                    } else {
-                        break;
-                    }
-                    cfg.wbuf = wbuf_depth(arch, cfg.vl, cfg.rb.combined());
-                }
-                if cfg.rb.combined() + cfg.wbuf > budget {
-                    continue;
-                }
-                cfg.conflicts_predicted =
-                    formula3_predicts_conflicts(arch, ab, cfg.rb.combined(), c_str_eff);
-                admit(cfg, &mut unique_cfgs);
-            }
+    let (h, w) = roles.plane;
+    for target in 1..=arch.n_vregs.saturating_sub(2) {
+        generated += 1;
+        let mut cfg = base;
+        if direction == Direction::BwdWeights {
+            cfg.rb_c = roles.c_sum.min(target).max(1);
+            cfg.tile.c_i = cfg.rb_c;
+        } else {
+            cfg.rb = split_register_block_capped(target, w, h);
         }
-        Direction::BwdWeights => {
-            let c_small = if base.vec_over_ic {
-                problem.oc
-            } else {
-                problem.ic
-            };
-            let (ab, c_str_eff) = if base.vec_over_ic {
-                (act_cb(arch, algorithm, problem.oc), 1)
-            } else {
-                (act_cb(arch, algorithm, problem.ic), problem.stride_w)
-            };
-            for target in 1..=budget.saturating_sub(2) {
-                generated += 1;
-                let mut cfg = base;
-                cfg.rb_c = c_small.min(target).max(1);
-                while cfg.rb_c + cfg.wbuf.max(2) > budget && cfg.rb_c > 1 {
-                    cfg.rb_c -= 1;
-                }
-                if cfg.rb_c + cfg.wbuf.max(2) > budget {
-                    continue;
-                }
-                cfg.tile.c_i = cfg.rb_c;
-                cfg.conflicts_predicted =
-                    formula3_predicts_conflicts(arch, ab, cfg.rb_c, c_str_eff);
-                admit(cfg, &mut unique_cfgs);
-            }
+        cfg.pick_wbuf(arch);
+        // Register-pressure clamp. Unlike `ConvDesc::create`, which shrinks
+        // the block under the analytic `wbuf`, this re-derives `wbuf` after
+        // every shrink step.
+        while cfg.registers() > arch.n_vregs && cfg.shrink_block() {
+            cfg.pick_wbuf(arch);
         }
+        if cfg.registers() > arch.n_vregs {
+            continue;
+        }
+        cfg.conflicts_predicted = cfg.predicts_conflicts(arch, &roles);
+        admit(cfg, &mut unique_cfgs);
     }
 
     Ok((generated, unique_cfgs))

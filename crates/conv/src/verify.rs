@@ -59,6 +59,25 @@ pub fn validate_with_backend(
     algorithm: Algorithm,
     backend: &dyn ExecBackend,
 ) -> ValidationReport {
+    let prim = ConvDesc::new(*problem, direction, algorithm)
+        .create(arch, 1)
+        .expect("primitive creation");
+    validate_output(problem, direction, |src, wei, dst| {
+        prim.run_with_backend(backend, src, wei, dst).0
+    })
+}
+
+/// Validate any kernel of (`problem`, `direction`): `run` computes the
+/// logical output from the logical `(src, wei, dst)` operands. Every kernel
+/// — the direct algorithms on either backend and the vednn baseline — sees
+/// the same operands, drawn from the problem alone, and is compared with
+/// the same memoized naive reference under the same per-element criterion
+/// ([`compare`]).
+pub fn validate_output(
+    problem: &ConvProblem,
+    direction: Direction,
+    run: impl FnOnce(&[f32], &[f32], &[f32]) -> Vec<f32>,
+) -> ValidationReport {
     let p = *problem;
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed ^ p.macs());
     let src: Vec<f32> = (0..p.n * p.ic * p.ih * p.iw)
@@ -71,16 +90,13 @@ pub fn validate_with_backend(
         .map(|_| rng.gen_range(-1.0..1.0))
         .collect();
 
-    let prim = ConvDesc::new(p, direction, algorithm)
-        .create(arch, 1)
-        .expect("primitive creation");
-    let (got, _stats) = prim.run_with_backend(backend, &src, &wei, &dst);
+    let got = run(&src, &wei, &dst);
 
     // The reference is a pure function of (problem, direction): the operands
     // above are seeded from the problem alone. The validate sweep runs the
-    // same (problem, direction) for every algorithm, so the naive reference
-    // is shared through the store's in-process memo instead of being
-    // recomputed per algorithm.
+    // same (problem, direction) for every kernel, so the naive reference is
+    // shared through the store's in-process memo instead of being
+    // recomputed per kernel.
     let ref_tag = format!(
         "naive|{}x{}x{}x{}x{}k{}x{}s{}x{}p{}x{}|{}",
         p.n,

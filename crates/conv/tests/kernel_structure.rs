@@ -24,7 +24,7 @@ fn trace_of_problem(alg: Algorithm, dir: Direction, p: ConvProblem) -> Vec<Trace
     let t = prim.alloc_tensors(&mut arena);
     let mut core = VCore::new(&arch, ExecutionMode::TimingOnly);
     core.enable_trace();
-    prim.execute_core(&mut core, &mut arena, &t, 0..1, 0..prim.bwdw_small_blocks());
+    prim.execute_core(&mut core, &mut arena, &t, 0..prim.work_items());
     core.trace().unwrap().to_vec()
 }
 
@@ -98,7 +98,7 @@ fn mbdc_uses_gathers_dc_uses_unit_stride() {
     let t = prim.alloc_tensors(&mut arena);
     let mut core = VCore::new(&arch, ExecutionMode::TimingOnly);
     core.enable_trace();
-    prim.execute_core(&mut core, &mut arena, &t, 0..1, 0..0);
+    prim.execute_core(&mut core, &mut arena, &t, 0..1);
     let chunked = core.trace().unwrap();
     assert!(
         chunked

@@ -217,60 +217,3 @@ mod tests {
         assert!((3.0..4.5).contains(&gmacs), "{gmacs} GMAC");
     }
 }
-
-/// The 3x3 convolution layers of VGG-16 (Simonyan & Zisserman), the other
-/// model family the paper's Figure 2 draws its footprint shapes from.
-/// `(IC, OC, IH/IW)`; all are 3x3, stride 1, pad 1.
-pub const VGG16_3X3: [(usize, usize, usize); 13] = [
-    (3, 64, 224),
-    (64, 64, 224),
-    (64, 128, 112),
-    (128, 128, 112),
-    (128, 256, 56),
-    (256, 256, 56),
-    (256, 256, 56),
-    (256, 512, 28),
-    (512, 512, 28),
-    (512, 512, 28),
-    (512, 512, 14),
-    (512, 512, 14),
-    (512, 512, 14),
-];
-
-/// The VGG-16 convolution suite at a given minibatch size.
-pub fn vgg16_layers(minibatch: usize) -> Vec<ConvProblem> {
-    VGG16_3X3
-        .iter()
-        .map(|&(ic, oc, hw)| ConvProblem::new(minibatch, ic, oc, hw, hw, 3, 3, 1, 1))
-        .collect()
-}
-
-/// Total MAC flops (x2) of one forward pass over VGG-16's convolutions.
-pub fn vgg16_total_flops(minibatch: usize) -> u64 {
-    vgg16_layers(minibatch).iter().map(|p| p.flops()).sum()
-}
-
-#[cfg(test)]
-mod vgg_tests {
-    use super::*;
-
-    #[test]
-    fn vgg16_shapes_preserve_spatial_size() {
-        for p in vgg16_layers(1) {
-            assert_eq!(p.oh(), p.ih, "3x3/s1/p1 is shape-preserving");
-            assert_eq!(p.kh, 3);
-        }
-    }
-
-    #[test]
-    fn vgg16_flops_are_plausible() {
-        // VGG-16 is famously ~15.3 GMACs per 224x224 image.
-        let gmacs = vgg16_total_flops(1) as f64 / 2e9;
-        assert!((14.0..16.5).contains(&gmacs), "{gmacs} GMAC");
-    }
-
-    #[test]
-    fn vgg16_has_13_conv_layers() {
-        assert_eq!(vgg16_layers(4).len(), 13);
-    }
-}

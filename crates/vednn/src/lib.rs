@@ -217,7 +217,12 @@ impl VednnConv {
         let m = p.oh() * p.ow();
         let col_buf = arena.alloc_labeled(k * m, "vednn col_buf");
         VednnTensors {
-            ops: ConvTensors { src, wei, dst },
+            ops: ConvTensors {
+                src,
+                wei,
+                dst,
+                wei_swapped: false,
+            },
             pad_buf,
             col_buf,
         }
@@ -262,32 +267,14 @@ impl VednnConv {
         wei_oihw: &[f32],
         dst_nchw: &[f32],
     ) -> (Vec<f32>, CoreStats) {
-        let p = &self.problem;
         let mut arena = Arena::new();
         let t = self.alloc_tensors(&mut arena);
+        t.ops
+            .import_operands(&mut arena, self.direction, src_nchw, wei_oihw, dst_nchw);
         let mut core = VCore::new(&self.arch, ExecutionMode::Functional);
-        match self.direction {
-            Direction::Fwd => {
-                t.ops.src.store_nchw(&mut arena, src_nchw);
-                t.ops.wei.store_oihw(&mut arena, wei_oihw);
-            }
-            Direction::BwdData => {
-                t.ops.dst.store_nchw(&mut arena, dst_nchw);
-                t.ops.wei.store_oihw(&mut arena, wei_oihw);
-            }
-            Direction::BwdWeights => {
-                t.ops.src.store_nchw(&mut arena, src_nchw);
-                t.ops.dst.store_nchw(&mut arena, dst_nchw);
-            }
-        }
-        self.execute_core(&mut core, &mut arena, &t, 0..p.n);
+        self.execute_core(&mut core, &mut arena, &t, 0..self.problem.n);
         let stats = core.drain();
-        let out = match self.direction {
-            Direction::Fwd => t.ops.dst.load_nchw(&arena),
-            Direction::BwdData => t.ops.src.load_nchw(&arena),
-            Direction::BwdWeights => t.ops.wei.load_oihw(&arena),
-        };
-        (out, stats)
+        (t.ops.read_output(&arena, self.direction), stats)
     }
 }
 

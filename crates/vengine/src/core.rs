@@ -1277,33 +1277,9 @@ impl VCore {
         }
     }
 
-    /// Reset timing and statistics but keep cache *contents* — used to
-    /// measure a steady-state iteration after a warm-up pass.
-    pub fn reset_timing(&mut self) {
-        self.frontier = 0;
-        self.slots_used = 0;
-        self.vreg_ready.fill(0);
-        self.ports.fill(0);
-        self.vpipe_last_start = 0;
-        self.counters = InstCounters::default();
-        self.stall_scalar = 0;
-        self.stall_dep = 0;
-        self.stall_port = 0;
-        self.bank_serial_cycles = 0;
-        self.hier.reset_stats();
-        if self.profiler.is_some() {
-            self.profiler = Some(Box::new(Profiler::new()));
-        }
-    }
-
     /// Access the hierarchy (diagnostics).
     pub fn hierarchy(&self) -> &Hierarchy {
         &self.hier
-    }
-
-    /// Mutable access to the hierarchy (prefetch-degree ablations).
-    pub fn hierarchy_mut(&mut self) -> &mut Hierarchy {
-        &mut self.hier
     }
 
     /// Warm the LLC with an address range (no stats, no cycles). Models the
@@ -1504,21 +1480,6 @@ mod tests {
         c.vload(&a, 0, src, 64);
         let s = c.vreduce_sum(0, 64);
         assert_eq!(s.value, (0..64).sum::<i32>() as f32);
-    }
-
-    #[test]
-    fn reset_timing_keeps_cache_contents() {
-        let (mut c, mut a) = functional_core();
-        let base = a.alloc(16);
-        c.scalar_load(&a, base);
-        c.reset_timing();
-        let sv = c.scalar_load(&a, base);
-        assert!(
-            sv.ready <= sx_aurora().lat.l1 + 2,
-            "warm line stays resident"
-        );
-        let s = c.drain();
-        assert_eq!(s.insts.scalar_loads, 1, "counters were reset");
     }
 
     #[test]
@@ -1847,28 +1808,6 @@ mod tests {
         assert_eq!(p.regions[1].enters, 5);
         assert_eq!(p.spans.len(), 5);
         assert_eq!(p.regions[1].insts.scalar_loads, 5);
-    }
-
-    #[test]
-    fn reset_timing_resets_profile_accounting() {
-        let (mut c, mut a) = functional_core();
-        c.enable_profiler();
-        let x = a.alloc(512);
-        c.region_enter("warmup");
-        c.vload(&a, 0, x, 128);
-        c.region_exit();
-        c.drain();
-        c.reset_timing();
-        c.region_enter("steady");
-        c.scalar_load(&a, x);
-        c.region_exit();
-        let p = c.take_profile().unwrap();
-        assert_eq!(p.self_cycles_total(), p.total.cycles);
-        assert_eq!(p.insts_total(), p.total.insts);
-        assert!(
-            p.paths.iter().all(|n| n.name != "warmup"),
-            "pre-reset regions are gone"
-        );
     }
 
     #[test]

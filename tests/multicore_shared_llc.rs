@@ -24,7 +24,7 @@ fn multicore_backward_data_matches_reference() {
     let dst = rand_vec(p.n * p.oc * p.oh() * p.ow(), 1);
     let wei = rand_vec(p.oc * p.ic * p.kh * p.kw, 2);
     t.dst.store_nchw(&mut arena, &dst);
-    prim.store_weights(&mut arena, &t, &wei);
+    t.store_weights(&mut arena, &wei);
     let report = execute_multicore(&prim, &mut arena, &t, ExecutionMode::Functional);
     let got = t.src.load_nchw(&arena);
     let want = naive::backward_data(&p, &dst, &wei);
@@ -50,7 +50,7 @@ fn multicore_backward_weights_matches_reference() {
     t.src.store_nchw(&mut arena, &src);
     t.dst.store_nchw(&mut arena, &dst);
     let report = execute_multicore(&prim, &mut arena, &t, ExecutionMode::Functional);
-    let got = prim.load_weights(&arena, &t);
+    let got = t.load_weights(&arena);
     let want = naive::backward_weights(&p, &src, &dst);
     let err = naive::max_abs_diff(&got, &want);
     assert!(err < 1e-3, "multicore bwdw wrong: {err}");

@@ -263,10 +263,9 @@ impl ExecBackend for NanPoisoned {
         prim: &ConvPrimitive,
         arena: &mut Arena,
         t: &ConvTensors,
-        n_range: Range<usize>,
-        small_blocks: Range<usize>,
+        work: Range<usize>,
     ) -> CoreStats {
-        let r = NativeBackend.execute_slice(prim, arena, t, n_range, small_blocks);
+        let r = NativeBackend.execute_slice(prim, arena, t, work);
         let mut out = t.dst.load_nchw(arena);
         out[0] = f32::NAN;
         t.dst.store_nchw(arena, &out);
