@@ -18,6 +18,13 @@ echo "== lsvbench golden ledger (smoke: a few items of every workload)"
 # replay checksum.
 ./target/release/lsvbench --workload all --smoke
 
+echo "== lsvbench golden ledger (full: one pass of every sweep_cold and validate_functional item)"
+# The smoke subset skips most layers: a one-cycle drift on a skipped layer
+# passes every test and artifact gate and only the full sweep_cold ledger
+# catches it. validate_functional pins every validated rel_err bit.
+./target/release/lsvbench --workload sweep_cold --seconds 1
+./target/release/lsvbench --workload validate_functional --seconds 1
+
 echo "== cargo test"
 cargo test --workspace -q
 

@@ -8,9 +8,12 @@
 //! blocks on backward weights), the same range
 //! [`ConvPrimitive::execute_core`] takes:
 //!
-//! * [`SimBackend`] replays the generated instruction stream on the
-//!   cycle-level [`VCore`] (Functional / TimingOnly / introspection modes
-//!   unchanged — the golden-cycles tests pin that this is a pure refactor).
+//! * [`SimBackend`] replays the generated instruction stream on a
+//!   [`VCore`]: timed ([`SimBackend::functional`], the cycle-level core
+//!   every simulated number comes from) or untimed
+//!   ([`SimBackend::untimed`]: the same registers, arena contents and
+//!   instruction counters with no cache walk and no scoreboard, for
+//!   callers that read only outputs — validation and `lsvconv verify`).
 //! * [`NativeBackend`] lowers the same blocked loop nest to host Rust
 //!   (see [`crate::native`]) and runs it directly on the arena at host
 //!   speed (a measured ~20× over the functional simulator on the
@@ -68,19 +71,33 @@ pub trait ExecBackend {
     ) -> MulticoreReport;
 }
 
-/// The cycle-level simulator backend (the default): every instruction of the
-/// generated kernel is replayed on a [`VCore`] in the given execution mode.
+/// The simulator backend: every instruction of the generated kernel is
+/// replayed on a [`VCore`] in the given execution mode, timed or not.
 #[derive(Debug, Clone, Copy)]
 pub struct SimBackend {
-    /// Functional (compute values + time) or TimingOnly (time alone).
+    /// Functional (compute values) or TimingOnly (no data).
     pub mode: ExecutionMode,
+    /// Whether the core times the stream (cycles, caches, stalls); an
+    /// untimed core only counts and, when functional, computes.
+    pub timed: bool,
 }
 
 impl SimBackend {
-    /// A simulator backend that computes functional results.
+    /// A timed simulator backend that computes functional results.
     pub fn functional() -> Self {
         Self {
             mode: ExecutionMode::Functional,
+            timed: true,
+        }
+    }
+
+    /// An untimed simulator backend that computes functional results
+    /// ([`VCore::new_untimed`]): outputs and instruction counters equal
+    /// [`SimBackend::functional`]'s, every cycle and cache counter is 0.
+    pub fn untimed() -> Self {
+        Self {
+            mode: ExecutionMode::Functional,
+            timed: false,
         }
     }
 
@@ -88,7 +105,11 @@ impl SimBackend {
     /// one place (outside the shared-LLC multicore path) where the conv
     /// crate instantiates a simulated core.
     pub fn make_core(&self, arch: &ArchParams) -> VCore {
-        VCore::new(arch, self.mode)
+        if self.timed {
+            VCore::new(arch, self.mode)
+        } else {
+            VCore::new_untimed(arch, self.mode)
+        }
     }
 }
 
@@ -98,7 +119,7 @@ impl ExecBackend for SimBackend {
     }
 
     fn models_time(&self) -> bool {
-        true
+        self.timed
     }
 
     fn execute_slice(
@@ -119,7 +140,30 @@ impl ExecBackend for SimBackend {
         arena: &mut Arena,
         t: &ConvTensors,
     ) -> MulticoreReport {
-        multicore::execute_multicore(prim, arena, t, self.mode)
+        if self.timed {
+            multicore::execute_multicore(prim, arena, t, self.mode)
+        } else {
+            untimed_multicore(prim, |r| self.execute_slice(prim, arena, t, r))
+        }
+    }
+}
+
+/// The Section 4.3 partitioning for a backend that keeps no time: the
+/// cores' slices run one after another on the host, so the result is
+/// deterministic and identical to a single-core run (the slices write
+/// disjoint output), and the report holds each core's counters and no wall
+/// time.
+fn untimed_multicore(
+    prim: &ConvPrimitive,
+    run: impl FnMut(Range<usize>) -> CoreStats,
+) -> MulticoreReport {
+    MulticoreReport {
+        wall_cycles: 0,
+        per_core: partition_ranges(prim.work_items(), prim.arch().cores)
+            .into_iter()
+            .map(run)
+            .collect(),
+        llc: Default::default(),
     }
 }
 
@@ -176,18 +220,7 @@ impl ExecBackend for NativeBackend {
         arena: &mut Arena,
         t: &ConvTensors,
     ) -> MulticoreReport {
-        // Same Section 4.3 partitioning as the simulator; cores run
-        // sequentially on the host, so the result is deterministic and
-        // identical to a single-core run (the slices write disjoint output).
-        let per_core = partition_ranges(prim.work_items(), prim.arch().cores)
-            .into_iter()
-            .map(|r| self.run(prim, arena, t, r))
-            .collect();
-        MulticoreReport {
-            wall_cycles: 0,
-            per_core,
-            llc: Default::default(),
-        }
+        untimed_multicore(prim, |r| self.run(prim, arena, t, r))
     }
 }
 
@@ -195,7 +228,7 @@ impl ExecBackend for NativeBackend {
 /// the fuzz harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Cycle-level simulator ([`SimBackend`], functional mode).
+    /// The simulator ([`SimBackend::untimed`]: functional, untimed).
     Sim,
     /// Native host execution ([`NativeBackend`]).
     Native,
@@ -205,18 +238,14 @@ impl BackendKind {
     /// Every selectable backend.
     pub const ALL: [BackendKind; 2] = [BackendKind::Sim, BackendKind::Native];
 
-    /// Instantiate the backend (simulator backends in Functional mode —
-    /// callers that want TimingOnly construct [`SimBackend`] directly).
+    /// Instantiate the backend to check outputs with: the simulator
+    /// untimed and functional, as `lsvconv verify` runs it. Callers that
+    /// read cycles construct a timed [`SimBackend`] directly.
     pub fn create(self) -> Box<dyn ExecBackend> {
         match self {
-            BackendKind::Sim => Box::new(SimBackend::functional()),
+            BackendKind::Sim => Box::new(SimBackend::untimed()),
             BackendKind::Native => Box::new(NativeBackend),
         }
-    }
-
-    /// Whether the backend produces meaningful cycle/cache statistics.
-    pub fn models_time(self) -> bool {
-        matches!(self, BackendKind::Sim)
     }
 }
 
@@ -246,6 +275,73 @@ impl fmt::Display for BackendKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::primitive::ConvDesc;
+    use rand::{Rng, SeedableRng};
+
+    /// The instruction counters the native backend mirrors (frontend
+    /// filler `scalar_ops` is simulator-specific).
+    fn data_ops(c: &InstCounters) -> [u64; 7] {
+        [
+            c.scalar_loads,
+            c.vloads,
+            c.vstores,
+            c.gathers,
+            c.scatters,
+            c.vfmas,
+            c.fma_elems,
+        ]
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Over the fuzz seed corpus the untimed simulator computes the timed
+    /// one's output and the native backend's, bit for bit, on one core and
+    /// across the chip's cores; it counts every instruction the timed core
+    /// counts and reports no cycle, stall or cache access.
+    #[test]
+    fn untimed_sim_matches_timed_sim_and_native_on_the_seed_corpus() {
+        let mut checked = 0;
+        for (i, case) in crate::fuzz::seed_corpus().iter().enumerate() {
+            let arch = lsv_arch::presets::aurora_with_vlen_bits(case.vlen_bits);
+            let p = case.problem;
+            let Ok(prim) = ConvDesc::new(p, case.direction, case.algorithm).create(&arch, 1) else {
+                continue;
+            };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(i as u64);
+            let mut draw =
+                |len: usize| -> Vec<f32> { (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+            let src = draw(p.n * p.ic * p.ih * p.iw);
+            let wei = draw(p.oc * p.ic * p.kh * p.kw);
+            let dst = draw(p.n * p.oc * p.oh() * p.ow());
+            let run = |b: &dyn ExecBackend| prim.run_with_backend(b, &src, &wei, &dst);
+            let (timed, t) = run(&SimBackend::functional());
+            let (untimed, u) = run(&SimBackend::untimed());
+            let (native, n) = run(&NativeBackend);
+            assert_eq!(bits(&untimed), bits(&timed), "{case}: untimed vs timed");
+            assert_eq!(bits(&untimed), bits(&native), "{case}: untimed vs native");
+            let zero_time = CoreStats {
+                insts: t.insts,
+                ..CoreStats::default()
+            };
+            assert_eq!(u, zero_time, "{case}: untimed stats");
+            assert_eq!(data_ops(&u.insts), data_ops(&n.insts), "{case}: data ops");
+
+            let mut arena = Arena::new();
+            let tensors = prim.alloc_tensors(&mut arena);
+            prim.import_operands(&mut arena, &tensors, &src, &wei, &dst);
+            let chip = SimBackend::untimed().execute_multicore(&prim, &mut arena, &tensors);
+            assert_eq!(chip.wall_cycles, 0, "{case}");
+            assert_eq!(
+                bits(&prim.read_output(&arena, &tensors)),
+                bits(&timed),
+                "{case}: untimed multicore"
+            );
+            checked += 1;
+        }
+        assert!(checked > 0, "every corpus case was skipped");
+    }
 
     #[test]
     fn backend_kind_parses_and_rejects() {
@@ -267,7 +363,7 @@ mod tests {
         for kind in BackendKind::ALL {
             let b = kind.create();
             assert_eq!(b.name(), kind.to_string());
-            assert_eq!(b.models_time(), kind.models_time());
+            assert!(!b.models_time(), "{kind}: created backends check outputs");
             assert_eq!(b.name().parse::<BackendKind>().unwrap(), kind);
         }
     }

@@ -590,7 +590,7 @@ fn prepare<K: SliceKernel>(
     if mode.is_functional() {
         fill_operands(&mut arena, t.as_ref());
     }
-    let mut core = SimBackend { mode }.make_core(arch);
+    let mut core = SimBackend { mode, timed: true }.make_core(arch);
     if profiled {
         core.enable_profiler();
     }

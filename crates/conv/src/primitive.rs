@@ -124,11 +124,10 @@ impl ConvTensors {
     }
 
     /// Import a logical OIHW weights buffer into the (possibly role-swapped)
-    /// weights tensor.
+    /// weights tensor; the swap is folded into the layout copy.
     pub fn store_weights(&self, arena: &mut Arena, oihw: &[f32]) {
         if self.wei_swapped {
-            let swapped = swap_roles(oihw, self.wei.ic, self.wei.oc, self.wei.kh * self.wei.kw);
-            self.wei.store_oihw(arena, &swapped);
+            self.wei.store_iohw(arena, oihw);
         } else {
             self.wei.store_oihw(arena, oihw);
         }
@@ -136,28 +135,12 @@ impl ConvTensors {
 
     /// Export the weights tensor to a logical OIHW buffer.
     pub fn load_weights(&self, arena: &Arena) -> Vec<f32> {
-        let raw = self.wei.load_oihw(arena);
         if self.wei_swapped {
-            swap_roles(&raw, self.wei.oc, self.wei.ic, self.wei.kh * self.wei.kw)
+            self.wei.load_iohw(arena)
         } else {
-            raw
+            self.wei.load_oihw(arena)
         }
     }
-}
-
-/// Transpose the two channel dimensions of a `(rows, cols, taps)` buffer
-/// into `(cols, rows, taps)`.
-fn swap_roles(buf: &[f32], rows: usize, cols: usize, taps: usize) -> Vec<f32> {
-    assert_eq!(buf.len(), rows * cols * taps);
-    let mut out = vec![0.0f32; buf.len()];
-    for r in 0..rows {
-        for c in 0..cols {
-            for k in 0..taps {
-                out[(c * rows + r) * taps + k] = buf[(r * cols + c) * taps + k];
-            }
-        }
-    }
-    out
 }
 
 /// A convolution problem declaration (step 1 of the two-step API).

@@ -1,5 +1,10 @@
 //! Correctness validation of the generated kernels against the naive
 //! reference (the artifact's `validate.sh` role), on any execution backend.
+//!
+//! [`validate`] runs the kernel on the untimed functional simulator
+//! ([`SimBackend::untimed`]): a report reads only outputs, so no cycle is
+//! simulated, as benchdnn's correctness mode runs a kernel without timing
+//! it. Outputs are bit-identical to the timed functional core's.
 
 use crate::backend::{ExecBackend, SimBackend};
 use crate::naive;
@@ -27,8 +32,8 @@ pub(crate) fn tolerance(reduction_len: usize) -> f32 {
     1e-6 * (reduction_len as f32).sqrt().max(1.0) * 8.0
 }
 
-/// Validate one kernel configuration functionally on the simulator backend:
-/// random operands, run the simulated kernel, compare against
+/// Validate one kernel configuration functionally on the untimed simulator
+/// backend: random operands, run the simulated kernel, compare against
 /// [`crate::naive`]. Served from the layer store when a previous run
 /// validated the same point (f32 results round-trip bit-exactly); paranoid
 /// mode re-validates a sampled fraction of hits.
@@ -40,13 +45,7 @@ pub fn validate(
 ) -> ValidationReport {
     let key = crate::store::validation_key(arch, problem, direction, algorithm.short_name());
     crate::store::store().memo(&key, || {
-        validate_with_backend(
-            arch,
-            problem,
-            direction,
-            algorithm,
-            &SimBackend::functional(),
-        )
+        validate_with_backend(arch, problem, direction, algorithm, &SimBackend::untimed())
     })
 }
 

@@ -13,6 +13,12 @@
 //!   `(OC/OC_b, IC/IC_b, KH, KW, IC_b, OC_b)`, including the *loop-resized*
 //!   variant `(OC/OC_b, IC/N_cline, KH, KW, N_cline, OC_b)` of Section 6.1.
 //! * NCHW/OIHW conversion for validation against the naive reference.
+//!   Each copy borrows the tensor's arena extent once and moves one
+//!   channel block at a time through a tiled transpose (block and lane
+//!   indices are computed per block and per tile row, not per element);
+//!   the per-element [`ActTensor::at`] / [`WeiTensor::at`] addresses are
+//!   the oracle the tests hold the copies to. Tail-block padding is never
+//!   written, so it keeps the zeros of the allocation.
 //!
 //! Tensors do not own their storage: data lives in an
 //! [`lsv_vengine::Arena`] so the cache simulator sees real addresses.
@@ -20,6 +26,38 @@
 use lsv_vengine::Arena;
 use rand::distributions::{Distribution, Uniform};
 use rand::SeedableRng;
+
+/// Side of the square tiles a layout copy walks: a 32 x 32 tile of f32 is
+/// 4 KiB on each side, so both sides' lines stay cached while it is walked.
+const TILE: usize = 32;
+
+/// Walk one block of a layout copy as `f(blocked, logical)` element-index
+/// pairs: `rows x cols` elements, each repeated over `taps`, with
+/// `blocked = r * b.0 + k * b.1 + c` (the blocked side's lanes are
+/// contiguous) and `logical = r * l.0 + c * l.1 + k * l.2`. The walk goes
+/// tile by tile over `(rows, cols)` with the taps inside a tile, so a
+/// tile's lines on both sides are reused across its taps.
+fn walk_block(
+    (rows, cols, taps): (usize, usize, usize),
+    b: (usize, usize),
+    l: (usize, usize, usize),
+    mut f: impl FnMut(usize, usize),
+) {
+    for r0 in (0..rows).step_by(TILE) {
+        let r1 = (r0 + TILE).min(rows);
+        for c0 in (0..cols).step_by(TILE) {
+            let c1 = (c0 + TILE).min(cols);
+            for k in 0..taps {
+                for r in r0..r1 {
+                    let (bi, li) = (r * b.0 + k * b.1, r * l.0 + k * l.2);
+                    for c in c0..c1 {
+                        f(bi + c, li + c * l.1);
+                    }
+                }
+            }
+        }
+    }
+}
 
 /// Activation memory layout: channel-blocked `(N, C/cb, H, W, cb)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,32 +224,43 @@ impl ActTensor {
     /// Import from a logical NCHW host buffer (length `N*C*H*W`).
     pub fn store_nchw(&self, arena: &mut Arena, data: &[f32]) {
         assert_eq!(data.len(), self.elems(), "NCHW buffer length mismatch");
-        for n in 0..self.n {
-            for c in 0..self.c {
-                for h in 0..self.h {
-                    for w in 0..self.w {
-                        let v = data[((n * self.c + c) * self.h + h) * self.w + w];
-                        arena.write(self.at(n, c, h, w), v);
-                    }
-                }
-            }
+        let stored = arena.slice_mut(self.base, self.elems_padded());
+        if self.layout.cb == 1 {
+            stored.copy_from_slice(data);
+            return;
         }
+        self.walk(|b, l| stored[b] = data[l]);
     }
 
     /// Export to a logical NCHW host buffer.
     pub fn load_nchw(&self, arena: &Arena) -> Vec<f32> {
+        let stored = arena.slice(self.base, self.elems_padded());
+        if self.layout.cb == 1 {
+            return stored.to_vec();
+        }
         let mut out = vec![0.0; self.elems()];
+        self.walk(|b, l| out[l] = stored[b]);
+        out
+    }
+
+    /// Every logical element as a `(stored, nchw)` index pair: per image
+    /// and channel block, the block's `(H*W, lanes)` plane is the transpose
+    /// of its channels' NCHW rows.
+    fn walk(&self, mut f: impl FnMut(usize, usize)) {
+        let (cb, hw) = (self.layout.cb, self.h * self.w);
         for n in 0..self.n {
-            for c in 0..self.c {
-                for h in 0..self.h {
-                    for w in 0..self.w {
-                        out[((n * self.c + c) * self.h + h) * self.w + w] =
-                            arena.read(self.at(n, c, h, w));
-                    }
-                }
+            for cblk in 0..self.c_blocks() {
+                let c0 = cblk * cb;
+                let lanes = cb.min(self.c - c0);
+                let (b0, l0) = (
+                    (n * self.c_blocks() + cblk) * hw * cb,
+                    (n * self.c + c0) * hw,
+                );
+                walk_block((hw, lanes, 1), (cb, 0), (1, hw, 0), |b, l| {
+                    f(b0 + b, l0 + l)
+                });
             }
         }
-        out
     }
 
     /// Fill with deterministic pseudo-random values in `[-1, 1)`.
@@ -340,33 +389,81 @@ impl WeiTensor {
 
     /// Import from a logical OIHW host buffer (length `OC*IC*KH*KW`).
     pub fn store_oihw(&self, arena: &mut Arena, data: &[f32]) {
-        assert_eq!(data.len(), self.elems(), "OIHW buffer length mismatch");
-        for oc in 0..self.oc {
-            for ic in 0..self.ic {
-                for kh in 0..self.kh {
-                    for kw in 0..self.kw {
-                        let v = data[((oc * self.ic + ic) * self.kh + kh) * self.kw + kw];
-                        arena.write(self.at(oc, ic, kh, kw), v);
-                    }
-                }
-            }
-        }
+        self.store(arena, data, false);
     }
 
     /// Export to a logical OIHW host buffer.
     pub fn load_oihw(&self, arena: &Arena) -> Vec<f32> {
+        self.load(arena, false)
+    }
+
+    /// Import from a host buffer with the channel dimensions swapped,
+    /// `(IC, OC, KH, KW)` in this tensor's terms: the tensor holds a pass's
+    /// weights role-swapped, its `oc` rows being the buffer's input
+    /// channels (length `OC*IC*KH*KW`).
+    pub fn store_iohw(&self, arena: &mut Arena, data: &[f32]) {
+        self.store(arena, data, true);
+    }
+
+    /// Export to a host buffer with the channel dimensions swapped, the
+    /// inverse of [`WeiTensor::store_iohw`].
+    pub fn load_iohw(&self, arena: &Arena) -> Vec<f32> {
+        self.load(arena, true)
+    }
+
+    fn store(&self, arena: &mut Arena, data: &[f32], swapped: bool) {
+        assert_eq!(data.len(), self.elems(), "weights buffer length mismatch");
+        let stored = arena.slice_mut(self.base, self.elems_padded());
+        if self.is_logical_order(swapped) {
+            stored.copy_from_slice(data);
+            return;
+        }
+        self.walk(swapped, |b, l| stored[b] = data[l]);
+    }
+
+    fn load(&self, arena: &Arena, swapped: bool) -> Vec<f32> {
+        let stored = arena.slice(self.base, self.elems_padded());
+        if self.is_logical_order(swapped) {
+            return stored.to_vec();
+        }
         let mut out = vec![0.0; self.elems()];
-        for oc in 0..self.oc {
-            for ic in 0..self.ic {
-                for kh in 0..self.kh {
-                    for kw in 0..self.kw {
-                        out[((oc * self.ic + ic) * self.kh + kh) * self.kw + kw] =
-                            arena.read(self.at(oc, ic, kh, kw));
-                    }
-                }
+        self.walk(swapped, |b, l| out[l] = stored[b]);
+        out
+    }
+
+    /// Whether the stored layout is the host buffer's order element for
+    /// element (plain OIHW, unswapped), so a copy is one `memcpy`.
+    fn is_logical_order(&self, swapped: bool) -> bool {
+        !swapped && self.layout.icb == 1 && self.layout.ocb == 1
+    }
+
+    /// Every logical element as a `(stored, host)` index pair: per
+    /// `(OC, IC)` block, each tap's `(IC_b, OC_b)` tile is the transpose of
+    /// the block's host rows, whose strides depend on `swapped`.
+    fn walk(&self, swapped: bool, mut f: impl FnMut(usize, usize)) {
+        let (icb, ocb) = (self.layout.icb, self.layout.ocb);
+        let taps = self.kh * self.kw;
+        // Host strides of the tensor's (oc, ic) indices.
+        let (o_stride, i_stride) = if swapped {
+            (taps, self.oc * taps)
+        } else {
+            (self.ic * taps, taps)
+        };
+        let block = taps * icb * ocb;
+        for ob in 0..self.oc_blocks() {
+            let (o0, ocv) = (ob * ocb, ocb.min(self.oc - ob * ocb));
+            for ib in 0..self.ic_blocks() {
+                let (i0, icv) = (ib * icb, icb.min(self.ic - ib * icb));
+                let b0 = (ob * self.ic_blocks() + ib) * block;
+                let l0 = o0 * o_stride + i0 * i_stride;
+                walk_block(
+                    (icv, ocv, taps),
+                    (ocb, icb * ocb),
+                    (i_stride, o_stride, 1),
+                    |b, l| f(b0 + b, l0 + l),
+                );
             }
         }
-        out
     }
 
     /// Fill with deterministic pseudo-random values in `[-1, 1)`.

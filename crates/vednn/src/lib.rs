@@ -18,7 +18,8 @@
 //!   stride (with the implicit-GEMM shortcut for 1x1/stride-1 problems where
 //!   the NCHW image *is* the column matrix).
 //! * [`VednnConv::best`] — the algorithm chooser: probes the supported
-//!   kernels in timing-only mode and keeps the faster one.
+//!   kernels in timing-only mode and keeps the faster one (a problem only
+//!   one family supports is not probed).
 
 pub mod direct;
 pub mod gemm;
@@ -160,14 +161,18 @@ impl VednnConv {
     }
 
     /// The uncached chooser probe: simulate every supported family on one
-    /// image and return the fastest.
+    /// image and return the fastest. When only one family supports the
+    /// problem (bwd-weights, strided passes) it is the choice, unsimulated.
     fn probe_best(arch: &ArchParams, problem: &ConvProblem, direction: Direction) -> VednnAlgo {
-        let candidates = [VednnAlgo::DirectSpatial, VednnAlgo::Im2colGemm];
+        let candidates: Vec<VednnAlgo> = [VednnAlgo::DirectSpatial, VednnAlgo::Im2colGemm]
+            .into_iter()
+            .filter(|algo| algo.supports(problem, direction))
+            .collect();
+        if let [only] = candidates[..] {
+            return only;
+        }
         let mut best: Option<(u64, VednnAlgo)> = None;
         for algo in candidates {
-            if !algo.supports(problem, direction) {
-                continue;
-            }
             let probe = Self::with_algo(arch, problem.with_minibatch(1), direction, algo);
             let mut arena = Arena::for_mode(ExecutionMode::TimingOnly);
             let t = probe.alloc_tensors(&mut arena);
@@ -258,9 +263,11 @@ impl VednnConv {
         }
     }
 
-    /// Single-core functional run over the whole problem, mirroring
-    /// `lsv_conv::ConvPrimitive::run_functional`: returns the output (NCHW /
-    /// OIHW) and the execution report.
+    /// Single-core functional run over the whole problem on an untimed
+    /// core ([`VCore::new_untimed`]), for checking outputs: returns the
+    /// output (NCHW / OIHW) and the execution report, whose instruction
+    /// counters are the timed core's and whose cycles and cache counters
+    /// are 0.
     pub fn run_functional(
         &self,
         src_nchw: &[f32],
@@ -271,7 +278,7 @@ impl VednnConv {
         let t = self.alloc_tensors(&mut arena);
         t.ops
             .import_operands(&mut arena, self.direction, src_nchw, wei_oihw, dst_nchw);
-        let mut core = VCore::new(&self.arch, ExecutionMode::Functional);
+        let mut core = VCore::new_untimed(&self.arch, ExecutionMode::Functional);
         self.execute_core(&mut core, &mut arena, &t, 0..self.problem.n);
         let stats = core.drain();
         (t.ops.read_output(&arena, self.direction), stats)

@@ -1,6 +1,24 @@
 //! The simulated vector core: functional register file + issue-order
 //! timing scoreboard + cache-aware memory system.
 //!
+//! ## Core kinds
+//!
+//! Every core *counts* the instruction stream ([`InstCounters`]). On top of
+//! that a core *times* it or not, and *computes* it or not:
+//!
+//! | | functional (registers and arena data) | data-free ([`ExecutionMode::TimingOnly`]) |
+//! |---|---|---|
+//! | **timed** ([`VCore::new`]) | tests, profiling, the fuzz harness's mode check | every simulated cycle of a sweep, tuner or model |
+//! | **untimed** ([`VCore::new_untimed`]) | validation: outputs and counters, no cycles | the counting core ([`VCore::new_counting`]) of the tuner's instruction bound |
+//!
+//! Any kind can also record a trace ([`VCore::enable_trace`]); the
+//! introspection core ([`VCore::new_introspect`]) is a tracing counting
+//! core. Each instruction method runs in one order: count, trace, time if
+//! timed, compute if functional. An untimed core has no scoreboard and a
+//! one-line-per-level stub hierarchy, so `drain().cycles` and every cache
+//! counter are 0, while its registers, arena contents and counters equal a
+//! timed core's of the same mode.
+//!
 //! ## Pipeline model
 //!
 //! The core has two coupled pipelines, mirroring the SX-Aurora organization
@@ -290,9 +308,9 @@ impl CoreStats {
 /// cycle, so `width * frontier + slots_used` never falls behind the number
 /// of instructions issued. Hence, for any instruction stream,
 /// `drain().cycles >= ceil(insts.total() / scalar_issue_width) - 1`
-/// ([`InstCounters::issue_cycles_lower_bound`]). A counting core
-/// ([`VCore::new_counting`]) produces the same counters without timing the
-/// stream, which makes that bound cheap to get.
+/// ([`InstCounters::issue_cycles_lower_bound`]). An untimed core
+/// ([`VCore::new_untimed`], [`VCore::new_counting`]) produces the same
+/// counters without timing the stream, which makes that bound cheap to get.
 #[derive(Debug)]
 pub struct VCore {
     arch: ArchParams,
@@ -301,7 +319,7 @@ pub struct VCore {
     // --- frontend state ---
     frontier: u64,
     slots_used: usize,
-    // --- vector pipe state ---
+    // --- vector pipe state (empty on an untimed core) ---
     vreg_ready: Vec<u64>,
     ports: Vec<u64>,
     vpipe_last_start: u64,
@@ -316,11 +334,10 @@ pub struct VCore {
     /// (grown once, then recycled via `mem::take` on every call).
     line_scratch: Vec<u64>,
     // --- accounting ---
-    /// Introspection mode: count (and, with a trace, record) the instruction
-    /// stream but skip all cache-hierarchy and scoreboard work. Used by the
-    /// `lsv-analyze` symbolic lift, which needs the stream, not the timing,
-    /// and by the tuner's instruction-count bound.
-    introspect: bool,
+    /// Whether the core times the stream: walks the cache hierarchy and
+    /// the scoreboard. An untimed core only counts, traces and (when
+    /// functional) computes.
+    timed: bool,
     trace: Option<Vec<TraceEvent>>,
     profiler: Option<Box<Profiler>>,
     counters: InstCounters,
@@ -334,7 +351,7 @@ impl VCore {
     /// Build a core for `arch` with a private, full-capacity LLC (see
     /// [`Hierarchy::for_core`]).
     pub fn new(arch: &ArchParams, mode: ExecutionMode) -> Self {
-        Self::with_hierarchy(arch, mode, Hierarchy::for_core(arch))
+        Self::with_hierarchy(arch, mode, Hierarchy::for_core(arch), true)
     }
 
     /// Build a core whose LLC is a shared instance (the detailed multi-core
@@ -344,22 +361,28 @@ impl VCore {
         mode: ExecutionMode,
         llc: lsv_cache::SharedLlc,
     ) -> Self {
-        Self::with_hierarchy(arch, mode, Hierarchy::for_core_with_llc(arch, llc))
+        Self::with_hierarchy(arch, mode, Hierarchy::for_core_with_llc(arch, llc), true)
     }
 
-    fn with_hierarchy(arch: &ArchParams, mode: ExecutionMode, hier: Hierarchy) -> Self {
+    fn with_hierarchy(
+        arch: &ArchParams,
+        mode: ExecutionMode,
+        hier: Hierarchy,
+        timed: bool,
+    ) -> Self {
         let n_vlen = arch.n_vlen();
         let vregs = match mode {
             ExecutionMode::Functional => vec![0.0; n_vlen * arch.n_vregs],
             ExecutionMode::TimingOnly => Vec::new(),
         };
+        let scoreboard = |n: usize| if timed { vec![0; n] } else { Vec::new() };
         Self {
             hier,
-            introspect: false,
+            timed,
             trace: None,
             profiler: None,
-            vreg_ready: vec![0; arch.n_vregs],
-            ports: vec![0; arch.n_fma],
+            vreg_ready: scoreboard(arch.n_vregs),
+            ports: scoreboard(arch.n_fma),
             vpipe_last_start: 0,
             vlen: n_vlen,
             vregs,
@@ -376,46 +399,50 @@ impl VCore {
         }
     }
 
-    /// Build a core that only *records* the instruction stream: every
-    /// instruction is traced with its operands, footprint, and arena region,
-    /// but the cache hierarchy, scoreboard, and functional register file are
-    /// never touched. This is the stream-introspection hook the `lsv-analyze`
-    /// symbolic lift runs kernels through — orders of magnitude cheaper than
-    /// a simulated replay, and deliberately permissive: illegal register
-    /// indices or vector lengths are recorded (so the analyzer can *deny*
-    /// them) instead of asserting.
-    pub fn new_introspect(arch: &ArchParams) -> Self {
-        let mut core = Self::new_counting(arch);
-        core.trace = Some(Vec::new());
-        core
-    }
-
-    /// Build a core that only *counts* the instruction stream: an
-    /// introspection core that keeps no trace. Every instruction method
-    /// bumps [`InstCounters`] before the introspection early return, so the
-    /// counters equal those of a timing core fed the same stream, while the
-    /// cache hierarchy, scoreboard and register file are never touched and
-    /// [`VCore::scalar_ops`] and [`VCore::fma_bcast_group`] add their counts
-    /// in O(1). `drain().cycles` stays 0;
-    /// the counters bound a timing core's cycles through the issue-slot
-    /// invariant.
-    pub fn new_counting(arch: &ArchParams) -> Self {
+    /// Build a core that counts and, in [`ExecutionMode::Functional`],
+    /// computes the instruction stream without timing it: no cache
+    /// hierarchy walk, no scoreboard. Its registers, arena contents and
+    /// [`InstCounters`] equal those of [`VCore::new`] in the same mode fed
+    /// the same stream; `drain().cycles` and every cache counter stay 0.
+    /// Validation runs here, as benchdnn's correctness mode runs a kernel
+    /// without timing it.
+    pub fn new_untimed(arch: &ArchParams, mode: ExecutionMode) -> Self {
         // The hierarchy is never accessed: one line per level stands in for
         // caches that would cost megabytes to build.
         let mut stub = arch.clone();
         for level in [&mut stub.l1d, &mut stub.l2, &mut stub.llc] {
             *level = CacheGeometry::new(level.line, level.line, 1);
         }
-        let mut core =
-            Self::with_hierarchy(arch, ExecutionMode::TimingOnly, Hierarchy::for_core(&stub));
-        core.introspect = true;
+        Self::with_hierarchy(arch, mode, Hierarchy::for_core(&stub), false)
+    }
+
+    /// Build a core that only *counts* the instruction stream: the untimed,
+    /// data-free core. Its counters equal those of a timing core fed the
+    /// same stream, and [`VCore::scalar_ops`] and
+    /// [`VCore::fma_bcast_group`] add their counts in O(1). The counters
+    /// bound a timing core's cycles through the issue-slot invariant.
+    pub fn new_counting(arch: &ArchParams) -> Self {
+        Self::new_untimed(arch, ExecutionMode::TimingOnly)
+    }
+
+    /// Build a core that only *records* the instruction stream: a counting
+    /// core with a trace. Every instruction is traced with its operands,
+    /// footprint, and arena region. This is the stream-introspection hook
+    /// the `lsv-analyze` symbolic lift runs kernels through — orders of
+    /// magnitude cheaper than a simulated replay, and deliberately
+    /// permissive: illegal register indices or vector lengths are recorded
+    /// (so the analyzer can *deny* them) instead of asserting.
+    pub fn new_introspect(arch: &ArchParams) -> Self {
+        let mut core = Self::new_counting(arch);
+        core.trace = Some(Vec::new());
         core
     }
 
-    /// Whether this core was built with [`VCore::new_introspect`] or
-    /// [`VCore::new_counting`].
-    pub fn is_introspect(&self) -> bool {
-        self.introspect
+    /// Whether this core times the stream ([`VCore::new`],
+    /// [`VCore::new_with_shared_llc`]) rather than only counting and
+    /// computing it ([`VCore::new_untimed`] and the cores built on it).
+    pub fn is_timed(&self) -> bool {
+        self.timed
     }
 
     /// Take ownership of the recorded trace, leaving tracing enabled with an
@@ -558,10 +585,9 @@ impl VCore {
     pub fn scalar_op(&mut self) {
         self.counters.scalar_ops += 1;
         self.record(TraceEvent::ScalarOp);
-        if self.introspect {
-            return;
+        if self.timed {
+            self.issue_slot();
         }
-        self.issue_slot();
     }
 
     /// `n` scalar ALU instructions (loop bookkeeping). Equivalent to `n`
@@ -572,22 +598,19 @@ impl VCore {
         if n == 0 {
             return;
         }
-        if self.trace.is_some() || self.introspect {
-            if self.trace.is_none() {
-                // A counting core: nothing to record, nothing to time.
-                self.counters.scalar_ops += n as u64;
-                return;
-            }
+        if self.trace.is_some() {
             for _ in 0..n {
                 self.scalar_op();
             }
             return;
         }
         self.counters.scalar_ops += n as u64;
-        let w = self.arch.scalar_issue_width;
-        let total = self.slots_used + n - 1;
-        self.frontier += (total / w) as u64;
-        self.slots_used = total % w + 1;
+        if self.timed {
+            let w = self.arch.scalar_issue_width;
+            let total = self.slots_used + n - 1;
+            self.frontier += (total / w) as u64;
+            self.slots_used = total % w + 1;
+        }
     }
 
     /// A scalar load through L1 → L2 → LLC → memory.
@@ -596,22 +619,17 @@ impl VCore {
         self.counters.scalar_loads += 1;
         let region = self.trace_region(arena, addr);
         self.record(TraceEvent::ScalarLoad { addr, region });
-        if self.introspect {
-            return ScalarValue {
-                value: 0.0,
-                ready: 0,
-            };
-        }
-        let t = self.issue_slot();
-        let out = self.hier.access_line(addr, false);
+        let ready = if self.timed {
+            let t = self.issue_slot();
+            t + self.hier.access_line(addr, false).latency
+        } else {
+            0
+        };
         let value = match self.mode {
             ExecutionMode::Functional => arena.read(addr),
             ExecutionMode::TimingOnly => 0.0,
         };
-        ScalarValue {
-            value,
-            ready: t + out.latency,
-        }
+        ScalarValue { value, ready }
     }
 
     /// A scalar store through the data-cache hierarchy.
@@ -620,11 +638,10 @@ impl VCore {
         self.counters.scalar_ops += 1;
         let region = self.trace_region(arena, addr);
         self.record(TraceEvent::ScalarStore { addr, region });
-        if self.introspect {
-            return;
+        if self.timed {
+            self.issue_slot();
+            self.hier.access_line(addr, true);
         }
-        self.issue_slot();
-        self.hier.access_line(addr, true);
         if matches!(self.mode, ExecutionMode::Functional) {
             arena.write(addr, value);
         }
@@ -693,7 +710,7 @@ impl VCore {
     }
 
     fn assert_vr(&self, vr: usize, vl: usize) {
-        if self.introspect {
+        if !self.timed && !self.mode.is_functional() {
             // Introspection deliberately records illegal operands so the
             // symbolic analyzer can deny them (VL-EXCEEDS, REG-PRESSURE)
             // instead of the simulator asserting.
@@ -719,15 +736,14 @@ impl VCore {
             region,
             vl,
         });
-        if self.introspect {
-            return;
+        if self.timed {
+            let dispatch = self.issue_slot();
+            let (worst, mem_lines) = self.touch_llc_range(addr, (vl * 4) as u64, false);
+            let (start, _) = self.vpipe_start(dispatch, 0, false);
+            let occ = self.arch.vector_occupancy(vl);
+            let bw = self.charge_mem_bw(start, mem_lines);
+            self.vreg_ready[vr] = start + worst + occ + bw;
         }
-        let dispatch = self.issue_slot();
-        let (worst, mem_lines) = self.touch_llc_range(addr, (vl * 4) as u64, false);
-        let (start, _) = self.vpipe_start(dispatch, 0, false);
-        let occ = self.arch.vector_occupancy(vl);
-        let bw = self.charge_mem_bw(start, mem_lines);
-        self.vreg_ready[vr] = start + worst + occ + bw;
         if matches!(self.mode, ExecutionMode::Functional) {
             let src = arena.slice(addr, vl);
             self.reg_mut(vr, vl).copy_from_slice(src);
@@ -746,14 +762,13 @@ impl VCore {
             region,
             vl,
         });
-        if self.introspect {
-            return;
+        if self.timed {
+            let dispatch = self.issue_slot();
+            let (_worst, mem_lines) = self.touch_llc_range(addr, (vl * 4) as u64, true);
+            let srcs = self.vreg_ready[vr];
+            let (start, _) = self.vpipe_start(dispatch, srcs, false);
+            self.charge_mem_bw(start, mem_lines);
         }
-        let dispatch = self.issue_slot();
-        let (_worst, mem_lines) = self.touch_llc_range(addr, (vl * 4) as u64, true);
-        let srcs = self.vreg_ready[vr];
-        let (start, _) = self.vpipe_start(dispatch, srcs, false);
-        self.charge_mem_bw(start, mem_lines);
         if matches!(self.mode, ExecutionMode::Functional) {
             // `vregs` and the arena are distinct objects: the register file
             // is borrowed in place, no staging copy.
@@ -785,22 +800,21 @@ impl VCore {
             region,
             vl,
         });
-        if self.introspect {
-            return;
+        if self.timed {
+            let dispatch = self.issue_slot();
+            let mut worst = 0u64;
+            let mut mem_lines = 0u64;
+            for r in 0..rows {
+                let base = addr + r as u64 * row_stride_bytes;
+                let (w, m) = self.touch_llc_range(base, (row_elems * 4) as u64, false);
+                worst = worst.max(w);
+                mem_lines += m;
+            }
+            let (start, _) = self.vpipe_start(dispatch, 0, false);
+            let occ = self.arch.vector_occupancy(vl);
+            let bw = self.charge_mem_bw(start, mem_lines);
+            self.vreg_ready[vr] = start + worst + occ + bw;
         }
-        let dispatch = self.issue_slot();
-        let mut worst = 0u64;
-        let mut mem_lines = 0u64;
-        for r in 0..rows {
-            let base = addr + r as u64 * row_stride_bytes;
-            let (w, m) = self.touch_llc_range(base, (row_elems * 4) as u64, false);
-            worst = worst.max(w);
-            mem_lines += m;
-        }
-        let (start, _) = self.vpipe_start(dispatch, 0, false);
-        let occ = self.arch.vector_occupancy(vl);
-        let bw = self.charge_mem_bw(start, mem_lines);
-        self.vreg_ready[vr] = start + worst + occ + bw;
         if matches!(self.mode, ExecutionMode::Functional) {
             let dst = self.reg_mut(vr, vl);
             for r in 0..rows {
@@ -832,19 +846,18 @@ impl VCore {
             region,
             vl,
         });
-        if self.introspect {
-            return;
+        if self.timed {
+            let dispatch = self.issue_slot();
+            let mut mem_lines = 0u64;
+            for r in 0..rows {
+                let base = addr + r as u64 * row_stride_bytes;
+                let (_w, m) = self.touch_llc_range(base, (row_elems * 4) as u64, true);
+                mem_lines += m;
+            }
+            let srcs = self.vreg_ready[vr];
+            let (start, _) = self.vpipe_start(dispatch, srcs, false);
+            self.charge_mem_bw(start, mem_lines);
         }
-        let dispatch = self.issue_slot();
-        let mut mem_lines = 0u64;
-        for r in 0..rows {
-            let base = addr + r as u64 * row_stride_bytes;
-            let (_w, m) = self.touch_llc_range(base, (row_elems * 4) as u64, true);
-            mem_lines += m;
-        }
-        let srcs = self.vreg_ready[vr];
-        let (start, _) = self.vpipe_start(dispatch, srcs, false);
-        self.charge_mem_bw(start, mem_lines);
         if matches!(self.mode, ExecutionMode::Functional) {
             let src = &self.vregs[vr * self.vlen..vr * self.vlen + vl];
             for r in 0..rows {
@@ -876,20 +889,19 @@ impl VCore {
             region,
             vl: count,
         });
-        if self.introspect {
-            return;
+        if self.timed {
+            let dispatch = self.issue_slot();
+            let (worst, mem_lines) = self
+                .hier
+                .access_strided_llc(addr, stride_bytes, count, false);
+            let (start, _) = self.vpipe_start(dispatch, 0, false);
+            let occ = self.arch.vector_occupancy(count);
+            let bw = self.charge_mem_bw(start, mem_lines);
+            // Strided accesses cannot use the full line bandwidth: charge the
+            // stride expansion on the transfer.
+            let expansion = (stride_bytes / 4).clamp(1, 4);
+            self.vreg_ready[vr] = start + worst + occ * expansion + bw;
         }
-        let dispatch = self.issue_slot();
-        let (worst, mem_lines) = self
-            .hier
-            .access_strided_llc(addr, stride_bytes, count, false);
-        let (start, _) = self.vpipe_start(dispatch, 0, false);
-        let occ = self.arch.vector_occupancy(count);
-        let bw = self.charge_mem_bw(start, mem_lines);
-        // Strided accesses cannot use the full line bandwidth: charge the
-        // stride expansion on the transfer.
-        let expansion = (stride_bytes / 4).clamp(1, 4);
-        self.vreg_ready[vr] = start + worst + occ * expansion + bw;
         if matches!(self.mode, ExecutionMode::Functional) {
             let dst = &mut self.vregs[vr * self.vlen..vr * self.vlen + count];
             for (i, d) in dst.iter_mut().enumerate() {
@@ -917,16 +929,15 @@ impl VCore {
             region,
             vl: count,
         });
-        if self.introspect {
-            return;
+        if self.timed {
+            let dispatch = self.issue_slot();
+            let (_worst, mem_lines) = self
+                .hier
+                .access_strided_llc(addr, stride_bytes, count, true);
+            let srcs = self.vreg_ready[vr];
+            let (start, _) = self.vpipe_start(dispatch, srcs, false);
+            self.charge_mem_bw(start, mem_lines);
         }
-        let dispatch = self.issue_slot();
-        let (_worst, mem_lines) = self
-            .hier
-            .access_strided_llc(addr, stride_bytes, count, true);
-        let srcs = self.vreg_ready[vr];
-        let (start, _) = self.vpipe_start(dispatch, srcs, false);
-        self.charge_mem_bw(start, mem_lines);
         if matches!(self.mode, ExecutionMode::Functional) {
             let src = &self.vregs[vr * self.vlen..vr * self.vlen + count];
             for (i, &v) in src.iter().enumerate() {
@@ -940,12 +951,11 @@ impl VCore {
         self.assert_vr(vr, vl);
         self.counters.scalar_ops += 1; // modelled as a cheap vector-mask op
         self.record(TraceEvent::VZero { vr, vl });
-        if self.introspect {
-            return;
+        if self.timed {
+            let dispatch = self.issue_slot();
+            let (start, _) = self.vpipe_start(dispatch, 0, false);
+            self.vreg_ready[vr] = start + 1;
         }
-        let dispatch = self.issue_slot();
-        let (start, _) = self.vpipe_start(dispatch, 0, false);
-        self.vreg_ready[vr] = start + 1;
         if matches!(self.mode, ExecutionMode::Functional) {
             self.reg_mut(vr, vl).fill(0.0);
         }
@@ -968,20 +978,19 @@ impl VCore {
             w2: None,
             vl,
         });
-        if self.introspect {
-            return;
+        if self.timed {
+            let mut dispatch = self.issue_slot();
+            let blocking = scalar.ready.saturating_sub(self.arch.scalar_forward_window);
+            if blocking > dispatch {
+                self.block_frontend(blocking, true);
+                dispatch = self.frontier;
+            }
+            let srcs = self.vreg_ready[acc].max(self.vreg_ready[w]);
+            let (start, port) = self.vpipe_start(dispatch, srcs, true);
+            let occ = self.arch.vector_occupancy(vl);
+            self.ports[port] = start + occ;
+            self.vreg_ready[acc] = start + occ + self.arch.l_fma as u64;
         }
-        let mut dispatch = self.issue_slot();
-        let blocking = scalar.ready.saturating_sub(self.arch.scalar_forward_window);
-        if blocking > dispatch {
-            self.block_frontend(blocking, true);
-            dispatch = self.frontier;
-        }
-        let srcs = self.vreg_ready[acc].max(self.vreg_ready[w]);
-        let (start, port) = self.vpipe_start(dispatch, srcs, true);
-        let occ = self.arch.vector_occupancy(vl);
-        self.ports[port] = start + occ;
-        self.vreg_ready[acc] = start + occ + self.arch.l_fma as u64;
         if matches!(self.mode, ExecutionMode::Functional) {
             let s = scalar.value;
             // Split borrows: `acc` and `w` are distinct registers.
@@ -1005,7 +1014,7 @@ impl VCore {
     /// pointer update, a scalar load from `base + off` and a
     /// [`VCore::vfma_bcast`] of that scalar into `acc`.
     ///
-    /// Timing, functional and tracing cores issue exactly those
+    /// Timed, functional and tracing cores issue exactly those
     /// [`VCore::scalar_op`], [`VCore::scalar_load`] and
     /// [`VCore::vfma_bcast`] calls, so the group has no timing model of its
     /// own. A counting core adds the group's counters in O(1), as
@@ -1018,7 +1027,7 @@ impl VCore {
         base: u64,
         group: &[(usize, u64)],
     ) {
-        if self.introspect && self.trace.is_none() {
+        if !self.timed && !self.mode.is_functional() && self.trace.is_none() {
             let n = group.len() as u64;
             self.counters.scalar_ops += n;
             self.counters.scalar_loads += n;
@@ -1048,17 +1057,16 @@ impl VCore {
             w2: Some(y),
             vl,
         });
-        if self.introspect {
-            return;
+        if self.timed {
+            let dispatch = self.issue_slot();
+            let srcs = self.vreg_ready[acc]
+                .max(self.vreg_ready[x])
+                .max(self.vreg_ready[y]);
+            let (start, port) = self.vpipe_start(dispatch, srcs, true);
+            let occ = self.arch.vector_occupancy(vl);
+            self.ports[port] = start + occ;
+            self.vreg_ready[acc] = start + occ + self.arch.l_fma as u64;
         }
-        let dispatch = self.issue_slot();
-        let srcs = self.vreg_ready[acc]
-            .max(self.vreg_ready[x])
-            .max(self.vreg_ready[y]);
-        let (start, port) = self.vpipe_start(dispatch, srcs, true);
-        let occ = self.arch.vector_occupancy(vl);
-        self.ports[port] = start + occ;
-        self.vreg_ready[acc] = start + occ + self.arch.l_fma as u64;
         if matches!(self.mode, ExecutionMode::Functional) {
             // Disjoint borrows around the accumulator's block: the sources may
             // alias each other (`x == y` squares a register) but never the
@@ -1090,19 +1098,17 @@ impl VCore {
         self.assert_vr(vr, vl);
         self.counters.vfmas += 1;
         self.record(TraceEvent::VReduce { vr, vl });
-        if self.introspect {
-            return ScalarValue {
-                value: 0.0,
-                ready: 0,
-            };
-        }
-        let dispatch = self.issue_slot();
-        let srcs = self.vreg_ready[vr];
-        let (start, port) = self.vpipe_start(dispatch, srcs, true);
-        let occ = self.arch.vector_occupancy(vl);
-        self.ports[port] = start + occ;
-        let tail = (usize::BITS - (vl.max(2) - 1).leading_zeros()) as u64;
-        let ready = start + occ + self.arch.l_fma as u64 + tail;
+        let ready = if self.timed {
+            let dispatch = self.issue_slot();
+            let srcs = self.vreg_ready[vr];
+            let (start, port) = self.vpipe_start(dispatch, srcs, true);
+            let occ = self.arch.vector_occupancy(vl);
+            self.ports[port] = start + occ;
+            let tail = (usize::BITS - (vl.max(2) - 1).leading_zeros()) as u64;
+            start + occ + self.arch.l_fma as u64 + tail
+        } else {
+            0
+        };
         let value = match self.mode {
             ExecutionMode::Functional => self.reg(vr, vl).iter().sum(),
             ExecutionMode::TimingOnly => 0.0,
@@ -1130,32 +1136,35 @@ impl VCore {
                 vl,
             });
         }
-        if self.introspect {
-            return;
+        if self.timed {
+            let dispatch = self.issue_slot();
+            let line = self.hier.line_bytes() as u64;
+            let mut line_addrs = std::mem::take(&mut self.line_scratch);
+            line_addrs.clear();
+            let (worst, mem_lines) = self.hier.access_blocks_llc(
+                blocks,
+                (block_elems * 4) as u64,
+                false,
+                &mut line_addrs,
+            );
+            let serial = banks::gather_service_cycles(
+                line_addrs.iter().copied(),
+                line as usize,
+                &self.arch.llc_banking,
+            );
+            self.line_scratch = line_addrs;
+            let parallel_floor = self.arch.llc_banking.service_cycles;
+            let extra = serial.saturating_sub(parallel_floor);
+            self.bank_serial_cycles += extra;
+            let (start, _) = self.vpipe_start(dispatch, 0, false);
+            let occ = self.arch.vector_occupancy(vl);
+            let bw = self.charge_mem_bw(start, mem_lines);
+            // Serialized bank service occupies the LLC pipe: later vector
+            // memory instructions queue behind it (throughput cost, not just
+            // latency).
+            self.vpipe_last_start = self.vpipe_last_start.max(start + extra);
+            self.vreg_ready[vr] = start + worst + occ + extra + bw;
         }
-        let dispatch = self.issue_slot();
-        let line = self.hier.line_bytes() as u64;
-        let mut line_addrs = std::mem::take(&mut self.line_scratch);
-        line_addrs.clear();
-        let (worst, mem_lines) =
-            self.hier
-                .access_blocks_llc(blocks, (block_elems * 4) as u64, false, &mut line_addrs);
-        let serial = banks::gather_service_cycles(
-            line_addrs.iter().copied(),
-            line as usize,
-            &self.arch.llc_banking,
-        );
-        self.line_scratch = line_addrs;
-        let parallel_floor = self.arch.llc_banking.service_cycles;
-        let extra = serial.saturating_sub(parallel_floor);
-        self.bank_serial_cycles += extra;
-        let (start, _) = self.vpipe_start(dispatch, 0, false);
-        let occ = self.arch.vector_occupancy(vl);
-        let bw = self.charge_mem_bw(start, mem_lines);
-        // Serialized bank service occupies the LLC pipe: later vector memory
-        // instructions queue behind it (throughput cost, not just latency).
-        self.vpipe_last_start = self.vpipe_last_start.max(start + extra);
-        self.vreg_ready[vr] = start + worst + occ + extra + bw;
         if matches!(self.mode, ExecutionMode::Functional) {
             let dst = self.reg_mut(vr, vl);
             for (i, &b) in blocks.iter().enumerate() {
@@ -1188,29 +1197,31 @@ impl VCore {
                 vl,
             });
         }
-        if self.introspect {
-            return;
+        if self.timed {
+            let dispatch = self.issue_slot();
+            let line = self.hier.line_bytes() as u64;
+            let mut line_addrs = std::mem::take(&mut self.line_scratch);
+            line_addrs.clear();
+            let (_worst, mem_lines) = self.hier.access_blocks_llc(
+                blocks,
+                (block_elems * 4) as u64,
+                true,
+                &mut line_addrs,
+            );
+            let serial = banks::gather_service_cycles(
+                line_addrs.iter().copied(),
+                line as usize,
+                &self.arch.llc_banking,
+            );
+            self.line_scratch = line_addrs;
+            let extra = serial.saturating_sub(self.arch.llc_banking.service_cycles);
+            self.bank_serial_cycles += extra;
+            let srcs = self.vreg_ready[vr];
+            let (start, _) = self.vpipe_start(dispatch, srcs, false);
+            // The scatter holds the vector pipe for the serialized portion.
+            self.vpipe_last_start = start + extra;
+            self.charge_mem_bw(start, mem_lines);
         }
-        let dispatch = self.issue_slot();
-        let line = self.hier.line_bytes() as u64;
-        let mut line_addrs = std::mem::take(&mut self.line_scratch);
-        line_addrs.clear();
-        let (_worst, mem_lines) =
-            self.hier
-                .access_blocks_llc(blocks, (block_elems * 4) as u64, true, &mut line_addrs);
-        let serial = banks::gather_service_cycles(
-            line_addrs.iter().copied(),
-            line as usize,
-            &self.arch.llc_banking,
-        );
-        self.line_scratch = line_addrs;
-        let extra = serial.saturating_sub(self.arch.llc_banking.service_cycles);
-        self.bank_serial_cycles += extra;
-        let srcs = self.vreg_ready[vr];
-        let (start, _) = self.vpipe_start(dispatch, srcs, false);
-        // The scatter holds the vector pipe for the serialized portion.
-        self.vpipe_last_start = start + extra;
-        self.charge_mem_bw(start, mem_lines);
         if matches!(self.mode, ExecutionMode::Functional) {
             let src = &self.vregs[vr * self.vlen..vr * self.vlen + vl];
             for (i, &b) in blocks.iter().enumerate() {
@@ -1652,7 +1663,7 @@ mod tests {
         let mut intro = VCore::new_introspect(&arch);
         run(&mut intro, &mut a);
         assert_eq!(intro.trace().unwrap(), timed.trace().unwrap());
-        assert!(intro.is_introspect());
+        assert!(!intro.is_timed());
         let stream = intro.take_trace().unwrap();
         assert_eq!(stream.len(), timed.trace().unwrap().len());
         assert_eq!(

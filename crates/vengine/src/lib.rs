@@ -19,7 +19,8 @@
 //! **timed** (an issue-order scoreboard models decode bandwidth, FMA port
 //! occupancy and latency, cache hit/miss latencies and LLC gather bank
 //! serialization). [`ExecutionMode::TimingOnly`] skips the arithmetic for
-//! large benchmark sweeps.
+//! large benchmark sweeps; an untimed core ([`VCore::new_untimed`]) skips
+//! the timing for correctness checks (see [`core`] for the core kinds).
 //!
 //! ## Timing model (summary — see DESIGN.md for the calibration rationale)
 //!

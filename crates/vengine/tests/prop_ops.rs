@@ -1,20 +1,29 @@
 //! Property tests for the vector engine's functional semantics: memory ops
 //! round-trip for arbitrary geometries, FMA arithmetic matches scalar math,
 //! the grouped broadcast-FMA triple equals its per-instruction sequence on
-//! every core kind, and timing invariants (cycles monotone in work, the
-//! issue-slot bound).
+//! every core kind, an untimed functional core computes what a timed one
+//! does, and timing invariants (cycles monotone in work, the issue-slot
+//! bound).
 
 use lsv_arch::presets::{skylake_avx512, sx_aurora};
 use lsv_arch::ArchParams;
-use lsv_vengine::{Arena, ExecutionMode, ScalarValue, VCore};
+use lsv_vengine::{Arena, CoreStats, ExecutionMode, ScalarValue, VCore};
 use proptest::prelude::*;
 
 /// Feed `core` one instruction per `(op, a, b)`, with operands folded into
 /// `arch`'s register file and vector length. Scalar loads hand their value
 /// to the next broadcast FMA, which blocks the frontend until it is ready.
+/// A functional core's arena starts with deterministic non-zero data.
 fn run_stream(core: &mut VCore, arena: &mut Arena, arch: &ArchParams, ops: &[(u8, usize, usize)]) {
     let (n_vregs, n_vlen) = (arch.n_vregs, arch.n_vlen());
-    let base = arena.alloc(64 * 1024);
+    let elems = 80 * 1024;
+    let base = arena.alloc(elems);
+    if core.mode().is_functional() {
+        let data: Vec<f32> = (0..elems)
+            .map(|i| (i * 37 % 101) as f32 * 0.01 - 0.5)
+            .collect();
+        arena.store_slice(base, &data);
+    }
     let mut pending = ScalarValue::constant(1.0);
     for &(op, a, b) in ops {
         let vr = a % n_vregs;
@@ -41,9 +50,58 @@ fn run_stream(core: &mut VCore, arena: &mut Arena, arch: &ArchParams, ops: &[(u8
             }
             8 => core.vbroadcast_zero(vr, vl),
             9 => core.vfma_vv(vr, other, other, vl),
-            _ => pending = core.vreduce_sum(vr, vl),
+            10 => pending = core.vreduce_sum(vr, vl),
+            11 | 12 => {
+                let rows = 1 + a % 4;
+                let row_elems = 1 + b % (n_vlen / rows).max(1);
+                let stride = (row_elems * 4 + a % 8 * 128) as u64;
+                if op == 11 {
+                    core.vload_rows(arena, vr, addr, row_elems, stride, rows);
+                } else {
+                    core.vstore_rows(arena, vr, addr, row_elems, stride, rows);
+                }
+            }
+            13 | 14 => {
+                let stride = (4 * (1 + a % 3)) as u64;
+                if op == 13 {
+                    core.vload_strided(arena, vr, addr, stride, vl);
+                } else {
+                    core.vstore_strided(arena, vr, addr, stride, vl);
+                }
+            }
+            15 => core.scalar_store(arena, addr, pending.value),
+            _ => {
+                let group: Vec<(usize, u64)> = (0..b % 6)
+                    .map(|j| {
+                        let acc = (vr + 1 + (a + 7 * j) % (n_vregs - 1)) % n_vregs;
+                        (acc, ((a * j * 13 + b) % 512 * 4) as u64)
+                    })
+                    .collect();
+                core.fma_bcast_group(arena, vr, vl, addr, &group);
+            }
         }
     }
+}
+
+/// Every register's bits (NaN-safe equality).
+fn reg_bits(core: &VCore, arch: &ArchParams) -> Vec<u32> {
+    (0..arch.n_vregs)
+        .flat_map(|vr| core.vreg(vr).iter().map(|v| v.to_bits()))
+        .collect()
+}
+
+/// Every allocated element's bits.
+fn arena_bits(arena: &Arena) -> Vec<u32> {
+    arena
+        .regions()
+        .iter()
+        .flat_map(|r| {
+            arena
+                .slice(r.base, (r.bytes / 4) as usize)
+                .iter()
+                .map(|v| v.to_bits())
+        })
+        .collect()
 }
 
 /// One group of broadcast FMAs: multiplicand selector, vector-length
@@ -51,8 +109,8 @@ fn run_stream(core: &mut VCore, arena: &mut Arena, arch: &ArchParams, ops: &[(u8
 type Group = (usize, usize, usize, Vec<(usize, u8, usize)>);
 
 /// Every kind of core a micro-kernel runs on, with its arena: timing-only,
-/// functional, functional with a trace, introspection (trace, no timing)
-/// and counting (neither).
+/// functional, functional with a trace, untimed functional, introspection
+/// (trace, no timing) and counting (neither).
 fn cores(arch: &ArchParams) -> Vec<(&'static str, VCore, Arena)> {
     use ExecutionMode::{Functional, TimingOnly};
     let mut traced = VCore::new(arch, Functional);
@@ -69,6 +127,11 @@ fn cores(arch: &ArchParams) -> Vec<(&'static str, VCore, Arena)> {
             Arena::for_mode(Functional),
         ),
         ("traced", traced, Arena::for_mode(Functional)),
+        (
+            "untimed",
+            VCore::new_untimed(arch, Functional),
+            Arena::for_mode(Functional),
+        ),
         (
             "introspect",
             VCore::new_introspect(arch),
@@ -98,7 +161,7 @@ fn run_groups(
     let way = arch.l1d.size / arch.l1d.ways;
     let elems = 9 * way / 4 + n_vlen;
     let base = arena.alloc(elems);
-    if core.mode().is_functional() && !core.is_introspect() {
+    if core.mode().is_functional() {
         let data: Vec<f32> = (0..elems)
             .map(|i| (i * 37 % 101) as f32 * 0.01 - 0.5)
             .collect();
@@ -162,7 +225,7 @@ proptest! {
                 run_groups(&mut grouped, &mut a1, &arch, &groups, true);
                 run_groups(&mut single, &mut a2, &arch, &groups, false);
                 prop_assert_eq!(grouped.trace(), single.trace(), "{} trace", kind);
-                if kind == "functional" || kind == "traced" {
+                if grouped.mode().is_functional() {
                     for vr in 0..arch.n_vregs {
                         prop_assert_eq!(grouped.vreg(vr), single.vreg(vr), "{} v{}", kind, vr);
                     }
@@ -172,6 +235,36 @@ proptest! {
                 counts.push(g.insts);
             }
             prop_assert!(counts.windows(2).all(|w| w[0] == w[1]), "counters differ by core kind");
+        }
+    }
+
+    // An untimed functional core computes what a timed one does: on random
+    // streams of every instruction kind (grouped triples, gathers and
+    // scatters, strided and 2-D accesses, reductions), with and without a
+    // trace, on a width-1 and a width-4 frontend, the registers, arena
+    // contents, trace and counters are equal, and the untimed core reports
+    // no cycle, stall or cache access.
+    #[test]
+    fn untimed_functional_core_computes_what_the_timed_core_does(
+        traced in 0usize..2,
+        ops in proptest::collection::vec((0u8..17, 0usize..4096, 0usize..4096), 1..300),
+    ) {
+        for arch in [sx_aurora(), skylake_avx512()] {
+            let mut timed = VCore::new(&arch, ExecutionMode::Functional);
+            let mut untimed = VCore::new_untimed(&arch, ExecutionMode::Functional);
+            if traced == 1 {
+                timed.enable_trace();
+                untimed.enable_trace();
+            }
+            let (mut a1, mut a2) = (Arena::new(), Arena::new());
+            run_stream(&mut timed, &mut a1, &arch, &ops);
+            run_stream(&mut untimed, &mut a2, &arch, &ops);
+            prop_assert!(!untimed.is_timed() && timed.is_timed());
+            prop_assert_eq!(reg_bits(&untimed, &arch), reg_bits(&timed, &arch), "registers");
+            prop_assert_eq!(arena_bits(&a2), arena_bits(&a1), "arena contents");
+            prop_assert_eq!(untimed.trace(), timed.trace());
+            let (t, u) = (timed.drain(), untimed.drain());
+            prop_assert_eq!(u, CoreStats { insts: t.insts, ..CoreStats::default() });
         }
     }
 
