@@ -18,11 +18,14 @@ echo "== lsvbench golden ledger (smoke: a few items of every workload)"
 # replay checksum.
 ./target/release/lsvbench --workload all --smoke
 
-echo "== lsvbench golden ledger (full: one pass of every sweep_cold and validate_functional item)"
+echo "== lsvbench golden ledger (full: one pass of every sweep_cold, tune_cold and validate_functional item)"
 # The smoke subset skips most layers: a one-cycle drift on a skipped layer
 # passes every test and artifact gate and only the full sweep_cold ledger
-# catches it. validate_functional pins every validated rel_err bit.
+# catches it. tune_cold runs every tuner candidate through the timed
+# grouped B_seq path (the smoke subset covers one group) and pins each
+# tuned result. validate_functional pins every validated rel_err bit.
 ./target/release/lsvbench --workload sweep_cold --seconds 1
+./target/release/lsvbench --workload tune_cold --seconds 1
 ./target/release/lsvbench --workload validate_functional --seconds 1
 
 echo "== cargo test"

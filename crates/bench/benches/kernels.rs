@@ -137,6 +137,39 @@ fn bench_scoreboard(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_fma_group_timed(c: &mut Criterion) {
+    // A timed core's grouped B_seq triples: 1000 groups of 16 broadcast
+    // FMAs whose scalars lie 4 lines apart. `fresh` moves the group one
+    // line on every time, so each round walks the hierarchy line by line;
+    // `repeated` moves it one channel (4 bytes) on inside the same lines,
+    // so every round after the first pure-hit one repeats its predecessor
+    // and the cache only counts its hits.
+    let arch = sx_aurora();
+    let group: Vec<(usize, u64)> = (0..16).map(|j| (j, j as u64 * 512)).collect();
+    let mut g = c.benchmark_group("substrate/fma_group_timed");
+    g.throughput(Throughput::Elements(16_000));
+    for (name, step) in [("fresh", 128u64), ("repeated", 4)] {
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                || {
+                    let mut arena = Arena::for_mode(ExecutionMode::TimingOnly);
+                    let base = arena.alloc(32 * 1024);
+                    (VCore::new(&arch, ExecutionMode::TimingOnly), arena, base)
+                },
+                |(mut core, arena, base)| {
+                    for i in 0..1000u64 {
+                        let at = base + (i % 32) * step;
+                        core.fma_bcast_group(&arena, 30, 512, at, &group);
+                    }
+                    std::hint::black_box(core.drain())
+                },
+                criterion::BatchSize::SmallInput,
+            )
+        });
+    }
+    g.finish();
+}
+
 fn bench_functional_kernels(c: &mut Criterion) {
     let arch = sx_aurora();
     let p = ConvProblem::new(1, 32, 32, 12, 12, 3, 3, 1, 1);
@@ -223,6 +256,7 @@ criterion_group!(
     bench_set_assoc,
     bench_shadow_lru,
     bench_scoreboard,
+    bench_fma_group_timed,
     bench_functional_kernels,
     bench_native_vs_naive,
     bench_layout_conversion,

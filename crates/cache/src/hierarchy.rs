@@ -4,6 +4,30 @@
 //! access walks down until it finds the line, allocating it in every level on
 //! the way back up, and reports the level that serviced the request together
 //! with its load-to-use latency.
+//!
+//! ## Load rounds
+//!
+//! [`Hierarchy::load_round`] serves a group of scalar loads (one
+//! micro-kernel `B_seq` group) as one call, with the latencies that
+//! [`Hierarchy::access_line`] would return one by one. When a round's line
+//! sequence equals the previous round's, that round was all L1 hits on
+//! lines not flagged prefetched, and no L1 access came between, the repeat
+//! is all L1 hits again and changes no state but the L1 hit count:
+//!
+//! * every line of the sequence is L1-resident (hits evict nothing and a
+//!   hit on an unflagged line triggers no prefetch fill), and so a
+//!   fully-associative shadow of the L1's capacity holds them as its most
+//!   recent entries;
+//! * after any run of hits, an LRU order is the touched lines by their
+//!   last touch, then the untouched ones in their old order. Replaying the
+//!   same sequence reproduces the L1 sets' order, the shadow's order and
+//!   the MRU shortcut exactly, and clears no prefetch flag (none is set);
+//! * reads leave the dirty bits alone, and L2 and the LLC are not reached.
+//!
+//! LLC-only traffic (vector loads and stores, gathers, scatters, warm-ups)
+//! between two rounds keeps the remembered round: it touches no L1 state.
+//! Any other [`Hierarchy::access_line`], a [`Hierarchy::flush`] or a
+//! [`Hierarchy::set_prefetch_degree`] drops it.
 
 use crate::set_assoc::SetAssocCache;
 use crate::stats::HierarchyStats;
@@ -64,6 +88,9 @@ pub struct Hierarchy {
     line: u64,
     /// Next-line prefetch degree of the scalar L1 (0 disables).
     prefetch_degree: u64,
+    /// The line sequence of the last [`Hierarchy::load_round`] while it is
+    /// repeatable (see the module docs); empty once dropped.
+    round: Vec<u64>,
 }
 
 impl Hierarchy {
@@ -83,12 +110,14 @@ impl Hierarchy {
             lat: arch.lat,
             line: arch.l1d.line as u64,
             prefetch_degree: 2,
+            round: Vec::new(),
         }
     }
 
     /// Disable or change the scalar L1 next-line prefetch degree (used by
     /// the prefetcher ablation bench).
     pub fn set_prefetch_degree(&mut self, degree: u64) {
+        self.round.clear();
         self.prefetch_degree = degree;
     }
 
@@ -96,6 +125,50 @@ impl Hierarchy {
     /// of dirty evictions between levels is tracked as writeback counts, not
     /// as extra latency — see DESIGN.md).
     pub fn access_line(&mut self, addr: u64, write: bool) -> AccessOutcome {
+        self.round.clear();
+        self.walk_line(addr, write).0
+    }
+
+    /// Scalar loads of `addrs`, in order: `latencies` receives each one's
+    /// latency, exactly as [`Hierarchy::access_line`] per address would
+    /// return it and with the same effect on every level. A repeat of the
+    /// previous round's line sequence costs O(1) per access in the cache
+    /// (see the module docs).
+    pub fn load_round<I>(&mut self, addrs: I, latencies: &mut Vec<u64>)
+    where
+        I: ExactSizeIterator<Item = u64> + Clone,
+    {
+        let mask = !(self.line - 1);
+        let n = addrs.len();
+        latencies.clear();
+        if n > 0
+            && n == self.round.len()
+            && addrs.clone().zip(&self.round).all(|(a, &l)| a & mask == l)
+        {
+            self.l1.count_hits(n as u64);
+            latencies.resize(n, self.lat.l1);
+            return;
+        }
+        let mut round = std::mem::take(&mut self.round);
+        round.clear();
+        round.extend(addrs.map(|a| a & mask));
+        let mut repeatable = true;
+        latencies.extend(round.iter().map(|&line| {
+            let (out, pure_hit) = self.walk_line(line, false);
+            repeatable &= pure_hit;
+            out.latency
+        }));
+        if !repeatable {
+            round.clear();
+        }
+        self.round = round;
+    }
+
+    /// One line through L1 → L2 → LLC → memory, and whether it was an L1
+    /// hit on a line not flagged prefetched (a hit that leaves every level
+    /// as it was but for the L1's LRU order and hit count).
+    #[inline]
+    fn walk_line(&mut self, addr: u64, write: bool) -> (AccessOutcome, bool) {
         let r1 = self.l1.access_line(addr, write);
         if r1.hit {
             if r1.first_hit_on_prefetch {
@@ -103,37 +176,31 @@ impl Hierarchy {
                 // sequential/short-stride stream.
                 self.issue_prefetches(addr);
             }
-            return AccessOutcome {
+            let out = AccessOutcome {
                 level: Level::L1,
                 latency: self.lat.l1,
                 l1_conflict: false,
             };
+            return (out, !r1.first_hit_on_prefetch);
         }
         let l1_conflict = r1.conflict;
         // Hardware next-line prefetch: a demand miss trains a fill of the
         // following line(s) into every level, silently (no demand stats).
         self.issue_prefetches(addr);
         let r2 = self.l2.access_line(addr, false);
-        if r2.hit {
-            return AccessOutcome {
-                level: Level::L2,
-                latency: self.lat.l2,
-                l1_conflict,
-            };
-        }
-        let r3 = self.llc.borrow_mut().access_line(addr, false);
-        if r3.hit {
-            return AccessOutcome {
-                level: Level::Llc,
-                latency: self.lat.llc,
-                l1_conflict,
-            };
-        }
-        AccessOutcome {
-            level: Level::Mem,
-            latency: self.lat.mem,
+        let level = if r2.hit {
+            Level::L2
+        } else if self.llc.borrow_mut().access_line(addr, false).hit {
+            Level::Llc
+        } else {
+            Level::Mem
+        };
+        let out = AccessOutcome {
+            level,
+            latency: self.latency_of(level),
             l1_conflict,
-        }
+        };
+        (out, false)
     }
 
     /// Fill the next `prefetch_degree` lines into every level, silently.
@@ -319,6 +386,7 @@ impl Hierarchy {
 
     /// Drop contents and statistics (cold start).
     pub fn flush(&mut self) {
+        self.round.clear();
         self.l1.flush();
         self.l2.flush();
         self.llc.borrow_mut().flush();

@@ -20,6 +20,13 @@
 //!   "conflict" misses from capacity misses.
 //! * [`Hierarchy`] — a three-level inclusive hierarchy returning the level
 //!   serviced and its load-to-use latency.
+//! * **Two fast paths, no changed outcome.** A [`SetAssocCache`] re-touch
+//!   of its most recently used line skips the set scan and the shadow (the
+//!   MRU shortcut). [`Hierarchy::load_round`] serves a group of scalar
+//!   loads in one call, and a round that repeats the previous round's line
+//!   sequence, which hit purely in L1, only counts its hits: the repeat
+//!   provably changes no residency, LRU order, prefetch flag or shadow
+//!   order (the invariant and what drops it are in [`hierarchy`]).
 //! * [`banks`] — the LLC line-interleaved banking model used to reproduce
 //!   the gather/scatter serialization behaviour of Section 8 (`bwdw` pass).
 

@@ -25,6 +25,10 @@
 //!   same statistics — the common case inside a register block, where a
 //!   kernel reads several consecutive scalars from one line.
 //!
+//! [`crate::Hierarchy::load_round`] adds a second fast path one level up: a
+//! round of scalar loads that repeats the previous round's pure-hit line
+//! sequence only counts its hits here.
+//!
 //! None of this changes a single simulated outcome: hit/miss/conflict
 //! classification, writebacks and LRU victims are bit-identical to the
 //! straightforward implementation (pinned by `tests/golden_cycles.rs` at the
@@ -421,6 +425,12 @@ impl SetAssocCache {
             writeback,
             first_hit_on_prefetch: false,
         }
+    }
+
+    /// Count `n` hits that change no other state: the repeat of a run of
+    /// pure hits (see [`crate::Hierarchy::load_round`]).
+    pub(crate) fn count_hits(&mut self, n: u64) {
+        self.stats.hits += n;
     }
 
     /// Insert a line without touching statistics (hardware prefetch fill).

@@ -306,3 +306,140 @@ proptest! {
         }
     }
 }
+
+/// One step between or as load rounds: the op selector, a scalar knob and
+/// up to a dozen addresses.
+type RoundStep = (u8, usize, Vec<u64>);
+
+/// A hierarchy whose L1 is one fully-associative set of four lines: every
+/// prefetch fill and every LRU move shows up in later hits and misses.
+fn cramped_arch() -> ArchParams {
+    let mut a = tiny_arch();
+    a.l1d = CacheGeometry::new(256, 64, 4);
+    a.l2 = CacheGeometry::new(1024, 64, 2);
+    a.llc = CacheGeometry::new(4096, 64, 4);
+    a
+}
+
+/// The addresses of a load round. Ops 0-1 draw fresh addresses (in-round
+/// duplicate lines are common in the small span); 2 repeats the previous
+/// round exactly; 3 repeats its lines at other byte offsets, the next
+/// channel of a line-blocked scalar stream; 4 shifts it by one line, onto
+/// lines a stream's prefetches filled; 5 walks `k % 6 + 1` consecutive
+/// lines from a fresh base, whose first pass trains the prefetcher.
+fn round_addrs(op: u8, k: usize, fresh: &[u64], prev: &[u64], line: u64) -> Vec<u64> {
+    match op {
+        0 | 1 => fresh.to_vec(),
+        2 => prev.to_vec(),
+        3 => prev
+            .iter()
+            .map(|&a| (a & !(line - 1)) + (a + 4 * k as u64 + 4) % line)
+            .collect(),
+        4 => prev.iter().map(|&a| a + line).collect(),
+        _ => {
+            let base = fresh.first().copied().unwrap_or(0) & !(line - 1);
+            (0..=(k % 6) as u64).map(|i| base + i * line).collect()
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // A load round is its per-line `access_line` sequence: equal per-access
+    // latencies and equal stats on every level after each step, for rounds
+    // that repeat (exactly, or line for line at other offsets), carry
+    // in-round duplicate lines or hit prefetched lines, with LLC-only
+    // walks, L1 scalar loads and stores, flushes and prefetch-degree
+    // changes between rounds, on an 8-set and a one-set L1. A trailing
+    // probe stream of loads, stores and rounds then sees equal outcomes, so
+    // the repeat fast path leaves no state behind.
+    #[test]
+    fn load_round_is_the_per_line_access_sequence(
+        cramped in 0u8..2,
+        steps in proptest::collection::vec(
+            (0u8..12, 0usize..64, proptest::collection::vec(0u64..6144, 0..12)),
+            1..60,
+        ),
+        probe in proptest::collection::vec((0u8..3, 0u64..8192), 1..80),
+    ) {
+        let arch = if cramped == 1 { cramped_arch() } else { tiny_arch() };
+        let line = arch.l1d.line as u64;
+        let mut fast = Hierarchy::for_core(&arch);
+        let mut slow = Hierarchy::for_core(&arch);
+        let mut prev: Vec<u64> = Vec::new();
+        let mut latencies = Vec::new();
+        let round = |fast: &mut Hierarchy, slow: &mut Hierarchy, addrs: &[u64], lat: &mut Vec<u64>| {
+            fast.load_round(addrs.iter().copied(), lat);
+            let want: Vec<u64> = addrs.iter().map(|&a| slow.access_line(a, false).latency).collect();
+            (lat.clone(), want)
+        };
+        let steps: &[RoundStep] = &steps;
+        for (step, (op, k, addrs)) in steps.iter().enumerate() {
+            let a0 = addrs.first().copied().unwrap_or(0);
+            match op {
+                0..=5 => {
+                    let addrs = round_addrs(*op, *k, addrs, &prev, line);
+                    let (got, want) = round(&mut fast, &mut slow, &addrs, &mut latencies);
+                    prop_assert_eq!(got, want, "step {} round {:?}", step, addrs);
+                    prev = addrs;
+                }
+                6 => {
+                    // LLC-only traffic: ranges, strided and block walks,
+                    // single lines and warm-ups.
+                    let bytes = (k * 37) as u64;
+                    prop_assert_eq!(
+                        fast.access_range_llc(a0, bytes, k % 2 == 1),
+                        slow.access_range_llc(a0, bytes, k % 2 == 1)
+                    );
+                    prop_assert_eq!(
+                        fast.access_strided_llc(a0, 4 + (k % 5) as u64 * 60, k % 9, false),
+                        slow.access_strided_llc(a0, 4 + (k % 5) as u64 * 60, k % 9, false)
+                    );
+                    let (mut lf, mut ls) = (Vec::new(), Vec::new());
+                    prop_assert_eq!(
+                        fast.access_blocks_llc(addrs, 48, k % 3 == 0, &mut lf),
+                        slow.access_blocks_llc(addrs, 48, k % 3 == 0, &mut ls)
+                    );
+                    prop_assert_eq!(lf, ls);
+                    prop_assert_eq!(fast.access_line_llc(a0, false), slow.access_line_llc(a0, false));
+                    fast.warm_llc_range(a0 + 2048, bytes);
+                    slow.warm_llc_range(a0 + 2048, bytes);
+                }
+                7 | 8 => {
+                    // L1 scalar loads (7) or stores (8), some on the
+                    // previous round's lines.
+                    for (i, &a) in addrs.iter().enumerate() {
+                        let a = if i % 2 == 0 { prev.get(i).copied().unwrap_or(a) } else { a };
+                        prop_assert_eq!(fast.access_line(a, *op == 8), slow.access_line(a, *op == 8));
+                    }
+                }
+                9 => {
+                    fast.flush();
+                    slow.flush();
+                }
+                _ => {
+                    fast.set_prefetch_degree((k % 4) as u64);
+                    slow.set_prefetch_degree((k % 4) as u64);
+                }
+            }
+            prop_assert_eq!(fast.stats(), slow.stats(), "step {} op {}", step, op);
+        }
+        for (i, &(op, a)) in probe.iter().enumerate() {
+            match op {
+                0 | 1 => prop_assert_eq!(
+                    fast.access_line(a, op == 1),
+                    slow.access_line(a, op == 1),
+                    "probe {} at {:#x}", i, a
+                ),
+                _ => {
+                    let addrs: Vec<u64> = prev.iter().map(|&p| p ^ (a & 64)).collect();
+                    let (got, want) = round(&mut fast, &mut slow, &addrs, &mut latencies);
+                    prop_assert_eq!(got, want, "probe round {}", i);
+                    prev = addrs;
+                }
+            }
+        }
+        prop_assert_eq!(fast.stats(), slow.stats());
+    }
+}

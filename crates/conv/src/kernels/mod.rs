@@ -17,9 +17,12 @@
 //! once per kernel tap (offsets per channel, a base per channel or point),
 //! never per instruction, and issue each group of `B_seq` triples — scalar
 //! pointer update, scalar load, broadcast FMA — through one
-//! [`lsv_vengine::VCore::fma_bcast_group`] call. A simulated core runs the
-//! group instruction by instruction; a counting core adds it up in O(1),
-//! which makes the tuner's instruction-count bound cheap.
+//! [`lsv_vengine::VCore::fma_bcast_group`] call. A timed core serves the
+//! group's loads as one cache round and times its triples in one loop
+//! (a round repeating the previous pure-hit round only counts its L1
+//! hits, the next channel of a line-blocked scalar stream being the common
+//! case); a counting core adds it up in O(1), which makes the tuner's
+//! instruction-count bound cheap.
 
 pub mod bwd_weights;
 pub mod data;

@@ -12,6 +12,8 @@ use crate::primitive::ConvDesc;
 use crate::problem::{Algorithm, ConvProblem, Direction};
 use lsv_arch::ArchParams;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Result of validating one (problem, direction, algorithm) triple.
 #[derive(Debug, Clone, Copy)]
@@ -69,8 +71,9 @@ pub fn validate_with_backend(
 /// Validate any kernel of (`problem`, `direction`): `run` computes the
 /// logical output from the logical `(src, wei, dst)` operands. Every kernel
 /// — the direct algorithms on either backend and the vednn baseline — sees
-/// the same operands, drawn from the problem alone, and is compared with
-/// the same memoized naive reference under the same per-element criterion
+/// the same operands, drawn from the problem alone (once per run of
+/// consecutive calls on one problem and thread), and is compared with the
+/// same memoized naive reference under the same per-element criterion
 /// ([`compare`]).
 pub fn validate_output(
     problem: &ConvProblem,
@@ -78,18 +81,10 @@ pub fn validate_output(
     run: impl FnOnce(&[f32], &[f32], &[f32]) -> Vec<f32>,
 ) -> ValidationReport {
     let p = *problem;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed ^ p.macs());
-    let src: Vec<f32> = (0..p.n * p.ic * p.ih * p.iw)
-        .map(|_| rng.gen_range(-1.0..1.0))
-        .collect();
-    let wei: Vec<f32> = (0..p.oc * p.ic * p.kh * p.kw)
-        .map(|_| rng.gen_range(-1.0..1.0))
-        .collect();
-    let dst: Vec<f32> = (0..p.n * p.oc * p.oh() * p.ow())
-        .map(|_| rng.gen_range(-1.0..1.0))
-        .collect();
+    let ops = Operands::of(&p);
+    let (src, wei, dst) = (&ops.src[..], &ops.wei[..], &ops.dst[..]);
 
-    let got = run(&src, &wei, &dst);
+    let got = run(src, wei, dst);
 
     // The reference is a pure function of (problem, direction): the operands
     // above are seeded from the problem alone. The validate sweep runs the
@@ -112,9 +107,53 @@ pub fn validate_output(
         direction.short_name()
     );
     let reference = crate::store::store().naive_ref(&ref_tag, || {
-        naive::reference(&p, direction, &src, &wei, &dst).0
+        naive::reference(&p, direction, src, wei, dst).0
     });
     compare(&got, &reference, naive::reduction_len(&p, direction))
+}
+
+/// The logical `(src, wei, dst)` operands every kernel of a problem is
+/// validated on, drawn from the problem alone.
+struct Operands {
+    src: Vec<f32>,
+    wei: Vec<f32>,
+    dst: Vec<f32>,
+}
+
+thread_local! {
+    /// The operands of the last problem this thread validated: a sweep
+    /// checks every direction and kernel of a problem back to back. One
+    /// entry only, so a thread never holds two problems' operands.
+    static OPERANDS: RefCell<Option<(ConvProblem, Rc<Operands>)>> = const { RefCell::new(None) };
+}
+
+impl Operands {
+    /// `p`'s operands, drawn once per run of consecutive validations of it.
+    fn of(p: &ConvProblem) -> Rc<Self> {
+        OPERANDS.with(|last| {
+            let mut last = last.borrow_mut();
+            if let Some((q, ops)) = last.as_ref() {
+                if q == p {
+                    return Rc::clone(ops);
+                }
+            }
+            // Free the previous problem's operands before drawing these.
+            *last = None;
+            let ops = Rc::new(Self::draw(p));
+            *last = Some((*p, Rc::clone(&ops)));
+            ops
+        })
+    }
+
+    fn draw(p: &ConvProblem) -> Self {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed ^ p.macs());
+        let mut uniform =
+            |len: usize| -> Vec<f32> { (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+        let src = uniform(p.n * p.ic * p.ih * p.iw);
+        let wei = uniform(p.oc * p.ic * p.kh * p.kw);
+        let dst = uniform(p.n * p.oc * p.oh() * p.ow());
+        Self { src, wei, dst }
+    }
 }
 
 /// Hold an output to its reference under the per-element criterion, with the

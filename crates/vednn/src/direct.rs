@@ -7,6 +7,10 @@
 //! (9 rows x 56 = 504 of 512 lanes) but only 49/512 lanes on the 7x7 layers
 //! — the efficiency cliff the paper's Figure 4 shows for vednn on layer ids
 //! 14-18.
+//!
+//! Each tap broadcasts `UNROLL_C` output channels' weights into their
+//! accumulators: one `B_seq` group from the tap's weight address, the
+//! channels a fixed stride apart.
 
 use crate::VednnTensors;
 use lsv_arch::ArchParams;
@@ -40,6 +44,13 @@ pub(crate) fn copy_chunked(
         core.vstore(arena, reg, to + (off * 4) as u64, c);
         off += c;
     }
+}
+
+/// The `(accumulator, offset)` list of a `B_seq` group whose `n`
+/// accumulators read scalars `stride` bytes apart: issued from one base
+/// address per tap through [`VCore::fma_bcast_group`].
+pub(crate) fn strided_group(n: usize, stride: u64) -> Vec<(usize, u64)> {
+    (0..n).map(|j| (j, j as u64 * stride)).collect()
 }
 
 /// Zero `len` contiguous elements using a pre-zeroed register.
@@ -87,8 +98,11 @@ fn pad_at(pad_buf: u64, h_pad: usize, w_pad: usize, c: usize, y: usize, x: usize
 
 /// The shared spatial kernel: output `(C_out, OH, OW)`, reduction over
 /// `(C_in, KH, KW)` taps of a padded input image, `UNROLL_C` output-channel
-/// accumulators. `wei_at(co, ci, kh, kw)` supplies the scalar weight address
-/// (the bwd-data caller rotates the kernel and swaps roles here).
+/// accumulators. `wei_tap(ci, kh, kw)` supplies output channel 0's scalar
+/// weight address at a tap, and output channel `co`'s lies `co *
+/// wei_co_stride` bytes after it (the bwd-data caller rotates the kernel
+/// and swaps roles here). Each tap's scalars are one `B_seq` group from one
+/// base address.
 #[allow(clippy::too_many_arguments)]
 fn spatial_conv_image(
     core: &mut VCore,
@@ -102,7 +116,8 @@ fn spatial_conv_image(
     in_buf: u64,
     in_h: usize,
     in_w: usize,
-    wei_at: &dyn Fn(usize, usize, usize, usize) -> u64,
+    wei_tap: &dyn Fn(usize, usize, usize) -> u64,
+    wei_co_stride: u64,
     out_at: &dyn Fn(usize, usize, usize) -> u64,
 ) {
     let nvlen = core.arch().n_vlen();
@@ -115,6 +130,7 @@ fn spatial_conv_image(
     let taps = c_in * kh * kw;
     let lookahead = (VIN_BUFS - 1).min(taps);
     let vin0 = UNROLL_C;
+    let group = strided_group(UNROLL_C.min(c_out), wei_co_stride);
 
     let mut ocb = 0;
     while ocb < c_out {
@@ -157,11 +173,8 @@ fn spatial_conv_image(
                     }
                     let vin = vin0 + j % VIN_BUFS;
                     let (ci, ky, kx, _) = tap_addr(j);
-                    for u in 0..uo {
-                        core.scalar_op();
-                        let sv = core.scalar_load(arena, wei_at(ocb + u, ci, ky, kx));
-                        core.vfma_bcast(u, vin, sv, vl);
-                    }
+                    let wbase = wei_tap(ci, ky, kx) + ocb as u64 * wei_co_stride;
+                    core.fma_bcast_group(arena, vin, vl, wbase, &group[..uo]);
                 }
                 for u in 0..uo {
                     core.vstore_rows(
@@ -239,7 +252,8 @@ pub fn run_fwd(
             in_buf,
             ih_eff,
             iw_eff,
-            &|co, ci, ky, kx| wei.at(co, ci, ky, kx),
+            &|ci, ky, kx| wei.at(0, ci, ky, kx),
+            (p.ic * p.kh * p.kw * 4) as u64,
             &|co, y, x| dst.at(n, co, y, x),
         );
     }
@@ -307,7 +321,8 @@ pub fn run_bwd_data(
             ih_eff,
             iw_eff,
             // rotated kernel, swapped channel roles
-            &|ci_out, co_in, ky, kx| wei.at(co_in, ci_out, kh - 1 - ky, kw - 1 - kx),
+            &|co_in, ky, kx| wei.at(co_in, 0, kh - 1 - ky, kw - 1 - kx),
+            (kh * kw * 4) as u64,
             &|ci_out, y, x| src.at(n, ci_out, y, x),
         );
     }

@@ -8,8 +8,14 @@
 //! library scratch buffer. The im2col transform runs on the vector engine
 //! and is charged in full — the memory overhead the paper contrasts the
 //! direct algorithms against (Section 2.2).
+//!
+//! The OIHW weights are the row-major `OC x K` matrix `WeiRows`. The
+//! forward and backward-data products broadcast its scalars: one group of
+//! `B_seq` triples per `k` (forward: one weight row per accumulator) or per
+//! `oc` (backward data: one column per accumulator), from one base address
+//! and fixed offsets.
 
-use crate::direct::{copy_chunked, zero_chunked};
+use crate::direct::{copy_chunked, strided_group, zero_chunked};
 use crate::VednnTensors;
 use lsv_arch::ArchParams;
 use lsv_conv::ConvProblem;
@@ -38,6 +44,41 @@ impl ColRef {
     #[inline]
     fn row(&self, k: usize) -> u64 {
         self.base + ((k * self.m) * 4) as u64
+    }
+}
+
+/// The OIHW weights as the GEMM's row-major `OC x K` matrix: `W[oc, k]`,
+/// `k = (ic, kh, kw)`, sits at `row(oc) + 4k`. The `B_seq` groups address
+/// it with one base per tap and fixed per-accumulator offsets.
+#[derive(Debug, Clone, Copy)]
+struct WeiRows {
+    base: u64,
+    /// `K` (elements per row).
+    k: usize,
+}
+
+impl WeiRows {
+    fn of(t: &VednnTensors) -> Self {
+        let w = &t.ops.wei;
+        debug_assert_eq!(
+            (w.layout.icb, w.layout.ocb),
+            (1, 1),
+            "vednn keeps plain OIHW weights"
+        );
+        Self {
+            base: w.base,
+            k: w.ic * w.kh * w.kw,
+        }
+    }
+
+    #[inline]
+    fn row_bytes(&self) -> u64 {
+        (self.k * 4) as u64
+    }
+
+    #[inline]
+    fn row(&self, oc: usize) -> u64 {
+        self.base + oc as u64 * self.row_bytes()
     }
 }
 
@@ -153,6 +194,9 @@ fn gemm_fwd_image(
     let nvlen = core.arch().n_vlen();
     let vl_max = col.m.min(nvlen);
     let vin0 = RB_GEMM;
+    // Accumulator `j` reads output channel `ocb + j`'s weight row.
+    let wei = WeiRows::of(t);
+    let group = strided_group(RB_GEMM.min(p.oc), wei.row_bytes());
     let mut mb = 0;
     while mb < col.m {
         let vl = vl_max.min(col.m - mb);
@@ -167,6 +211,7 @@ fn gemm_fwd_image(
                 core.scalar_op();
                 core.vload(arena, vin0 + kk % VBUFS, col.row(kk) + (mb * 4) as u64, vl);
             }
+            let row = wei.row(ocb);
             for k in 0..col.k {
                 if k + lookahead < col.k {
                     core.scalar_op();
@@ -178,16 +223,7 @@ fn gemm_fwd_image(
                     );
                 }
                 let vin = vin0 + k % VBUFS;
-                for j in 0..u {
-                    core.scalar_op();
-                    let w = core.scalar_load(
-                        arena,
-                        t.ops
-                            .wei
-                            .at(ocb + j, k / (p.kh * p.kw), (k / p.kw) % p.kh, k % p.kw),
-                    );
-                    core.vfma_bcast(j, vin, w, vl);
-                }
+                core.fma_bcast_group(arena, vin, vl, row + (k * 4) as u64, &group[..u]);
             }
             for j in 0..u {
                 let out = t.ops.dst.at(n, ocb + j, 0, 0) + (mb * 4) as u64;
@@ -245,6 +281,9 @@ pub fn run_bwd_data(
         k: k_total,
         m,
     };
+    // Accumulator `j` reads column `kb + j` of each weight row.
+    let wei = WeiRows::of(t);
+    let group = strided_group(RB_GEMM.min(k_total), 4);
     for n in n_range {
         core.scalar_ops(2);
         // --- col_diff[k, m] = sum_oc W[oc, k] * D[oc, m]
@@ -274,17 +313,8 @@ pub fn run_bwd_data(
                         );
                     }
                     let vin = vin0 + oc % VBUFS;
-                    for j in 0..u {
-                        let k = kb + j;
-                        core.scalar_op();
-                        let w = core.scalar_load(
-                            arena,
-                            t.ops
-                                .wei
-                                .at(oc, k / (p.kh * p.kw), (k / p.kw) % p.kh, k % p.kw),
-                        );
-                        core.vfma_bcast(j, vin, w, vl);
-                    }
+                    let taps = wei.row(oc) + (kb * 4) as u64;
+                    core.fma_bcast_group(arena, vin, vl, taps, &group[..u]);
                 }
                 for j in 0..u {
                     core.vstore(arena, j, col.row(kb + j) + (mb * 4) as u64, vl);
@@ -357,6 +387,7 @@ pub fn run_bwd_weights(
     let k_total = p.ic * p.kh * p.kw;
     let nvlen = core.arch().n_vlen();
     let vl_max = m.min(nvlen);
+    let wei = WeiRows::of(t);
     let dreg = RB_GEMM; // streamed D row chunk
     let creg0 = RB_GEMM + 1; // column-row buffers (VBUFS_BWDW of them)
     let zreg = creg0 + VBUFS_BWDW; // zero register
@@ -416,10 +447,7 @@ pub fn run_bwd_weights(
                 for j in 0..u {
                     let k = kb + j;
                     let sum = core.vreduce_sum(j, vl_max);
-                    let addr = t
-                        .ops
-                        .wei
-                        .at(oc, k / (p.kh * p.kw), (k / p.kw) % p.kh, k % p.kw);
+                    let addr = wei.row(oc) + (k * 4) as u64;
                     let old = core.scalar_load(arena, addr);
                     core.scalar_op();
                     core.scalar_store(arena, addr, old.value + sum.value);

@@ -20,6 +20,15 @@
 //! * [`VednnConv::best`] — the algorithm chooser: probes the supported
 //!   kernels in timing-only mode and keeps the faster one (a problem only
 //!   one family supports is not probed).
+//!
+//! The weight-broadcast loops of these kernels (the GEMM's forward and
+//! backward-data products, every tap of the spatial kernel) are streams of
+//! `B_seq` triples — pointer bump, scalar weight load, broadcast FMA — and
+//! are emitted the way `lsv-conv`'s micro-kernels emit theirs: one weight
+//! base address per tap, fixed per-accumulator offsets, and one
+//! [`lsv_vengine::VCore::fma_bcast_group`] per tap, with no per-instruction
+//! index arithmetic. The instruction stream is the per-instruction one, so
+//! every simulated number is too.
 
 pub mod direct;
 pub mod gemm;

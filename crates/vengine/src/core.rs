@@ -296,6 +296,18 @@ impl CoreStats {
     }
 }
 
+/// Per-instruction timing constants of a broadcast FMA of one vector length
+/// (computed once per [`VCore::fma_bcast_group`]).
+#[derive(Debug, Clone, Copy)]
+struct FmaTiming {
+    /// Port occupancy, `ceil(vl / lanes_per_port)`.
+    occ: u64,
+    /// FMA latency after the occupancy.
+    l_fma: u64,
+    /// Cycles before its ready time a scalar operand may be consumed.
+    window: u64,
+}
+
 /// The simulated core. One `VCore` models one hardware core; multi-core runs
 /// instantiate several over the same [`Arena`].
 ///
@@ -333,6 +345,8 @@ pub struct VCore {
     /// Reusable line-address buffer for the gather/scatter banking model
     /// (grown once, then recycled via `mem::take` on every call).
     line_scratch: Vec<u64>,
+    /// Reusable per-load latency buffer of a timed `fma_bcast_group`.
+    lat_scratch: Vec<u64>,
     // --- accounting ---
     /// Whether the core times the stream: walks the cache hierarchy and
     /// the scoreboard. An untimed core only counts, traces and (when
@@ -387,6 +401,7 @@ impl VCore {
             vlen: n_vlen,
             vregs,
             line_scratch: Vec::new(),
+            lat_scratch: Vec::new(),
             frontier: 0,
             slots_used: 0,
             counters: InstCounters::default(),
@@ -979,33 +994,58 @@ impl VCore {
             vl,
         });
         if self.timed {
-            let mut dispatch = self.issue_slot();
-            let blocking = scalar.ready.saturating_sub(self.arch.scalar_forward_window);
-            if blocking > dispatch {
-                self.block_frontend(blocking, true);
-                dispatch = self.frontier;
-            }
-            let srcs = self.vreg_ready[acc].max(self.vreg_ready[w]);
-            let (start, port) = self.vpipe_start(dispatch, srcs, true);
-            let occ = self.arch.vector_occupancy(vl);
-            self.ports[port] = start + occ;
-            self.vreg_ready[acc] = start + occ + self.arch.l_fma as u64;
+            let fma = self.fma_timing(vl);
+            self.time_fma_bcast(acc, w, scalar.ready, fma);
         }
         if matches!(self.mode, ExecutionMode::Functional) {
-            let s = scalar.value;
-            // Split borrows: `acc` and `w` are distinct registers.
-            debug_assert_ne!(acc, w, "FMA accumulator aliases weights register");
-            let vlen = self.vlen;
-            let (a_slice, w_slice) = if acc < w {
-                let (lo, hi) = self.vregs.split_at_mut(w * vlen);
-                (&mut lo[acc * vlen..acc * vlen + vl], &hi[..vl])
-            } else {
-                let (lo, hi) = self.vregs.split_at_mut(acc * vlen);
-                (&mut hi[..vl], &lo[w * vlen..w * vlen + vl])
-            };
-            for (a, &b) in a_slice.iter_mut().zip(w_slice.iter()) {
-                *a += b * s;
-            }
+            self.compute_fma_bcast(acc, w, scalar.value, vl);
+        }
+    }
+
+    /// The timing constants of a length-`vl` broadcast FMA.
+    #[inline]
+    fn fma_timing(&self, vl: usize) -> FmaTiming {
+        FmaTiming {
+            occ: self.arch.vector_occupancy(vl),
+            l_fma: self.arch.l_fma as u64,
+            window: self.arch.scalar_forward_window,
+        }
+    }
+
+    /// Time one broadcast FMA into `acc` whose scalar operand is ready at
+    /// `scalar_ready`: the frontend blocks until the operand is within the
+    /// forward window, then the vector pipe waits for the accumulator, the
+    /// multiplicand `w` and a free FMA port. The one timing definition of
+    /// [`VCore::vfma_bcast`] and [`VCore::fma_bcast_group`].
+    #[inline]
+    fn time_fma_bcast(&mut self, acc: usize, w: usize, scalar_ready: u64, fma: FmaTiming) {
+        let mut dispatch = self.issue_slot();
+        let blocking = scalar_ready.saturating_sub(fma.window);
+        if blocking > dispatch {
+            self.block_frontend(blocking, true);
+            dispatch = self.frontier;
+        }
+        let srcs = self.vreg_ready[acc].max(self.vreg_ready[w]);
+        let (start, port) = self.vpipe_start(dispatch, srcs, true);
+        self.ports[port] = start + fma.occ;
+        self.vreg_ready[acc] = start + fma.occ + fma.l_fma;
+    }
+
+    /// `acc[0..vl] += w[0..vl] * s` on the functional register file.
+    #[inline]
+    fn compute_fma_bcast(&mut self, acc: usize, w: usize, s: f32, vl: usize) {
+        // Split borrows: `acc` and `w` are distinct registers.
+        debug_assert_ne!(acc, w, "FMA accumulator aliases weights register");
+        let vlen = self.vlen;
+        let (a_slice, w_slice) = if acc < w {
+            let (lo, hi) = self.vregs.split_at_mut(w * vlen);
+            (&mut lo[acc * vlen..acc * vlen + vl], &hi[..vl])
+        } else {
+            let (lo, hi) = self.vregs.split_at_mut(acc * vlen);
+            (&mut hi[..vl], &lo[w * vlen..w * vlen + vl])
+        };
+        for (a, &b) in a_slice.iter_mut().zip(w_slice.iter()) {
+            *a += b * s;
         }
     }
 
@@ -1014,11 +1054,16 @@ impl VCore {
     /// pointer update, a scalar load from `base + off` and a
     /// [`VCore::vfma_bcast`] of that scalar into `acc`.
     ///
-    /// Timed, functional and tracing cores issue exactly those
-    /// [`VCore::scalar_op`], [`VCore::scalar_load`] and
-    /// [`VCore::vfma_bcast`] calls, so the group has no timing model of its
-    /// own. A counting core adds the group's counters in O(1), as
-    /// [`VCore::scalar_ops`] does.
+    /// Every core ends in the state those [`VCore::scalar_op`],
+    /// [`VCore::scalar_load`] and [`VCore::vfma_bcast`] calls leave, and
+    /// the group has no timing model of its own. A tracing core issues the
+    /// calls one by one. Any other core adds the counters in O(1), as
+    /// [`VCore::scalar_ops`] does. A timed core then serves the loads as
+    /// one [`Hierarchy::load_round`] (the cache accesses keep their program
+    /// order; no FMA touches the cache) and times the triples in one loop,
+    /// through the per-FMA timing of [`VCore::vfma_bcast`] with the group's
+    /// occupancy, FMA latency and forward window computed once. A
+    /// functional core computes each triple in order.
     pub fn fma_bcast_group(
         &mut self,
         arena: &Arena,
@@ -1027,18 +1072,39 @@ impl VCore {
         base: u64,
         group: &[(usize, u64)],
     ) {
-        if !self.timed && !self.mode.is_functional() && self.trace.is_none() {
-            let n = group.len() as u64;
-            self.counters.scalar_ops += n;
-            self.counters.scalar_loads += n;
-            self.counters.vfmas += n;
-            self.counters.fma_elems += n * vl as u64;
+        if self.trace.is_some() {
+            for &(acc, off) in group {
+                self.scalar_op();
+                let sv = self.scalar_load(arena, base + off);
+                self.vfma_bcast(acc, w, sv, vl);
+            }
             return;
         }
-        for &(acc, off) in group {
-            self.scalar_op();
-            let sv = self.scalar_load(arena, base + off);
-            self.vfma_bcast(acc, w, sv, vl);
+        self.assert_vr(w, vl);
+        for &(acc, _) in group {
+            self.assert_vr(acc, vl);
+        }
+        let n = group.len() as u64;
+        self.counters.scalar_ops += n;
+        self.counters.scalar_loads += n;
+        self.counters.vfmas += n;
+        self.counters.fma_elems += n * vl as u64;
+        if self.timed {
+            let mut latencies = std::mem::take(&mut self.lat_scratch);
+            self.hier
+                .load_round(group.iter().map(|&(_, off)| base + off), &mut latencies);
+            let fma = self.fma_timing(vl);
+            for (&(acc, _), &latency) in group.iter().zip(&latencies) {
+                self.issue_slot(); // the pointer update
+                let ready = self.issue_slot() + latency;
+                self.time_fma_bcast(acc, w, ready, fma);
+            }
+            self.lat_scratch = latencies;
+        }
+        if self.mode.is_functional() {
+            for &(acc, off) in group {
+                self.compute_fma_bcast(acc, w, arena.read(base + off), vl);
+            }
         }
     }
 

@@ -105,8 +105,9 @@ fn arena_bits(arena: &Arena) -> Vec<u32> {
 }
 
 /// One group of broadcast FMAs: multiplicand selector, vector-length
-/// selector, base selector and `(acc, offset kind, k)` entries.
-type Group = (usize, usize, usize, Vec<(usize, u8, usize)>);
+/// selector, base selector, `(acc, offset kind, k)` entries, how often the
+/// group repeats and what runs between its repeats.
+type Group = (usize, usize, usize, Vec<(usize, u8, usize)>, usize, u8);
 
 /// Every kind of core a micro-kernel runs on, with its arena: timing-only,
 /// functional, functional with a trace, untimed functional, introspection
@@ -145,11 +146,16 @@ fn cores(arch: &ArchParams) -> Vec<(&'static str, VCore, Arena)> {
     ]
 }
 
-/// Feed `core` the groups, each as one `fma_bcast_group` call (`grouped`)
-/// or as the per-instruction `scalar_op`, `scalar_load`, `vfma_bcast`
-/// sequence it stands for. Offset kind 0 stays in one line (repeated
+/// Feed `core` the groups, each as `fma_bcast_group` calls (`grouped`) or
+/// as the per-instruction `scalar_op`, `scalar_load`, `vfma_bcast`
+/// sequences they stand for. Offset kind 0 stays in one line (repeated
 /// lines), kind 1 steps by the L1 way size (every offset maps to one set,
-/// so more than `ways` of them conflict), kind 2 is anywhere in two ways.
+/// so more than `ways` of them conflict), kind 2 is anywhere in two ways. A
+/// group repeats up to 3 more times at channel-stride bases (4 bytes on:
+/// the next channel of a line-blocked scalar stream, which re-touches the
+/// previous repeat's lines), with a vector load (LLC only), a scalar load
+/// or a scalar store (both L1, in the group base's L1 set) or nothing
+/// between repeats.
 fn run_groups(
     core: &mut VCore,
     arena: &mut Arena,
@@ -172,10 +178,12 @@ fn run_groups(
         core.vload(arena, w, base + (w * 4) as u64, n_vlen);
     }
     let vls = [1, n_vlen.min(3), n_vlen / 2 + 1, n_vlen];
-    for (w_sel, vl_sel, base_sel, entries) in groups {
+    // The register past the accumulators takes the vector loads between
+    // repeats.
+    let spare = n_vregs - 3;
+    for (w_sel, vl_sel, base_sel, entries, repeats, between) in groups {
         let w = n_vregs - 1 - w_sel % 2;
         let vl = vls[vl_sel % vls.len()];
-        let gbase = base + (base_sel % 64 * 4) as u64;
         let group: Vec<(usize, u64)> = entries
             .iter()
             .map(|&(acc, kind, k)| {
@@ -184,16 +192,30 @@ fn run_groups(
                     1 => k % 8 * way,
                     _ => k % (2 * way / 4) * 4,
                 };
-                (acc % (n_vregs - 2), off as u64)
+                (acc % spare, off as u64)
             })
             .collect();
-        if grouped {
-            core.fma_bcast_group(arena, w, vl, gbase, &group);
-        } else {
-            for &(acc, off) in &group {
-                core.scalar_op();
-                let sv = core.scalar_load(arena, gbase + off);
-                core.vfma_bcast(acc, w, sv, vl);
+        for r in 0..=repeats % 4 {
+            let gbase = base + ((base_sel % 64 + r) * 4) as u64;
+            if grouped {
+                core.fma_bcast_group(arena, w, vl, gbase, &group);
+            } else {
+                for &(acc, off) in &group {
+                    core.scalar_op();
+                    let sv = core.scalar_load(arena, gbase + off);
+                    core.vfma_bcast(acc, w, sv, vl);
+                }
+            }
+            // A line `1 + r` ways on: in the base line's L1 set, so the
+            // scalar accesses between repeats evict the group's lines.
+            let other = gbase + (way * (1 + r)) as u64;
+            match between % 4 {
+                0 => {}
+                1 => core.vload(arena, spare, other, vl),
+                2 => {
+                    core.scalar_load(arena, other);
+                }
+                _ => core.scalar_store(arena, other, 0.5),
             }
         }
     }
@@ -203,8 +225,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     // The grouped B_seq triple is the per-instruction sequence on every core
-    // kind: equal stats (cycles, stalls, cache), registers, trace events and
-    // counters, on a width-1 and a width-4 frontend.
+    // kind (timed timing-only and functional cores among them), also when a
+    // group repeats at channel-stride bases with vector loads, scalar loads
+    // or scalar stores between the repeats: equal `drain()` (cycles, every
+    // stall counter, every cache level), registers, arena contents, trace
+    // events and counters, on a width-1 and a width-4 frontend.
     #[test]
     fn fma_bcast_group_is_the_per_instruction_sequence(
         groups in proptest::collection::vec(
@@ -213,8 +238,10 @@ proptest! {
                 0usize..4,
                 0usize..64,
                 proptest::collection::vec((0usize..64, 0u8..3, 0usize..4096), 0..12),
+                0usize..4,
+                0u8..4,
             ),
-            1..6,
+            1..8,
         ),
     ) {
         for arch in [sx_aurora(), skylake_avx512()] {
@@ -229,6 +256,7 @@ proptest! {
                     for vr in 0..arch.n_vregs {
                         prop_assert_eq!(grouped.vreg(vr), single.vreg(vr), "{} v{}", kind, vr);
                     }
+                    prop_assert_eq!(arena_bits(&a1), arena_bits(&a2), "{} arena", kind);
                 }
                 let (g, s) = (grouped.drain(), single.drain());
                 prop_assert_eq!(g, s, "{} stats", kind);

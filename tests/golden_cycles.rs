@@ -6,7 +6,7 @@
 //! representative subset of the Table 3 suite — six layers spanning 3x3,
 //! strided-1x1 and conflict-prone shapes, across {DC, BDC, MBDC} x
 //! {fwdd, bwdd, bwdw} — against fixtures recorded before the optimization
-//! work, plus the vednn baseline on four of those layers (rows with `alg`
+//! work, plus the vednn baseline on every one of those layers (rows with `alg`
 //! `vednn`). Any timing-visible regression fails `cargo test -q`.
 //!
 //! Regenerate the fixture (only when a *modelling* change intentionally
@@ -35,8 +35,9 @@ const ALGORITHMS: [Algorithm; 3] = [Algorithm::Dc, Algorithm::Bdc, Algorithm::Mb
 
 /// Layers whose vednn rows are snapshotted: between them both kernel
 /// families (spatial and GEMM) in fwd/bwd-data, GEMM in bwd-weights, on
-/// unit-stride and strided shapes.
-const VEDNN_LAYERS: [usize; 4] = [2, 4, 6, 8];
+/// unit-stride and strided shapes, down to the 14x14 (11) and 7x7 (16)
+/// images where the spatial kernel packs several output rows per vector.
+const VEDNN_LAYERS: [usize; 6] = [2, 4, 6, 8, 11, 16];
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
